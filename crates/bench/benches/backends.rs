@@ -1,4 +1,4 @@
-//! Ref-vs-batch backend suite.
+//! Ref-vs-batch backend suite, and each costly layer replayed alone.
 //!
 //! The batch tier earns its keep here: the same kernels run through the
 //! per-instruction reference delivery (`PerInst`) and the block-batched
@@ -6,13 +6,20 @@
 //! (delivery cost isolated from interpretation). The differential tests
 //! in `mica-core` prove the tiers bit-identical; this suite measures what
 //! the batching buys on the profile hot path.
+//!
+//! `layer_replay` times the PPM predictors and the EV56/EV67 models one at
+//! a time over one recorded trace, in the manner of nanoBench: a layer's
+//! cost with nothing else in the loop.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mica_core::{Backend, CharacterizationSuite, PerInst, RegTraffic, StrideAnalyzer, WorkingSet};
+use mica_core::{
+    Backend, CharacterizationSuite, PerInst, PpmPredictor, PpmVariant, RegTraffic, StrideAnalyzer, WorkingSet,
+};
 use mica_experiments::profile::profile_benchmark_with;
 use mica_workloads::{benchmark_table, BenchmarkSpec};
 use std::hint::black_box;
 use tinyisa::{Trace, TraceRecorder, BATCH_CAPACITY};
+use uarch_sim::{Ev56Model, Ev67Model};
 
 const FUEL: u64 = 100_000;
 
@@ -120,6 +127,51 @@ fn bench_replay(c: &mut Criterion) {
     g.finish();
 }
 
+/// Each PPM variant's `observe_block` and each machine model's
+/// `retire_block`, alone over the same recorded trace. Throughput counts
+/// the trace's instructions, so each line reads as the layer's cost per
+/// instruction, as in the per-layer ledger of the repository benchmark.
+fn bench_layer_replay(c: &mut Criterion) {
+    let trace = trace_of("qsort");
+    let mut g = c.benchmark_group("layer_replay");
+    g.throughput(Throughput::Elements(trace.len() as u64));
+    // Each block's conditional branches, extracted as
+    // `CharacterizationSuite::retire_block` does, outside the timed loop.
+    let blocks: Vec<Vec<(u64, bool)>> = trace
+        .events()
+        .chunks(BATCH_CAPACITY)
+        .map(|block| {
+            block.iter().filter_map(|i| i.ctrl.filter(|c| c.conditional).map(|c| (i.pc, c.taken))).collect()
+        })
+        .collect();
+    for variant in PpmVariant::ALL {
+        g.bench_function(format!("ppm_{}", variant.to_string().to_lowercase()), |b| {
+            b.iter(|| {
+                let mut p = PpmPredictor::new(variant);
+                for block in &blocks {
+                    p.observe_block(block);
+                }
+                black_box(p.accuracy())
+            })
+        });
+    }
+    g.bench_function("ev56", |b| {
+        b.iter(|| {
+            let mut m = Ev56Model::new();
+            trace.replay_blocks(&mut m, BATCH_CAPACITY);
+            black_box(m.ipc())
+        })
+    });
+    g.bench_function("ev67", |b| {
+        b.iter(|| {
+            let mut m = Ev67Model::new();
+            trace.replay_blocks(&mut m, BATCH_CAPACITY);
+            black_box(m.ipc())
+        })
+    });
+    g.finish();
+}
+
 /// The full profile hot path (tandem MICA + HPC record) under each
 /// backend, exactly as `profile_all` dispatches it.
 fn bench_profile_hot_path(c: &mut Criterion) {
@@ -135,5 +187,5 @@ fn bench_profile_hot_path(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(backends, bench_live, bench_replay, bench_profile_hot_path);
+criterion_group!(backends, bench_live, bench_replay, bench_layer_replay, bench_profile_hot_path);
 criterion_main!(backends);

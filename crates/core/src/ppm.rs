@@ -1,7 +1,6 @@
 //! Branch-predictability characterization via Prediction by Partial
 //! Matching (metrics 44–47).
 
-use std::collections::HashMap;
 use tinyisa::{DynInst, TraceSink};
 
 /// Default maximum PPM context order (history bits). The ablation benchmark
@@ -48,10 +47,74 @@ impl std::fmt::Display for PpmVariant {
     }
 }
 
+/// The key of a context: the table's branch id (0 for the shared tables of
+/// GAg/PAg) in bits 33 and up, then a marker bit `1 << order` above the low
+/// `order` history bits. The marker keeps the orders apart and makes every
+/// key nonzero.
+fn context_key(table: u64, order: usize, hist: u64) -> u64 {
+    (table << 33) | (1 << order) | (hist & ((1 << order) - 1))
+}
+
+/// Slots a table starts with (a power of two).
+const INITIAL_SLOTS: usize = 1 << 10;
+
+/// A flat map from nonzero `u64` keys: open addressing with linear probing,
+/// power-of-two capacity, load at most ½, and Fibonacci hashing (the top
+/// bits of `key × 2^64/φ` pick a key's home slot). Key 0 marks a free slot.
+#[derive(Debug, Clone)]
+struct FlatTable<V> {
+    slots: Vec<(u64, V)>,
+    len: usize,
+    /// `64 - log2(slots.len())`.
+    shift: u32,
+}
+
+impl<V: Copy + Default> FlatTable<V> {
+    fn with_slots(n: usize) -> Self {
+        FlatTable { slots: vec![(0, V::default()); n], len: 0, shift: 64 - n.trailing_zeros() }
+    }
+
+    /// The value under `key`, inserted as `V::default()` if absent.
+    fn get_or_insert(&mut self, key: u64) -> &mut V {
+        debug_assert_ne!(key, 0, "key 0 marks a free slot");
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let i = self.find(key);
+        if self.slots[i].0 == 0 {
+            self.slots[i].0 = key;
+            self.len += 1;
+        }
+        &mut self.slots[i].1
+    }
+
+    /// The slot holding `key`, or the free slot where it belongs.
+    fn find(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.slots[i].0 != key && self.slots[i].0 != 0 {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    // Out of line and not recursive, so `get_or_insert` inlines into the
+    // per-order loop of `observe`.
+    #[cold]
+    fn grow(&mut self) {
+        let doubled = Self { len: self.len, ..Self::with_slots(2 * self.slots.len()) };
+        let old = std::mem::replace(self, doubled);
+        for slot in old.slots.into_iter().filter(|&(k, _)| k != 0) {
+            let i = self.find(slot.0);
+            self.slots[i] = slot;
+        }
+    }
+}
+
 /// A theoretical Prediction-by-Partial-Matching branch predictor
 /// (Chen, Coffey & Mudge).
 ///
-/// Maintains frequency tables for every context order from `max_order` down
+/// Maintains frequency counts for every context order from `max_order` down
 /// to 0 and predicts with the longest context that has been seen before,
 /// falling back to shorter contexts (the compression-model "escape"). The
 /// reported **accuracy** — the fraction of conditional branches predicted
@@ -62,9 +125,14 @@ pub struct PpmPredictor {
     variant: PpmVariant,
     max_order: usize,
     global_hist: u64,
-    local_hist: HashMap<u64, u64>,
-    /// One table per order; keyed by (branch pc or 0, masked history).
-    tables: Vec<HashMap<(u64, u64), [u32; 2]>>,
+    /// One history per branch id (read only by the per-address variants).
+    local_hist: Vec<u64>,
+    /// Branch id + 1 by pc, 0 until the branch is first seen.
+    ids: FlatTable<u32>,
+    /// Branch id + 1 of pc 0, which cannot be a key of `ids`.
+    pc0_id: u32,
+    /// `[not-taken, taken]` counts by context key.
+    counts: FlatTable<[u32; 2]>,
     correct: u64,
     total: u64,
 }
@@ -86,8 +154,10 @@ impl PpmPredictor {
             variant,
             max_order,
             global_hist: 0,
-            local_hist: HashMap::new(),
-            tables: vec![HashMap::new(); max_order + 1],
+            local_hist: Vec::new(),
+            ids: FlatTable::with_slots(INITIAL_SLOTS),
+            pc0_id: 0,
+            counts: FlatTable::with_slots(INITIAL_SLOTS),
             correct: 0,
             total: 0,
         }
@@ -114,39 +184,39 @@ impl PpmPredictor {
         }
     }
 
-    fn key(&self, order: usize, pc: u64, hist: u64) -> (u64, u64) {
-        // Shift-safe for any order: `1u64 << 64` would be UB-shaped (debug
-        // panic, release wrap to mask 0). Construction rejects orders
-        // above 32, but the mask must not silently corrupt keys if that
-        // bound ever moves.
-        let masked = match order {
-            0 => 0,
-            o if o >= 64 => hist,
-            o => hist & ((1u64 << o) - 1),
-        };
-        let table_pc = if self.variant.per_branch_tables() { pc } else { 0 };
-        (table_pc, masked)
+    /// The dense id of the branch at `pc`, handing out the next one (and a
+    /// history) on first sight.
+    fn branch_id(&mut self, pc: u64) -> usize {
+        let slot = if pc == 0 { &mut self.pc0_id } else { self.ids.get_or_insert(pc) };
+        if *slot == 0 {
+            // An id shifts into bits 33 and up of a context key.
+            assert!(self.local_hist.len() < 1 << 31, "more than 2^31 static branches");
+            self.local_hist.push(0);
+            *slot = self.local_hist.len() as u32;
+        }
+        *slot as usize - 1
     }
 
     /// Feed one conditional branch outcome; returns whether the prediction
     /// was correct.
     pub fn observe(&mut self, pc: u64, taken: bool) -> bool {
-        let hist = if self.variant.per_address_history() {
-            *self.local_hist.entry(pc).or_insert(0)
-        } else {
-            self.global_hist
-        };
+        let id = if self.variant == PpmVariant::GAg { 0 } else { self.branch_id(pc) };
+        let hist = if self.variant.per_address_history() { self.local_hist[id] } else { self.global_hist };
+        let table = if self.variant.per_branch_tables() { id as u64 } else { 0 };
 
-        // Predict with the longest matching context; escape downwards.
+        // One probe per order, shortest context first. A context's counts
+        // stay [0, 0] until it is first seen, so the last nonzero counts
+        // read belong to the longest context seen before — the prediction
+        // of the longest-match escape. Each probe then counts this outcome
+        // in a context no later probe reads.
         let mut prediction = true; // static default for a never-seen branch
-        for order in (0..=self.max_order).rev() {
-            let key = self.key(order, pc, hist);
-            if let Some(&[nt, t]) = self.tables[order].get(&key) {
-                if nt + t > 0 {
-                    prediction = t >= nt;
-                    break;
-                }
+        for order in 0..=self.max_order {
+            let counts = self.counts.get_or_insert(context_key(table, order, hist));
+            let [nt, t] = *counts;
+            if nt | t != 0 {
+                prediction = t >= nt;
             }
+            counts[taken as usize] = counts[taken as usize].saturating_add(1);
         }
 
         let correct = prediction == taken;
@@ -155,17 +225,10 @@ impl PpmPredictor {
             self.correct += 1;
         }
 
-        // Update the frequency counts at every order.
-        for order in 0..=self.max_order {
-            let key = self.key(order, pc, hist);
-            let entry = self.tables[order].entry(key).or_insert([0, 0]);
-            entry[taken as usize] = entry[taken as usize].saturating_add(1);
-        }
-
-        // Shift the outcome into the history register(s).
+        // Shift the outcome into the history register.
         let new_hist = (hist << 1) | taken as u64;
         if self.variant.per_address_history() {
-            self.local_hist.insert(pc, new_hist);
+            self.local_hist[id] = new_hist;
         } else {
             self.global_hist = new_hist;
         }
@@ -331,6 +394,18 @@ mod tests {
     fn no_branches_means_perfectly_predictable() {
         let p = PpmPredictor::new(PpmVariant::GAg);
         assert_eq!(p.accuracy(), 1.0);
+    }
+
+    #[test]
+    fn saturated_context_predicts_without_overflow() {
+        // Both counts at u32::MAX sum past 2^32: the seen-before test must
+        // not add them.
+        let mut p = PpmPredictor::new(PpmVariant::GAg);
+        let key = context_key(0, 0, 0);
+        *p.counts.get_or_insert(key) = [u32::MAX, u32::MAX];
+        assert!(p.observe(0x100, true), "ties predict taken");
+        assert_eq!(*p.counts.get_or_insert(key), [u32::MAX, u32::MAX]);
+        assert_eq!(p.total(), 1);
     }
 
     #[test]

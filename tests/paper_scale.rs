@@ -1,0 +1,29 @@
+//! Paper-scale pin: the three smallest table kernels, profiled at the
+//! paper's budgets through MICA and both machine models, reproduce their
+//! records in the committed `results/profiles.json` byte for byte.
+
+use mica_suite::experiments::profile::{profile_benchmark, scaled_budget};
+use mica_suite::experiments::results::ProfileSet;
+use mica_suite::prelude::*;
+
+/// 0.30–0.37 M instructions each at scale 1.
+const KERNELS: [&str; 3] = ["MediaBench/mesa/osdemo", "MiBench/jpeg/djpeg", "MiBench/susan/corners (large)"];
+
+#[test]
+fn smallest_kernels_reproduce_their_committed_profiles() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/profiles.json");
+    let text = std::fs::read_to_string(path).expect("committed profiles.json");
+    let committed: ProfileSet = serde_json::from_str(&text).expect("profiles.json parses");
+    assert_eq!(committed.scale, 1.0, "the committed profiles are the paper-scale ones");
+    let table = benchmark_table();
+    for name in KERNELS {
+        let spec = table.iter().find(|s| s.name() == name).expect("kernel in the table");
+        let want = committed.records.iter().find(|r| r.name == name).expect("kernel in profiles.json");
+        let got = profile_benchmark(spec, scaled_budget(spec, 1.0)).expect("kernel profiles");
+        assert_eq!(
+            serde_json::to_string(&got).expect("record serializes"),
+            serde_json::to_string(want).expect("record serializes"),
+            "{name}"
+        );
+    }
+}
