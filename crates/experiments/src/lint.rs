@@ -57,12 +57,12 @@ pub fn lint_and_survey() -> Vec<(String, Report, KernelStatic)> {
     let config = workload_config();
     par_map(&specs, |spec| {
         let mut span = mica_obs::span("lint", spec.name());
-        let vm = spec.build_vm().unwrap_or_else(|e| {
+        let program = spec.program().unwrap_or_else(|e| {
             panic!("{}: kernel failed to assemble: {e}", spec.name());
         });
-        let analysis = Analysis::build(vm.program(), &config);
-        let report = verify_with_analysis(vm.program(), &analysis, &config);
-        let survey = KernelStatic::collect(&spec.name(), vm.program(), &analysis, &report);
+        let analysis = Analysis::build(&program, &config);
+        let report = verify_with_analysis(&program, &analysis, &config);
+        let survey = KernelStatic::collect(&spec.name(), &program, &analysis, &report);
         span.attr("errors", report.errors().count() as u64);
         span.attr("warnings", report.warnings().count() as u64);
         span.attr("loops", survey.loops.len() as u64);

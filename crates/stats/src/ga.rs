@@ -12,9 +12,13 @@ use crate::zscore_normalize;
 use mica_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// GA generations evaluated, across all selector runs in the process.
 static GENERATIONS: obs::Counter = obs::Counter::new("ga.generations");
+/// Fitness evaluations (distinct genomes per run), across all selector runs
+/// in the process.
+static GENOMES_SCORED: obs::Counter = obs::Counter::new("ga.genomes_scored");
 
 /// Hyperparameters of the genetic algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -213,22 +217,37 @@ impl GeneticSelector {
         best.0
     }
 
-    /// Score a batch of genomes, optionally on the worker pool. Fitness is
-    /// RNG-free, so parallel evaluation returns bit-identical scores in the
-    /// same order as a serial pass.
-    fn evaluate(&self, genomes: Vec<u64>, parallel: bool) -> Vec<(u64, f64)> {
-        if parallel {
-            mica_par::par_map(&genomes, |&g| (g, self.fitness(g)))
+    /// Score a batch of genomes, in order. Only genomes missing from
+    /// `scores` are evaluated — deduplicated and sorted, optionally on the
+    /// worker pool — and then remembered there. Fitness is pure and
+    /// RNG-free, so a remembered score is bit-identical to a fresh one and
+    /// parallel evaluation matches a serial pass.
+    fn evaluate(
+        &self,
+        genomes: Vec<u64>,
+        scores: &mut HashMap<u64, f64>,
+        parallel: bool,
+    ) -> Vec<(u64, f64)> {
+        let mut unseen: Vec<u64> =
+            genomes.iter().copied().filter(|g| !scores.contains_key(g)).collect();
+        unseen.sort_unstable();
+        unseen.dedup();
+        GENOMES_SCORED.add(unseen.len() as u64);
+        let fitness = if parallel {
+            mica_par::par_map(&unseen, |&g| self.fitness(g))
         } else {
-            genomes.into_iter().map(|g| (g, self.fitness(g))).collect()
-        }
+            unseen.iter().map(|&g| self.fitness(g)).collect()
+        };
+        scores.extend(unseen.into_iter().zip(fitness));
+        genomes.into_iter().map(|g| (g, scores[&g])).collect()
     }
 
     /// Run the GA to completion, evaluating population fitness on the
     /// worker pool. Bit-identical to [`run_serial`](Self::run_serial): all
     /// RNG consumption (breeding) happens serially; only the RNG-free
     /// fitness scoring is distributed, and scores are merged back in
-    /// breeding order before the (stable) ranking sort.
+    /// breeding order before the (stable) ranking sort. Each distinct
+    /// genome is scored once per run; a genome bred again reuses its score.
     pub fn run(&self) -> GaResult {
         self.run_impl(true)
     }
@@ -244,9 +263,10 @@ impl GeneticSelector {
         run_span.attr("population", cfg.population as u64);
         run_span.attr("metrics", self.num_cols as u64);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut scores = HashMap::new();
         let seeds: Vec<u64> =
             (0..cfg.population.max(2)).map(|_| self.random_genome(&mut rng)).collect();
-        let mut pop = self.evaluate(seeds, parallel);
+        let mut pop = self.evaluate(seeds, &mut scores, parallel);
         pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
 
         let mut history = Vec::new();
@@ -278,7 +298,7 @@ impl GeneticSelector {
                 children.push(self.repair(child, &mut rng));
             }
             let mut next: Vec<(u64, f64)> = pop[..elites].to_vec();
-            next.extend(self.evaluate(children, parallel));
+            next.extend(self.evaluate(children, &mut scores, parallel));
             next.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
             pop = next;
             history.push(pop[0].1);
@@ -419,6 +439,122 @@ mod tests {
         let ser = sel.run_serial();
         assert_eq!(par, ser, "parallel fitness evaluation must not change the evolution");
         assert!(par.history.iter().zip(&ser.history).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// The selector loop before scores were remembered: breeding exactly
+    /// as in `run_impl`, but every genome bred is scored afresh. Also
+    /// returns how many scores that took and how many genomes were distinct.
+    fn score_every_child(sel: &GeneticSelector) -> (GaResult, usize, usize) {
+        let cfg = sel.config;
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut bred = std::collections::HashSet::new();
+        let mut evaluations = 0;
+        let mut score = |genomes: Vec<u64>| -> Vec<(u64, f64)> {
+            evaluations += genomes.len();
+            bred.extend(genomes.iter().copied());
+            genomes.into_iter().map(|g| (g, sel.fitness(g))).collect()
+        };
+        let seeds = (0..cfg.population.max(2)).map(|_| sel.random_genome(&mut rng)).collect();
+        let mut pop = score(seeds);
+        pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        let mut history = Vec::new();
+        let mut best = pop[0];
+        let mut stagnant = 0;
+        let mut gens = 0;
+        for _ in 0..cfg.generations {
+            gens += 1;
+            let elites = cfg.elitism.min(pop.len());
+            let mut children = Vec::with_capacity(pop.len() - elites);
+            while elites + children.len() < pop.len() {
+                let a = sel.tournament_pick(&pop, &mut rng);
+                let b = sel.tournament_pick(&pop, &mut rng);
+                let mut child = if rng.gen::<f64>() < cfg.crossover_rate {
+                    let mask = rng.gen::<u64>();
+                    (a & mask) | (b & !mask)
+                } else {
+                    a
+                };
+                for c in 0..sel.num_cols {
+                    if rng.gen::<f64>() < cfg.mutation_rate {
+                        child ^= 1 << c;
+                    }
+                }
+                children.push(sel.repair(child, &mut rng));
+            }
+            let mut next: Vec<(u64, f64)> = pop[..elites].to_vec();
+            next.extend(score(children));
+            next.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            pop = next;
+            history.push(pop[0].1);
+            if pop[0].1 > best.1 + 1e-12 {
+                best = pop[0];
+                stagnant = 0;
+            } else {
+                stagnant += 1;
+                if stagnant >= cfg.stagnation_limit {
+                    break;
+                }
+            }
+        }
+        let result = GaResult {
+            selected: (0..sel.num_cols).filter(|&c| best.0 >> c & 1 == 1).collect(),
+            fitness: best.1,
+            rho: sel.rho(best.0),
+            generations_run: gens,
+            history,
+        };
+        (result, evaluations, bred.len())
+    }
+
+    fn assert_bit_identical(got: &GaResult, want: &GaResult) {
+        let bits = |r: &GaResult| r.history.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.selected, want.selected);
+        assert_eq!(got.fitness.to_bits(), want.fitness.to_bits());
+        assert_eq!(got.rho.to_bits(), want.rho.to_bits());
+        assert_eq!(got.generations_run, want.generations_run);
+        assert_eq!(bits(got), bits(want));
+    }
+
+    /// 122 x 47 seeded uniform values: the shape of the MICA dataset.
+    fn random_122x47() -> DataSet {
+        let mut rng = StdRng::seed_from_u64(0x4d49_4341);
+        DataSet::from_rows((0..122).map(|_| (0..47).map(|_| rng.gen()).collect()).collect())
+    }
+
+    /// `run` and `run_serial`, which score each distinct genome once, must
+    /// evolve exactly as [`score_every_child`] does.
+    fn check_against_reference(ds: &DataSet, k: Option<usize>, config: GaConfig) {
+        let mut sel = GeneticSelector::new(ds, config);
+        if let Some(k) = k {
+            sel = sel.with_fixed_size(k);
+        }
+        let (want, evaluations, distinct) = score_every_child(&sel);
+        assert!(distinct < evaluations, "k = {k:?}: no genome was bred twice");
+        assert_bit_identical(&sel.run(), &want);
+        assert_bit_identical(&sel.run_serial(), &want);
+    }
+
+    /// The random set runs 25 generations, which keeps each test a few
+    /// seconds long in a debug build and still breeds repeats.
+    fn short() -> GaConfig {
+        GaConfig { generations: 25, ..GaConfig::default() }
+    }
+
+    #[test]
+    fn remembered_scores_match_reference_on_structured_set() {
+        // Six columns, so the fixed-size case is k = 3.
+        check_against_reference(&structured(), None, GaConfig::default());
+        check_against_reference(&structured(), Some(3), GaConfig::default());
+    }
+
+    #[test]
+    fn remembered_scores_match_reference_free_on_random_set() {
+        check_against_reference(&random_122x47(), None, short());
+    }
+
+    #[test]
+    fn remembered_scores_match_reference_k8_on_random_set() {
+        check_against_reference(&random_122x47(), Some(8), short());
     }
 
     #[test]

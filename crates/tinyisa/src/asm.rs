@@ -65,7 +65,7 @@ impl fmt::Display for AsmError {
 impl std::error::Error for AsmError {}
 
 /// An assembled, label-resolved program ready to run on [`crate::Vm`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     insts: Vec<Op>,
     base: u64,

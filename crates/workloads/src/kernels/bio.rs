@@ -2,6 +2,7 @@
 //! scanning, Markov-model scoring, Viterbi decoding, and phylogenetic
 //! tree evaluation.
 
+use super::Build;
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE, STACK_TOP};
 use tinyisa::{regs::*, Asm, AsmError, Vm};
@@ -9,7 +10,13 @@ use tinyisa::{regs::*, Asm, AsmError, Vm};
 /// Banded Smith-Waterman-style alignment of two sequences over a given
 /// alphabet: the DP core of clustalw, fasta, ce and predator. The DP row
 /// buffer working set scales with `band`.
-pub(crate) fn dp_align(m: u64, band: u64, alphabet: u8, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn dp_align(
+    m: u64,
+    band: u64,
+    alphabet: u8,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // seq A (m bytes)
     a.li(S1, (DATA_BASE + m) as i64); // seq B
@@ -74,6 +81,9 @@ pub(crate) fn dp_align(m: u64, band: u64, alphabet: u8, seed: u64) -> Result<Vm,
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_alphabet(vm.mem_mut(), DATA_BASE, m, alphabet);
     g.fill_alphabet(vm.mem_mut(), DATA_BASE + m, band + 2, alphabet);
@@ -83,7 +93,7 @@ pub(crate) fn dp_align(m: u64, band: u64, alphabet: u8, seed: u64) -> Result<Vm,
 /// blast-class database scan: slide a query fingerprint over a very large
 /// sequence database with word-hash seeding; hits trigger a short
 /// verification loop. The database size dominates the data working set.
-pub(crate) fn db_scan(db_bytes: u64, word: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn db_scan(db_bytes: u64, word: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // database
     a.li(S1, DATA2_BASE as i64); // query (64 bytes)
@@ -149,6 +159,9 @@ pub(crate) fn db_scan(db_bytes: u64, word: u64, seed: u64) -> Result<Vm, AsmErro
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_alphabet(vm.mem_mut(), DATA_BASE, db_bytes, 20); // protein-like
     g.fill_alphabet(vm.mem_mut(), DATA2_BASE, 64, 20);
@@ -157,7 +170,12 @@ pub(crate) fn db_scan(db_bytes: u64, word: u64, seed: u64) -> Result<Vm, AsmErro
 
 /// glimmer-class interpolated-Markov scoring: walk a sequence, index a
 /// `k`-mer context table of log-probabilities and accumulate.
-pub(crate) fn markov_scan(seq_bytes: u64, order: u32, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn markov_scan(
+    seq_bytes: u64,
+    order: u32,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let table_entries = 1u64 << (2 * order); // DNA: 2 bits per base
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // sequence (2-bit coded bases, one per byte)
@@ -194,6 +212,9 @@ pub(crate) fn markov_scan(seq_bytes: u64, order: u32, seed: u64) -> Result<Vm, A
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_alphabet(vm.mem_mut(), DATA_BASE, seq_bytes, 4);
     g.fill_f64(vm.mem_mut(), DATA2_BASE, table_entries);
@@ -202,7 +223,7 @@ pub(crate) fn markov_scan(seq_bytes: u64, order: u32, seed: u64) -> Result<Vm, A
 
 /// hmmer-class Viterbi decoding: integer max-plus DP over `states` HMM
 /// states per sequence position (match/insert/delete transitions).
-pub(crate) fn viterbi(states: u64, steps: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn viterbi(states: u64, steps: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // previous scores (i64 x states)
     a.li(S1, (DATA_BASE + states * 8) as i64); // current scores
@@ -257,6 +278,9 @@ pub(crate) fn viterbi(states: u64, steps: u64, seed: u64) -> Result<Vm, AsmError
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_u64_below(vm.mem_mut(), DATA2_BASE, states * 4, 16);
     g.fill_alphabet(vm.mem_mut(), DATA3_BASE, steps + 1, 20);
@@ -266,7 +290,7 @@ pub(crate) fn viterbi(states: u64, steps: u64, seed: u64) -> Result<Vm, AsmError
 /// phylip-class phylogenetic likelihood: post-order traversal of a binary
 /// tree with explicit recursion (call/ret and a real stack), combining
 /// per-site FP likelihoods at each internal node.
-pub(crate) fn phylo_eval(leaves: u64, sites: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn phylo_eval(leaves: u64, sites: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let nodes = 2 * leaves - 1;
     let mut a = Asm::new();
     // Node layout (32 bytes): left(u32), right(u32), lik array ptr(u64),
@@ -340,6 +364,9 @@ pub(crate) fn phylo_eval(leaves: u64, sites: u64, seed: u64) -> Result<Vm, AsmEr
     a.ret();
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     // Build a balanced tree: internal node i has children 2i+1, 2i+2 in a
     // heap-like layout, stored in reverse so the root is the last node.
@@ -371,10 +398,11 @@ pub(crate) fn phylo_eval(leaves: u64, sites: u64, seed: u64) -> Result<Vm, AsmEr
 #[cfg(test)]
 mod tests {
     use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
 
     #[test]
     fn dp_align_is_branchy_int_dp() {
-        let mix = mix_of(super::dp_align(512, 128, 20, 1).unwrap(), 60_000);
+        let mix = mix_of(super::dp_align(512, 128, 20, 1, Build::Full).unwrap(), 60_000);
         assert!(mix.control > 0.15, "control {}", mix.control);
         assert!(mix.loads > 0.1);
         assert_eq!(mix.fp, 0.0);
@@ -382,26 +410,26 @@ mod tests {
 
     #[test]
     fn db_scan_runs_over_big_table() {
-        let mix = mix_of(super::db_scan(1 << 20, 8, 2).unwrap(), 80_000);
+        let mix = mix_of(super::db_scan(1 << 20, 8, 2, Build::Full).unwrap(), 80_000);
         assert!(mix.loads > 0.12, "loads {}", mix.loads);
     }
 
     #[test]
     fn markov_scan_mixes_fp_accumulation() {
-        let mix = mix_of(super::markov_scan(1 << 14, 6, 3).unwrap(), 50_000);
+        let mix = mix_of(super::markov_scan(1 << 14, 6, 3, Build::Full).unwrap(), 50_000);
         assert!(mix.fp > 0.01, "fp {}", mix.fp);
     }
 
     #[test]
     fn viterbi_is_integer_max_plus() {
-        let mix = mix_of(super::viterbi(64, 256, 4).unwrap(), 60_000);
+        let mix = mix_of(super::viterbi(64, 256, 4, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.2);
         assert_eq!(mix.fp, 0.0);
     }
 
     #[test]
     fn phylo_uses_calls_and_fp() {
-        let mix = mix_of(super::phylo_eval(64, 32, 5).unwrap(), 80_000);
+        let mix = mix_of(super::phylo_eval(64, 32, 5, Build::Full).unwrap(), 80_000);
         assert!(mix.fp > 0.1, "fp {}", mix.fp);
         assert!(mix.control > 0.05);
     }

@@ -1,6 +1,7 @@
 //! Compression kernels: hash-chain LZ77 compression, LZ decompression, and
 //! a BWT-style block transform (counting sort + move-to-front + RLE).
 
+use super::Build;
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
 use tinyisa::{regs::*, Asm, AsmError, Memory, Vm};
@@ -19,7 +20,13 @@ fn fill_input(g: &mut DataGen, mem: &mut Memory, base: u64, len: u64, entropy: u
 
 /// gzip/zip-class LZ77 compression: hash the next 3 bytes, probe a chain
 /// table for a previous occurrence, extend the match, emit a token.
-pub(crate) fn lz_compress(bytes: u64, window: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn lz_compress(
+    bytes: u64,
+    window: u64,
+    entropy: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let hash_entries: u64 = 1 << 13;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input
@@ -100,6 +107,9 @@ pub(crate) fn lz_compress(bytes: u64, window: u64, entropy: u64, seed: u64) -> R
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     fill_input(&mut g, vm.mem_mut(), DATA_BASE, bytes, entropy);
     Ok(vm)
@@ -107,7 +117,12 @@ pub(crate) fn lz_compress(bytes: u64, window: u64, entropy: u64, seed: u64) -> R
 
 /// LZ77 decompression of a host-compressed token stream: short branchy
 /// loop of copies — the gzip/zip "decode" sides.
-pub(crate) fn lz_decompress(bytes: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn lz_decompress(
+    bytes: u64,
+    entropy: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     // Host-side: generate data, LZ-compress it into (tag, payload) tokens.
     // Tag byte 0 = literal (1 byte follows), 1 = match (u16 offset, u8 len).
     let mut g = DataGen::new(seed);
@@ -183,6 +198,9 @@ pub(crate) fn lz_decompress(bytes: u64, entropy: u64, seed: u64) -> Result<Vm, A
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     vm.mem_mut().write_bytes(DATA_BASE, &tokens);
     Ok(vm)
 }
@@ -191,7 +209,7 @@ pub(crate) fn lz_decompress(bytes: u64, entropy: u64, seed: u64) -> Result<Vm, A
 /// leading bytes (histogram + scatter), a move-to-front pass over the sorted
 /// permutation, and run-length counting. Captures bzip2's sort-dominated,
 /// large-working-set behavior.
-pub(crate) fn bwtish(block: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn bwtish(block: u64, entropy: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input block
     a.li(S1, DATA2_BASE as i64); // histogram (256 x u32)
@@ -290,6 +308,9 @@ pub(crate) fn bwtish(block: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     fill_input(&mut g, vm.mem_mut(), DATA_BASE, block, entropy);
     Ok(vm)
@@ -298,18 +319,19 @@ pub(crate) fn bwtish(block: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError
 #[cfg(test)]
 mod tests {
     use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
 
     #[test]
     fn lz_compress_is_branchy_with_loads() {
-        let mix = mix_of(super::lz_compress(1 << 16, 4096, 30, 1).unwrap(), 80_000);
+        let mix = mix_of(super::lz_compress(1 << 16, 4096, 30, 1, Build::Full).unwrap(), 80_000);
         assert!(mix.control > 0.1, "control {}", mix.control);
         assert!(mix.loads > 0.08, "loads {}", mix.loads);
     }
 
     #[test]
     fn lz_entropy_changes_behavior() {
-        let low = mix_of(super::lz_compress(1 << 15, 4096, 5, 1).unwrap(), 60_000);
-        let high = mix_of(super::lz_compress(1 << 15, 4096, 95, 1).unwrap(), 60_000);
+        let low = mix_of(super::lz_compress(1 << 15, 4096, 5, 1, Build::Full).unwrap(), 60_000);
+        let high = mix_of(super::lz_compress(1 << 15, 4096, 95, 1, Build::Full).unwrap(), 60_000);
         // Random input finds fewer matches -> different store (token) rate.
         assert!(
             (low.stores - high.stores).abs() > 0.005,
@@ -321,13 +343,13 @@ mod tests {
 
     #[test]
     fn lz_decompress_runs() {
-        let mix = mix_of(super::lz_decompress(1 << 14, 10, 2).unwrap(), 50_000);
+        let mix = mix_of(super::lz_decompress(1 << 14, 10, 2, Build::Full).unwrap(), 50_000);
         assert!(mix.stores > 0.1, "copy loop stores: {}", mix.stores);
     }
 
     #[test]
     fn bwtish_touches_large_histogram() {
-        let mix = mix_of(super::bwtish(1 << 14, 60, 3).unwrap(), 100_000);
+        let mix = mix_of(super::bwtish(1 << 14, 60, 3, Build::Full).unwrap(), 100_000);
         assert!(mix.stores > 0.1);
         assert!(mix.loads > 0.1);
     }

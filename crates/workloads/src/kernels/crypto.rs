@@ -1,13 +1,20 @@
 //! Cryptography and coding kernels: Feistel block cipher, SHA-style hash,
 //! CRC32, modular exponentiation, Reed-Solomon Galois-field coding.
 
+use super::Build;
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
 use tinyisa::{regs::*, Asm, AsmError, Vm};
 
 /// A Feistel-network block cipher with S-box lookups (CAST/Blowfish class):
 /// `rounds` rounds over 8-byte blocks, four `1 << sbox_bits`-entry S-boxes.
-pub(crate) fn feistel(blocks: u64, rounds: u64, sbox_bits: u32, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn feistel(
+    blocks: u64,
+    rounds: u64,
+    sbox_bits: u32,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let sbox_entries = 1u64 << sbox_bits;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // plaintext blocks
@@ -71,6 +78,9 @@ pub(crate) fn feistel(blocks: u64, rounds: u64, sbox_bits: u32, seed: u64) -> Re
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_random(vm.mem_mut(), DATA_BASE, blocks * 8);
     g.fill_u32_below(vm.mem_mut(), DATA2_BASE, sbox_entries * 4, 1 << 32);
@@ -81,7 +91,7 @@ pub(crate) fn feistel(blocks: u64, rounds: u64, sbox_bits: u32, seed: u64) -> Re
 /// A SHA-1-style compression loop: 64-byte chunks, 80 expand+mix rounds of
 /// rotates, adds and boolean functions. Models MiBench sha and the hashing
 /// phase of pgp.
-pub(crate) fn sha(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn sha(bytes: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let chunks = (bytes / 64).max(1);
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // message
@@ -139,6 +149,9 @@ pub(crate) fn sha(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_random(vm.mem_mut(), DATA_BASE, chunks * 64);
     Ok(vm)
@@ -146,7 +159,7 @@ pub(crate) fn sha(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
 
 /// Table-driven CRC32 over a byte stream (MiBench CRC32; also the checksum
 /// inner loop of CommBench tcp).
-pub(crate) fn crc32(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn crc32(bytes: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // data
     a.li(S1, DATA2_BASE as i64); // crc table (256 x u32)
@@ -173,6 +186,9 @@ pub(crate) fn crc32(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_repetitive(vm.mem_mut(), DATA_BASE, bytes, 64, 50);
     // Standard CRC-32 table.
@@ -189,7 +205,7 @@ pub(crate) fn crc32(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
 /// Multi-word modular exponentiation by repeated square-and-multiply over
 /// `words`-limb integers (schoolbook multiply + reduction by subtraction
 /// stand-in). Models pgp's RSA and gap's bignum arithmetic.
-pub(crate) fn modexp(words: u64, exp_bits: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn modexp(words: u64, exp_bits: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let words = words.max(2);
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // base (words limbs)
@@ -276,6 +292,9 @@ pub(crate) fn modexp(words: u64, exp_bits: u64, seed: u64) -> Result<Vm, AsmErro
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_u64_below(vm.mem_mut(), DATA_BASE, words, u64::MAX);
     // acc starts at 1.
@@ -292,7 +311,13 @@ pub(crate) fn modexp(words: u64, exp_bits: u64, seed: u64) -> Result<Vm, AsmErro
 /// Reed-Solomon-style encoding over GF(256): per input block, multiply the
 /// message through a generator using log/antilog tables (CommBench reed).
 /// `nsym` is the number of parity symbols.
-pub(crate) fn reed_solomon(blocks: u64, msg_len: u64, nsym: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn reed_solomon(
+    blocks: u64,
+    msg_len: u64,
+    nsym: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // message blocks
     a.li(S1, DATA2_BASE as i64); // log table (256 B), antilog at +256
@@ -364,6 +389,9 @@ pub(crate) fn reed_solomon(blocks: u64, msg_len: u64, nsym: u64, seed: u64) -> R
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_random(vm.mem_mut(), DATA_BASE, blocks * msg_len);
     // GF(256) log/antilog tables for the 0x11d polynomial.
@@ -392,37 +420,38 @@ pub(crate) fn reed_solomon(blocks: u64, msg_len: u64, nsym: u64, seed: u64) -> R
 #[cfg(test)]
 mod tests {
     use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
 
     #[test]
     fn feistel_is_load_heavy_table_code() {
-        let mix = mix_of(super::feistel(512, 16, 8, 1).unwrap(), 60_000);
+        let mix = mix_of(super::feistel(512, 16, 8, 1, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.15, "loads {}", mix.loads);
         assert!(mix.fp == 0.0);
     }
 
     #[test]
     fn sha_is_alu_dominated() {
-        let mix = mix_of(super::sha(4096, 2).unwrap(), 60_000);
+        let mix = mix_of(super::sha(4096, 2, Build::Full).unwrap(), 60_000);
         assert!(mix.arith > 0.6, "arith {}", mix.arith);
         assert!(mix.loads < 0.1, "few memory ops: {}", mix.loads);
     }
 
     #[test]
     fn crc_alternates_loads_and_alu() {
-        let mix = mix_of(super::crc32(65536, 3).unwrap(), 50_000);
+        let mix = mix_of(super::crc32(65536, 3, Build::Full).unwrap(), 50_000);
         assert!(mix.loads > 0.15);
         assert!(mix.control > 0.05);
     }
 
     #[test]
     fn modexp_has_multiplies() {
-        let mix = mix_of(super::modexp(8, 64, 4).unwrap(), 60_000);
+        let mix = mix_of(super::modexp(8, 64, 4, Build::Full).unwrap(), 60_000);
         assert!(mix.int_mul > 0.02, "int_mul {}", mix.int_mul);
     }
 
     #[test]
     fn reed_solomon_runs_with_byte_tables() {
-        let mix = mix_of(super::reed_solomon(64, 64, 16, 5).unwrap(), 60_000);
+        let mix = mix_of(super::reed_solomon(64, 64, 16, 5, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.15);
         assert!(mix.stores > 0.03);
     }

@@ -1,6 +1,7 @@
 //! Signal-processing kernels: FFT, FIR filtering, ADPCM coding, 8x8 DCT,
 //! wavelet lifting, and scalar math loops.
 
+use super::Build;
 use crate::data::{write_twiddles, DataGen};
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
 use tinyisa::{regs::*, Asm, AsmError, Vm};
@@ -9,7 +10,7 @@ use tinyisa::{regs::*, Asm, AsmError, Vm};
 /// (decimation-in-frequency: butterfly stages with a precomputed twiddle
 /// table, then the bit-reversal permutation).
 /// Models MiBench FFT/fftinv, SPEC lucas' transform phase, facerec.
-pub(crate) fn fft(log2n: u32, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn fft(log2n: u32, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let n = 1u64 << log2n;
     let mut a = Asm::new();
     // S0 data, S1 twiddles, S2 n, S3 log2n, S4 m, S5 half, S6 tstep.
@@ -99,6 +100,9 @@ pub(crate) fn fft(log2n: u32, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, 2 * n);
     write_twiddles(vm.mem_mut(), DATA2_BASE, n);
@@ -108,7 +112,7 @@ pub(crate) fn fft(log2n: u32, seed: u64) -> Result<Vm, AsmError> {
 /// FIR filter: `y[i] = sum_t h[t] * x[i - t]` over `samples` doubles with
 /// `taps` coefficients. Models MiBench mad's synthesis filter, rsynth's
 /// formant filters, and lame's filterbank.
-pub(crate) fn fir(taps: u64, samples: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn fir(taps: u64, samples: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // x
     a.li(S1, DATA2_BASE as i64); // h
@@ -142,6 +146,9 @@ pub(crate) fn fir(taps: u64, samples: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, samples);
     g.fill_f64(vm.mem_mut(), DATA2_BASE, taps);
@@ -153,7 +160,7 @@ pub(crate) fn fir(taps: u64, samples: u64, seed: u64) -> Result<Vm, AsmError> {
 /// Models MiBench adpcm and MediaBench g721. `decode` flips the
 /// reconstruct-vs-quantize ordering (same tables, slightly different branch
 /// mix, like rawcaudio vs rawdaudio).
-pub(crate) fn adpcm(samples: u64, decode: bool, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn adpcm(samples: u64, decode: bool, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input samples (i16)
     a.li(S1, DATA2_BASE as i64); // step table (89 x i64)
@@ -275,6 +282,9 @@ pub(crate) fn adpcm(samples: u64, decode: bool, seed: u64) -> Result<Vm, AsmErro
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_audio(vm.mem_mut(), DATA_BASE, samples);
     // IMA step table (89 entries).
@@ -289,7 +299,7 @@ pub(crate) fn adpcm(samples: u64, decode: bool, seed: u64) -> Result<Vm, AsmErro
 /// 8x8 block DCT with quantization over a grayscale image: the compute core
 /// of JPEG/MPEG-style codecs (CommBench jpeg, MiBench jpeg, MediaBench
 /// mpeg2/epic pipelines). `quality` scales the quantizer.
-pub(crate) fn dct8x8(blocks: u64, quality: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn dct8x8(blocks: u64, quality: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input bytes
     a.li(S1, DATA2_BASE as i64); // 8x8 DCT coefficient table (f64)
@@ -387,6 +397,9 @@ pub(crate) fn dct8x8(blocks: u64, quality: u64, seed: u64) -> Result<Vm, AsmErro
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_image(vm.mem_mut(), DATA_BASE, 64, blocks.max(1));
     // DCT-II coefficient table c[u][y].
@@ -402,7 +415,13 @@ pub(crate) fn dct8x8(blocks: u64, quality: u64, seed: u64) -> Result<Vm, AsmErro
 
 /// One-dimensional Haar-style lifting wavelet over an integer signal,
 /// `levels` octaves, optionally inverse. Models MediaBench epic/unepic.
-pub(crate) fn wavelet(len: u64, levels: u64, inverse: bool, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn wavelet(
+    len: u64,
+    levels: u64,
+    inverse: bool,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // signal (i64)
     if !inverse {
@@ -450,6 +469,9 @@ pub(crate) fn wavelet(len: u64, levels: u64, inverse: bool, seed: u64) -> Result
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_u64_below(vm.mem_mut(), DATA_BASE, len, 4096);
     Ok(vm)
@@ -457,7 +479,7 @@ pub(crate) fn wavelet(len: u64, levels: u64, inverse: bool, seed: u64) -> Result
 
 /// Scalar math loops: Newton square roots, cubic polynomial evaluation and
 /// integer GCDs — MiBench basicmath.
-pub(crate) fn basicmath(values: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn basicmath(values: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // f64 inputs
     a.li(S1, DATA2_BASE as i64); // u64 pairs for gcd
@@ -508,6 +530,9 @@ pub(crate) fn basicmath(values: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, values);
     g.fill_u64_below(vm.mem_mut(), DATA2_BASE, values * 2, 1 << 30);
@@ -517,10 +542,11 @@ pub(crate) fn basicmath(values: u64, seed: u64) -> Result<Vm, AsmError> {
 #[cfg(test)]
 mod tests {
     use crate::kernels::test_support::{mix_of, run_fuel};
+    use crate::kernels::Build;
 
     #[test]
     fn fft_runs_and_is_fp_heavy() {
-        let vm = super::fft(8, 1).unwrap();
+        let vm = super::fft(8, 1, Build::Full).unwrap();
         let mix = mix_of(vm, 60_000);
         assert!(mix.fp > 0.15, "fp fraction {}", mix.fp);
         assert!(mix.loads > 0.1);
@@ -528,7 +554,7 @@ mod tests {
 
     #[test]
     fn fir_runs_with_unit_stride_loads() {
-        let vm = super::fir(32, 2048, 2).unwrap();
+        let vm = super::fir(32, 2048, 2, Build::Full).unwrap();
         let mix = mix_of(vm, 50_000);
         assert!(mix.fp > 0.15);
         assert!(mix.loads > 0.15, "loads {}", mix.loads);
@@ -536,7 +562,7 @@ mod tests {
 
     #[test]
     fn adpcm_is_branchy_integer_code() {
-        let vm = super::adpcm(4096, false, 3).unwrap();
+        let vm = super::adpcm(4096, false, 3, Build::Full).unwrap();
         let mix = mix_of(vm, 50_000);
         assert!(mix.control > 0.15, "control {}", mix.control);
         assert!(mix.fp == 0.0);
@@ -544,27 +570,27 @@ mod tests {
 
     #[test]
     fn adpcm_decode_variant_differs() {
-        let enc = mix_of(super::adpcm(4096, false, 3).unwrap(), 50_000);
-        let dec = mix_of(super::adpcm(4096, true, 3).unwrap(), 50_000);
+        let enc = mix_of(super::adpcm(4096, false, 3, Build::Full).unwrap(), 50_000);
+        let dec = mix_of(super::adpcm(4096, true, 3, Build::Full).unwrap(), 50_000);
         assert!((enc.stores - dec.stores).abs() < 0.05, "same order of stores");
     }
 
     #[test]
     fn dct_runs_and_mixes_fp_and_int() {
-        let vm = super::dct8x8(16, 8, 4).unwrap();
+        let vm = super::dct8x8(16, 8, 4, Build::Full).unwrap();
         let mix = mix_of(vm, 80_000);
         assert!(mix.fp > 0.1, "fp {}", mix.fp);
     }
 
     #[test]
     fn wavelet_forward_and_inverse_run() {
-        run_fuel(super::wavelet(4096, 6, false, 5).unwrap(), 30_000);
-        run_fuel(super::wavelet(4096, 6, true, 5).unwrap(), 30_000);
+        run_fuel(super::wavelet(4096, 6, false, 5, Build::Full).unwrap(), 30_000);
+        run_fuel(super::wavelet(4096, 6, true, 5, Build::Full).unwrap(), 30_000);
     }
 
     #[test]
     fn basicmath_has_divides() {
-        let vm = super::basicmath(512, 6).unwrap();
+        let vm = super::basicmath(512, 6, Build::Full).unwrap();
         let mix = mix_of(vm, 40_000);
         assert!(mix.int_mul > 0.001, "rem/div present: {}", mix.int_mul);
         assert!(mix.fp > 0.2);
@@ -572,7 +598,7 @@ mod tests {
 
     #[test]
     fn mdct_is_a_dense_fp_dot_product() {
-        let mix = mix_of(super::mdct(8, 64, 7).unwrap(), 60_000);
+        let mix = mix_of(super::mdct(8, 64, 7, Build::Full).unwrap(), 60_000);
         assert!(mix.fp > 0.15, "fp {}", mix.fp);
         assert!(mix.loads > 0.15, "loads {}", mix.loads);
     }
@@ -582,7 +608,7 @@ mod tests {
 /// Windowed MDCT: for each output bin, a long dot product against a
 /// precomputed cosine basis over 50%-overlapped frames — the filterbank
 /// core of perceptual audio coders (MiBench lame).
-pub(crate) fn mdct(frames: u64, block: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn mdct(frames: u64, block: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let half = block / 2;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // samples (f64)
@@ -628,6 +654,9 @@ pub(crate) fn mdct(frames: u64, block: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, (frames + 1) * half);
     for k in 0..half {

@@ -1,6 +1,7 @@
 //! Graph and pointer-structure kernels: Dijkstra shortest paths, radix-trie
 //! lookups, network-simplex-style pointer chasing, and hash dictionaries.
 
+use super::Build;
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
 use tinyisa::{regs::*, Asm, AsmError, Vm};
@@ -8,7 +9,7 @@ use tinyisa::{regs::*, Asm, AsmError, Vm};
 /// Dijkstra over a dense adjacency matrix without a heap (the MiBench
 /// dijkstra implementation): repeated linear scans for the minimum-distance
 /// unvisited node, then relaxation of its row.
-pub(crate) fn dijkstra(nodes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn dijkstra(nodes: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // adjacency (u32 weights, nodes x nodes)
     a.li(S1, DATA2_BASE as i64); // dist (u32)
@@ -81,6 +82,9 @@ pub(crate) fn dijkstra(nodes: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_u32_below(vm.mem_mut(), DATA_BASE, nodes * nodes, 1000);
     Ok(vm)
@@ -88,7 +92,13 @@ pub(crate) fn dijkstra(nodes: u64, seed: u64) -> Result<Vm, AsmError> {
 
 /// Patricia/radix-trie lookups (MiBench patricia, CommBench rtr route
 /// lookup): walk a binary trie keyed by address bits for each query.
-pub(crate) fn trie_lookup(keys: u64, queries: u64, depth: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn trie_lookup(
+    keys: u64,
+    queries: u64,
+    depth: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // trie nodes: 24 bytes = left, right, value
     a.li(S1, DATA2_BASE as i64); // query keys (u32)
@@ -129,6 +139,9 @@ pub(crate) fn trie_lookup(keys: u64, queries: u64, depth: u64, seed: u64) -> Res
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     // Host-side trie construction over random keys.
     let node_bytes = 24u64;
@@ -157,7 +170,12 @@ pub(crate) fn trie_lookup(keys: u64, queries: u64, depth: u64, seed: u64) -> Res
 /// mcf-class pointer chasing with arithmetic: walk a randomly permuted ring
 /// of fat nodes, relaxing a per-node potential against its neighbor —
 /// dependent loads over a working set far larger than any cache.
-pub(crate) fn pointer_chase(nodes: u64, node_bytes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn pointer_chase(
+    nodes: u64,
+    node_bytes: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S1, nodes as i64);
     let outer = a.label();
@@ -182,6 +200,9 @@ pub(crate) fn pointer_chase(nodes: u64, node_bytes: u64, seed: u64) -> Result<Vm
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     let head = g.build_random_ring(vm.mem_mut(), DATA3_BASE, nodes, node_bytes);
     // Potentials and costs.
@@ -197,7 +218,13 @@ pub(crate) fn pointer_chase(nodes: u64, node_bytes: u64, seed: u64) -> Result<Vm
 /// Hash-dictionary probing (ispell, vortex's OO-database lookups, the
 /// symbol tables of gcc/perlbmk): open-addressed probes with string-ish
 /// key compares; `hit_rate` is the per-mille fraction of present keys.
-pub(crate) fn hash_dict(entries: u64, queries: u64, hit_rate: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn hash_dict(
+    entries: u64,
+    queries: u64,
+    hit_rate: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let buckets = (entries * 2).next_power_of_two();
     let slot_bytes = 16u64; // key u64 + value u64 (0 = empty)
     let mut a = Asm::new();
@@ -239,6 +266,9 @@ pub(crate) fn hash_dict(entries: u64, queries: u64, hit_rate: u64, seed: u64) ->
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     // Insert `entries` keys host-side with the same probe function.
     let mut keys = Vec::with_capacity(entries as usize);
@@ -271,37 +301,38 @@ pub(crate) fn hash_dict(entries: u64, queries: u64, hit_rate: u64, seed: u64) ->
 #[cfg(test)]
 mod tests {
     use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
 
     #[test]
     fn dijkstra_scans_and_branches() {
-        let mix = mix_of(super::dijkstra(96, 1).unwrap(), 80_000);
+        let mix = mix_of(super::dijkstra(96, 1, Build::Full).unwrap(), 80_000);
         assert!(mix.control > 0.15, "control {}", mix.control);
         assert!(mix.loads > 0.15);
     }
 
     #[test]
     fn trie_walk_is_dependent_loads() {
-        let mix = mix_of(super::trie_lookup(2048, 4096, 20, 2).unwrap(), 60_000);
+        let mix = mix_of(super::trie_lookup(2048, 4096, 20, 2, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.1, "loads {}", mix.loads);
         assert!(mix.control > 0.15);
     }
 
     #[test]
     fn pointer_chase_is_load_bound() {
-        let mix = mix_of(super::pointer_chase(1 << 14, 64, 3).unwrap(), 60_000);
+        let mix = mix_of(super::pointer_chase(1 << 14, 64, 3, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.3, "loads {}", mix.loads);
     }
 
     #[test]
     fn hash_dict_probes() {
-        let mix = mix_of(super::hash_dict(4096, 8192, 700, 4).unwrap(), 60_000);
+        let mix = mix_of(super::hash_dict(4096, 8192, 700, 4, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.15);
         assert!(mix.int_mul > 0.02, "hash multiply: {}", mix.int_mul);
     }
 
     #[test]
     fn str_search_is_comparison_heavy() {
-        let mix = mix_of(super::str_search(1 << 16, 8, 12, 20, 9).unwrap(), 60_000);
+        let mix = mix_of(super::str_search(1 << 16, 8, 12, 20, 9, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.2, "loads {}", mix.loads);
         assert!(mix.control > 0.1, "control {}", mix.control);
     }
@@ -317,6 +348,7 @@ pub(crate) fn str_search(
     pat_len: u64,
     alphabet: u8,
     seed: u64,
+    build: Build,
 ) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // text
@@ -374,6 +406,9 @@ pub(crate) fn str_search(
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_alphabet(vm.mem_mut(), DATA_BASE, text_bytes, alphabet);
     for p in 0..patterns {

@@ -2,13 +2,14 @@
 //! accumulation, grid stencils, CSR sparse matrix-vector products, and
 //! winner-take-all neural scans.
 
+use super::Build;
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
 use tinyisa::{regs::*, Asm, AsmError, Vm};
 
 /// Dense double-precision matrix multiply `C = A * B` (n x n). The core of
 /// the csu subspace projections, facerec, galgel and wupwise stand-ins.
-pub(crate) fn gemm(n: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn gemm(n: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // A
     a.li(S1, (DATA_BASE + n * n * 8) as i64); // B
@@ -51,6 +52,9 @@ pub(crate) fn gemm(n: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, 2 * n * n);
     Ok(vm)
@@ -59,7 +63,7 @@ pub(crate) fn gemm(n: u64, seed: u64) -> Result<Vm, AsmError> {
 /// Covariance-matrix accumulation over `samples` vectors of `dims` doubles:
 /// `C[i][j] += x[i] * x[j]` — the training passes of csu Bayesian/subspace
 /// and the GMM evaluation of speak.
-pub(crate) fn covariance(dims: u64, samples: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn covariance(dims: u64, samples: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // sample matrix
     a.li(S1, DATA2_BASE as i64); // covariance accumulator
@@ -100,6 +104,9 @@ pub(crate) fn covariance(dims: u64, samples: u64, seed: u64) -> Result<Vm, AsmEr
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, dims * samples);
     Ok(vm)
@@ -107,7 +114,7 @@ pub(crate) fn covariance(dims: u64, samples: u64, seed: u64) -> Result<Vm, AsmEr
 
 /// Five-point Jacobi stencil over a `w x h` double grid, `iters` sweeps per
 /// pass: applu/mgrid/swim/apsi-class structured-grid code.
-pub(crate) fn stencil(w: u64, h: u64, iters: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn stencil(w: u64, h: u64, iters: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // grid in
     a.li(S1, (DATA_BASE + w * h * 8) as i64); // grid out
@@ -159,6 +166,9 @@ pub(crate) fn stencil(w: u64, h: u64, iters: u64, seed: u64) -> Result<Vm, AsmEr
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, 2 * w * h);
     Ok(vm)
@@ -166,7 +176,7 @@ pub(crate) fn stencil(w: u64, h: u64, iters: u64, seed: u64) -> Result<Vm, AsmEr
 
 /// CSR sparse matrix-vector product `y = A x`: equake/ammp-class irregular
 /// gather traffic. `nnz_per_row` controls row density.
-pub(crate) fn spmv(rows: u64, nnz_per_row: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn spmv(rows: u64, nnz_per_row: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let nnz = rows * nnz_per_row;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // values (f64 x nnz)
@@ -206,6 +216,9 @@ pub(crate) fn spmv(rows: u64, nnz_per_row: u64, seed: u64) -> Result<Vm, AsmErro
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, nnz);
     g.fill_u32_below(vm.mem_mut(), DATA_BASE + nnz * 8, nnz, rows);
@@ -215,7 +228,7 @@ pub(crate) fn spmv(rows: u64, nnz_per_row: u64, seed: u64) -> Result<Vm, AsmErro
 
 /// art-class winner-take-all neural scan: repeatedly compute dot products
 /// of an input vector against every prototype row and track the maximum.
-pub(crate) fn nn_scan(neurons: u64, dims: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn nn_scan(neurons: u64, dims: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // weight matrix (neurons x dims)
     a.li(S1, DATA2_BASE as i64); // input vector
@@ -268,6 +281,9 @@ pub(crate) fn nn_scan(neurons: u64, dims: u64, seed: u64) -> Result<Vm, AsmError
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA_BASE, neurons * dims);
     g.fill_f64(vm.mem_mut(), DATA2_BASE, dims);
@@ -277,44 +293,45 @@ pub(crate) fn nn_scan(neurons: u64, dims: u64, seed: u64) -> Result<Vm, AsmError
 #[cfg(test)]
 mod tests {
     use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
 
     #[test]
     fn gemm_is_fp_dominated() {
-        let mix = mix_of(super::gemm(48, 1).unwrap(), 80_000);
+        let mix = mix_of(super::gemm(48, 1, Build::Full).unwrap(), 80_000);
         assert!(mix.fp > 0.12, "fp {}", mix.fp);
         assert!(mix.loads > 0.12);
     }
 
     #[test]
     fn covariance_streams_and_accumulates() {
-        let mix = mix_of(super::covariance(32, 64, 2).unwrap(), 60_000);
+        let mix = mix_of(super::covariance(32, 64, 2, Build::Full).unwrap(), 60_000);
         assert!(mix.fp > 0.15);
         assert!(mix.stores > 0.05, "read-modify-write of C: {}", mix.stores);
     }
 
     #[test]
     fn stencil_has_five_loads_per_store() {
-        let mix = mix_of(super::stencil(64, 64, 4, 3).unwrap(), 60_000);
+        let mix = mix_of(super::stencil(64, 64, 4, 3, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.25, "loads {}", mix.loads);
         assert!(mix.fp > 0.2);
     }
 
     #[test]
     fn spmv_gathers() {
-        let mix = mix_of(super::spmv(2048, 12, 4).unwrap(), 60_000);
+        let mix = mix_of(super::spmv(2048, 12, 4, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.2);
         assert!(mix.fp > 0.1);
     }
 
     #[test]
     fn nn_scan_runs_with_compares() {
-        let mix = mix_of(super::nn_scan(64, 32, 5).unwrap(), 60_000);
+        let mix = mix_of(super::nn_scan(64, 32, 5, Build::Full).unwrap(), 60_000);
         assert!(mix.fp > 0.2);
     }
 
     #[test]
     fn lu_solve_mixes_fp_with_pivot_branches() {
-        let mix = mix_of(super::lu_solve(48, 6).unwrap(), 80_000);
+        let mix = mix_of(super::lu_solve(48, 6, Build::Full).unwrap(), 80_000);
         assert!(mix.fp > 0.1, "fp {}", mix.fp);
         assert!(mix.control > 0.08, "control {}", mix.control);
     }
@@ -324,7 +341,7 @@ mod tests {
 /// LU decomposition with partial pivoting over an `n x n` double matrix:
 /// dense FP inner loops plus data-dependent pivot-selection branches and
 /// row swaps (galgel-class dense solver behavior).
-pub(crate) fn lu_solve(n: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn lu_solve(n: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // matrix (overwritten in place)
     a.li(S3, n as i64);
@@ -437,6 +454,9 @@ pub(crate) fn lu_solve(n: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_f64(vm.mem_mut(), DATA2_BASE, n * n);
     // Make it diagonally dominant so elimination stays tame.

@@ -1,6 +1,7 @@
 //! Media kernels: software triangle rasterization, image filters
 //! (smooth/edges/median/dither/convert), and block motion estimation.
 
+use super::Build;
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
 use tinyisa::{regs::*, Asm, AsmError, Vm};
@@ -26,7 +27,13 @@ pub enum FilterKind {
 /// mesa/ghostscript-class scanline rasterizer: per triangle, bounding box +
 /// three integer edge functions per pixel; covered pixels optionally sample
 /// a texture before the framebuffer store.
-pub(crate) fn raster(size: u64, tris: u64, textured: bool, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn raster(
+    size: u64,
+    tris: u64,
+    textured: bool,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // vertex buffer: 6 x i32 per triangle
     a.li(S1, DATA2_BASE as i64); // framebuffer (size x size bytes)
@@ -113,6 +120,9 @@ pub(crate) fn raster(size: u64, tris: u64, textured: bool, seed: u64) -> Result<
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     for t in 0..tris {
         // Counter-clockwise-ish triangles inside the viewport.
@@ -132,7 +142,13 @@ pub(crate) fn raster(size: u64, tris: u64, textured: bool, seed: u64) -> Result<
 }
 
 /// susan/tiff-class image filtering over a `w x h` grayscale image.
-pub(crate) fn image_filter(w: u64, h: u64, kind: FilterKind, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn image_filter(
+    w: u64,
+    h: u64,
+    kind: FilterKind,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input image
     a.li(S1, DATA2_BASE as i64); // output image
@@ -295,6 +311,9 @@ pub(crate) fn image_filter(w: u64, h: u64, kind: FilterKind, seed: u64) -> Resul
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_image(vm.mem_mut(), DATA_BASE, w, h);
     // Gamma table for Convert.
@@ -308,7 +327,13 @@ pub(crate) fn image_filter(w: u64, h: u64, kind: FilterKind, seed: u64) -> Resul
 /// mpeg2-encode-class block motion estimation: for each 8x8 block, compute
 /// the SAD against a +/- `range` search window in the reference frame and
 /// keep the minimum.
-pub(crate) fn motion_est(w: u64, h: u64, range: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn motion_est(
+    w: u64,
+    h: u64,
+    range: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // current frame
     a.li(S1, DATA2_BASE as i64); // reference frame
@@ -390,6 +415,9 @@ pub(crate) fn motion_est(w: u64, h: u64, range: u64, seed: u64) -> Result<Vm, As
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_image(vm.mem_mut(), DATA_BASE, w, h);
     g.fill_image(vm.mem_mut(), DATA2_BASE, w, h);
@@ -400,18 +428,19 @@ pub(crate) fn motion_est(w: u64, h: u64, range: u64, seed: u64) -> Result<Vm, As
 mod tests {
     use super::FilterKind;
     use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
 
     #[test]
     fn raster_fills_pixels() {
-        let mix = mix_of(super::raster(128, 64, false, 1).unwrap(), 80_000);
+        let mix = mix_of(super::raster(128, 64, false, 1, Build::Full).unwrap(), 80_000);
         assert!(mix.int_mul > 0.05, "edge functions multiply: {}", mix.int_mul);
         assert!(mix.control > 0.1);
     }
 
     #[test]
     fn textured_raster_loads_texels() {
-        let plain = mix_of(super::raster(128, 64, false, 1).unwrap(), 80_000);
-        let tex = mix_of(super::raster(128, 64, true, 1).unwrap(), 80_000);
+        let plain = mix_of(super::raster(128, 64, false, 1, Build::Full).unwrap(), 80_000);
+        let tex = mix_of(super::raster(128, 64, true, 1, Build::Full).unwrap(), 80_000);
         assert!(tex.loads >= plain.loads, "texture sampling adds loads");
     }
 
@@ -424,28 +453,29 @@ mod tests {
             FilterKind::Dither,
             FilterKind::Convert,
         ] {
-            let mix = mix_of(super::image_filter(96, 96, kind, 2).unwrap(), 50_000);
+            let mix = mix_of(super::image_filter(96, 96, kind, 2, Build::Full).unwrap(), 50_000);
             assert!(mix.loads > 0.05, "{kind:?}: loads {}", mix.loads);
         }
     }
 
     #[test]
     fn median_is_much_branchier_than_smooth() {
-        let smooth = mix_of(super::image_filter(96, 96, FilterKind::Smooth, 2).unwrap(), 50_000);
-        let median = mix_of(super::image_filter(96, 96, FilterKind::Median, 2).unwrap(), 50_000);
+        let filter = |kind| super::image_filter(96, 96, kind, 2, Build::Full).unwrap();
+        let smooth = mix_of(filter(FilterKind::Smooth), 50_000);
+        let median = mix_of(filter(FilterKind::Median), 50_000);
         assert!(median.control > smooth.control + 0.05);
     }
 
     #[test]
     fn motion_est_is_sad_loop() {
-        let mix = mix_of(super::motion_est(64, 64, 3, 3).unwrap(), 80_000);
+        let mix = mix_of(super::motion_est(64, 64, 3, 3, Build::Full).unwrap(), 80_000);
         assert!(mix.loads > 0.07, "loads {}", mix.loads);
         assert!(mix.control > 0.1);
     }
     #[test]
     fn corners_filter_runs_and_is_branchy() {
         let mix = mix_of(
-            super::image_filter(96, 96, FilterKind::Corners, 2).unwrap(),
+            super::image_filter(96, 96, FilterKind::Corners, 2, Build::Full).unwrap(),
             60_000,
         );
         assert!(mix.control > 0.15, "control {}", mix.control);

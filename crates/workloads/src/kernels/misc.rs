@@ -2,6 +2,7 @@
 //! quicksort, a small ray tracer, packet queue scheduling, and greedy text
 //! layout.
 
+use super::Build;
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE, STACK_TOP};
 use tinyisa::{regs::*, Asm, AsmError, Vm};
@@ -9,7 +10,7 @@ use tinyisa::{regs::*, Asm, AsmError, Vm};
 /// perlbmk/gap-class bytecode interpreter: fetch a 4-byte instruction
 /// (op, dst, src1, src2) over 16 memory-resident virtual registers and
 /// dispatch through a compare chain — big I-footprint, hard branches.
-pub(crate) fn interp(program_len: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn interp(program_len: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // bytecode
     a.li(S1, DATA2_BASE as i64); // virtual registers (u64 x 16)
@@ -112,6 +113,9 @@ pub(crate) fn interp(program_len: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     for i in 0..program_len {
         let base = DATA_BASE + i * 4;
@@ -128,7 +132,7 @@ pub(crate) fn interp(program_len: u64, seed: u64) -> Result<Vm, AsmError> {
 
 /// crafty/bitcount-class bit manipulation: per word, extract set bits one at
 /// a time (`x & -x`), count bits with shift-mask reduction, rotate and mix.
-pub(crate) fn bitops(words: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn bitops(words: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // bitboards
     a.li(S1, words as i64);
@@ -178,6 +182,9 @@ pub(crate) fn bitops(words: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_u64_below(vm.mem_mut(), DATA_BASE, words, u64::MAX);
     Ok(vm)
@@ -185,7 +192,7 @@ pub(crate) fn bitops(words: u64, seed: u64) -> Result<Vm, AsmError> {
 
 /// Iterative quicksort over `elems` 16-byte records (u64 key + u64 payload),
 /// explicit segment stack — MiBench qsort.
-pub(crate) fn qsort(elems: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn qsort(elems: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // records
     a.li(S1, elems as i64);
@@ -287,6 +294,9 @@ pub(crate) fn qsort(elems: u64, seed: u64) -> Result<Vm, AsmError> {
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     g.fill_u64_below(vm.mem_mut(), DATA_BASE, elems * 2, u64::MAX);
     Ok(vm)
@@ -295,7 +305,7 @@ pub(crate) fn qsort(elems: u64, seed: u64) -> Result<Vm, AsmError> {
 /// eon-class ray-sphere tracing: for each ray from a grid, test against all
 /// spheres (dot products, discriminant, sqrt on hit) through a real `call`ed
 /// intersection routine.
-pub(crate) fn raytrace(spheres: u64, rays: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn raytrace(spheres: u64, rays: u64, seed: u64, build: Build) -> Result<Vm, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // spheres: cx, cy, cz, r (f64 x 4)
     a.li(S1, DATA2_BASE as i64); // ray dirs: dx, dy, dz (f64 x 3)
@@ -374,6 +384,9 @@ pub(crate) fn raytrace(spheres: u64, rays: u64, seed: u64) -> Result<Vm, AsmErro
     a.ret();
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     for s in 0..spheres {
         let base = DATA_BASE + s * 32;
@@ -405,7 +418,12 @@ pub enum SchedKind {
 }
 
 /// CommBench-class packet processing over a synthetic packet trace.
-pub(crate) fn queue_sched(packets: u64, kind: SchedKind, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn queue_sched(
+    packets: u64,
+    kind: SchedKind,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let pkt_bytes = 64u64; // descriptor: len u32, flow u32, payload 56 B
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // packet trace
@@ -505,6 +523,9 @@ pub(crate) fn queue_sched(packets: u64, kind: SchedKind, seed: u64) -> Result<Vm
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     for p in 0..packets {
         let base = DATA_BASE + p * pkt_bytes;
@@ -520,7 +541,12 @@ pub(crate) fn queue_sched(packets: u64, kind: SchedKind, seed: u64) -> Result<Vm
 /// typeset-class greedy line breaking over a linked list of word records
 /// (width, next); accumulates line widths, justifies with div/rem, and
 /// walks pointer-linked records.
-pub(crate) fn text_layout(words: u64, line_width: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn text_layout(
+    words: u64,
+    line_width: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let node_bytes = 24u64; // next ptr, width, flags
     let mut a = Asm::new();
     a.li(S1, line_width as i64);
@@ -569,6 +595,9 @@ pub(crate) fn text_layout(words: u64, line_width: u64, seed: u64) -> Result<Vm, 
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     let head = g.build_random_ring(vm.mem_mut(), DATA_BASE + 64, words, node_bytes);
     for w in 0..words {
@@ -583,58 +612,60 @@ pub(crate) fn text_layout(words: u64, line_width: u64, seed: u64) -> Result<Vm, 
 mod tests {
     use super::SchedKind;
     use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
 
     #[test]
     fn interp_dispatch_is_branch_heavy() {
-        let mix = mix_of(super::interp(4096, 1).unwrap(), 60_000);
+        let mix = mix_of(super::interp(4096, 1, Build::Full).unwrap(), 60_000);
         assert!(mix.control > 0.2, "control {}", mix.control);
         assert!(mix.loads > 0.15);
     }
 
     #[test]
     fn bitops_is_alu_with_multiplies() {
-        let mix = mix_of(super::bitops(4096, 2).unwrap(), 60_000);
+        let mix = mix_of(super::bitops(4096, 2, Build::Full).unwrap(), 60_000);
         assert!(mix.arith > 0.5, "arith {}", mix.arith);
     }
 
     #[test]
     fn qsort_swaps_records() {
-        let mix = mix_of(super::qsort(4096, 3).unwrap(), 100_000);
+        let mix = mix_of(super::qsort(4096, 3, Build::Full).unwrap(), 100_000);
         assert!(mix.control > 0.15);
         assert!(mix.stores > 0.02);
     }
 
     #[test]
     fn raytrace_uses_fp_and_calls() {
-        let mix = mix_of(super::raytrace(32, 256, 4).unwrap(), 80_000);
+        let mix = mix_of(super::raytrace(32, 256, 4, Build::Full).unwrap(), 80_000);
         assert!(mix.fp > 0.3, "fp {}", mix.fp);
     }
 
     #[test]
     fn all_sched_kinds_run() {
         for kind in [SchedKind::Drr, SchedKind::Frag, SchedKind::Tcp] {
-            let mix = mix_of(super::queue_sched(512, kind, 5).unwrap(), 50_000);
+            let mix = mix_of(super::queue_sched(512, kind, 5, Build::Full).unwrap(), 50_000);
             assert!(mix.loads > 0.05, "{kind:?}");
         }
     }
 
     #[test]
     fn frag_stores_more_than_tcp() {
-        let tcp = mix_of(super::queue_sched(512, SchedKind::Tcp, 5).unwrap(), 50_000);
-        let frag = mix_of(super::queue_sched(512, SchedKind::Frag, 5).unwrap(), 50_000);
+        let sched = |kind| super::queue_sched(512, kind, 5, Build::Full).unwrap();
+        let tcp = mix_of(sched(SchedKind::Tcp), 50_000);
+        let frag = mix_of(sched(SchedKind::Frag), 50_000);
         assert!(frag.stores > tcp.stores + 0.03, "frag {} vs tcp {}", frag.stores, tcp.stores);
     }
 
     #[test]
     fn text_layout_walks_list() {
-        let mix = mix_of(super::text_layout(2048, 60, 6).unwrap(), 50_000);
+        let mix = mix_of(super::text_layout(2048, 60, 6, Build::Full).unwrap(), 50_000);
         assert!(mix.loads > 0.12, "loads {}", mix.loads);
         assert!(mix.control > 0.15);
     }
 
     #[test]
     fn annealing_swaps_and_branches() {
-        let mix = mix_of(super::annealing(4096, 8, 512, 7).unwrap(), 60_000);
+        let mix = mix_of(super::annealing(4096, 8, 512, 7, Build::Full).unwrap(), 60_000);
         assert!(mix.control > 0.05, "control {}", mix.control);
         assert!(mix.loads > 0.05, "loads {}", mix.loads);
         assert!(mix.stores > 0.005, "some swaps accepted: {}", mix.stores);
@@ -642,7 +673,7 @@ mod tests {
 
     #[test]
     fn huffman_decode_walks_the_tree() {
-        let mix = mix_of(super::huffman_decode(64, 8192, 8).unwrap(), 60_000);
+        let mix = mix_of(super::huffman_decode(64, 8192, 8, Build::Full).unwrap(), 60_000);
         assert!(mix.loads > 0.15, "tree walking loads: {}", mix.loads);
         assert!(mix.control > 0.15, "per-bit branches: {}", mix.control);
     }
@@ -653,7 +684,13 @@ mod tests {
 /// placement array, evaluate a local cost delta against neighbor positions,
 /// accept or reject against a temperature threshold (xorshift RNG kept in
 /// registers). Data-dependent branches over a medium working set.
-pub(crate) fn annealing(cells: u64, sweeps: u64, temp: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn annealing(
+    cells: u64,
+    sweeps: u64,
+    temp: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     let mask = cells.next_power_of_two() - 1;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // placement: cell id per slot (u32)
@@ -725,6 +762,9 @@ pub(crate) fn annealing(cells: u64, sweeps: u64, temp: u64, seed: u64) -> Result
     a.jmp(outer);
 
     let mut vm = Vm::new(a.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     let mut g = DataGen::new(seed);
     for i in 0..cells {
         vm.mem_mut().write_le(DATA_BASE + i * 4, 4, i);
@@ -736,7 +776,12 @@ pub(crate) fn annealing(cells: u64, sweeps: u64, temp: u64, seed: u64) -> Result
 /// Variable-length (canonical Huffman) decoding: walk a binary code tree in
 /// memory bit by bit over a host-encoded stream — the entropy-decode side
 /// of mpeg2/jpeg-class codecs.
-pub(crate) fn huffman_decode(symbols: u64, stream_bytes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn huffman_decode(
+    symbols: u64,
+    stream_bytes: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
     // Host side: build a Huffman tree over a skewed symbol distribution,
     // encode a random message, and lay the tree out in memory
     // (node: left u32 index, right u32 index, symbol u32, is_leaf u32).
@@ -854,6 +899,9 @@ pub(crate) fn huffman_decode(symbols: u64, stream_bytes: u64, seed: u64) -> Resu
     asm.jmp(outer);
 
     let mut vm = Vm::new(asm.assemble()?);
+    if build == Build::Program {
+        return Ok(vm);
+    }
     for (i, n) in nodes.iter().enumerate() {
         let base = DATA_BASE + i as u64 * 16;
         vm.mem_mut().write_le(base, 4, n.left as u64);

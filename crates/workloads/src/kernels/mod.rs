@@ -13,13 +13,26 @@ mod misc;
 pub use media::FilterKind;
 pub use misc::SchedKind;
 
-use tinyisa::{AsmError, Vm};
+use tinyisa::{AsmError, Program, Vm};
+
+/// What a kernel builder produces. Every builder assembles its program,
+/// wraps it in a [`Vm`], and returns right there for [`Build::Program`];
+/// only [`Build::Full`] goes on to synthesize the data segments, which are
+/// most of a build's cost (about 75 MiB across the table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Build {
+    /// The program on empty memory.
+    Program,
+    /// The program and its initialized data.
+    Full,
+}
 
 /// An algorithm kernel plus its parameters. [`Kernel::build_vm`] assembles
 /// the program and initializes its input data (deterministically from
 /// `seed`), producing a VM that runs the workload in an endless steady-state
 /// loop — execution length is controlled purely by the fuel passed to
-/// [`Vm::run`].
+/// [`Vm::run`]. [`Kernel::program`] assembles the same program without the
+/// data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// Banded Smith-Waterman-style DP alignment.
@@ -117,70 +130,92 @@ impl Kernel {
     /// (which would be a bug in the kernel builder, but is surfaced rather
     /// than panicking).
     pub fn build_vm(&self, seed: u64) -> Result<Vm, AsmError> {
+        self.build(seed, Build::Full)
+    }
+
+    /// The kernel's program alone: the same instructions [`Kernel::build_vm`]
+    /// runs, without synthesizing the data segments. Takes the seed because
+    /// a few programs embed facts about their host-generated input (the LZ
+    /// token count, for one).
+    ///
+    /// # Errors
+    ///
+    /// As [`Kernel::build_vm`].
+    pub fn program(&self, seed: u64) -> Result<Program, AsmError> {
+        self.build(seed, Build::Program).map(|vm| vm.program().clone())
+    }
+
+    fn build(&self, seed: u64, build: Build) -> Result<Vm, AsmError> {
         match *self {
-            Kernel::DpAlign { m, band, alphabet } => bio::dp_align(m, band, alphabet, seed),
-            Kernel::DbScan { db_bytes, word } => bio::db_scan(db_bytes, word, seed),
-            Kernel::MarkovScan { seq_bytes, order } => bio::markov_scan(seq_bytes, order, seed),
-            Kernel::Viterbi { states, steps } => bio::viterbi(states, steps, seed),
-            Kernel::PhyloEval { leaves, sites } => bio::phylo_eval(leaves, sites, seed),
-            Kernel::Gemm { n } => linalg::gemm(n, seed),
-            Kernel::Covariance { dims, samples } => linalg::covariance(dims, samples, seed),
-            Kernel::Stencil { w, h, iters } => linalg::stencil(w, h, iters, seed),
-            Kernel::Spmv { rows, nnz_per_row } => linalg::spmv(rows, nnz_per_row, seed),
-            Kernel::NnScan { neurons, dims } => linalg::nn_scan(neurons, dims, seed),
-            Kernel::LuSolve { n } => linalg::lu_solve(n, seed),
-            Kernel::Fft { log2n } => dsp::fft(log2n, seed),
-            Kernel::Fir { taps, samples } => dsp::fir(taps, samples, seed),
-            Kernel::Adpcm { samples, decode } => dsp::adpcm(samples, decode, seed),
-            Kernel::Dct8x8 { blocks, quality } => dsp::dct8x8(blocks, quality, seed),
-            Kernel::Wavelet { len, levels, inverse } => dsp::wavelet(len, levels, inverse, seed),
-            Kernel::Basicmath { values } => dsp::basicmath(values, seed),
-            Kernel::Mdct { frames, block } => dsp::mdct(frames, block, seed),
-            Kernel::Feistel { blocks, rounds, sbox_bits } => {
-                crypto::feistel(blocks, rounds, sbox_bits, seed)
+            Kernel::DpAlign { m, band, alphabet } => bio::dp_align(m, band, alphabet, seed, build),
+            Kernel::DbScan { db_bytes, word } => bio::db_scan(db_bytes, word, seed, build),
+            Kernel::MarkovScan { seq_bytes, order } => {
+                bio::markov_scan(seq_bytes, order, seed, build)
             }
-            Kernel::Sha { bytes } => crypto::sha(bytes, seed),
-            Kernel::Crc32 { bytes } => crypto::crc32(bytes, seed),
-            Kernel::ModExp { words, exp_bits } => crypto::modexp(words, exp_bits, seed),
+            Kernel::Viterbi { states, steps } => bio::viterbi(states, steps, seed, build),
+            Kernel::PhyloEval { leaves, sites } => bio::phylo_eval(leaves, sites, seed, build),
+            Kernel::Gemm { n } => linalg::gemm(n, seed, build),
+            Kernel::Covariance { dims, samples } => linalg::covariance(dims, samples, seed, build),
+            Kernel::Stencil { w, h, iters } => linalg::stencil(w, h, iters, seed, build),
+            Kernel::Spmv { rows, nnz_per_row } => linalg::spmv(rows, nnz_per_row, seed, build),
+            Kernel::NnScan { neurons, dims } => linalg::nn_scan(neurons, dims, seed, build),
+            Kernel::LuSolve { n } => linalg::lu_solve(n, seed, build),
+            Kernel::Fft { log2n } => dsp::fft(log2n, seed, build),
+            Kernel::Fir { taps, samples } => dsp::fir(taps, samples, seed, build),
+            Kernel::Adpcm { samples, decode } => dsp::adpcm(samples, decode, seed, build),
+            Kernel::Dct8x8 { blocks, quality } => dsp::dct8x8(blocks, quality, seed, build),
+            Kernel::Wavelet { len, levels, inverse } => {
+                dsp::wavelet(len, levels, inverse, seed, build)
+            }
+            Kernel::Basicmath { values } => dsp::basicmath(values, seed, build),
+            Kernel::Mdct { frames, block } => dsp::mdct(frames, block, seed, build),
+            Kernel::Feistel { blocks, rounds, sbox_bits } => {
+                crypto::feistel(blocks, rounds, sbox_bits, seed, build)
+            }
+            Kernel::Sha { bytes } => crypto::sha(bytes, seed, build),
+            Kernel::Crc32 { bytes } => crypto::crc32(bytes, seed, build),
+            Kernel::ModExp { words, exp_bits } => crypto::modexp(words, exp_bits, seed, build),
             Kernel::ReedSolomon { blocks, msg_len, nsym } => {
-                crypto::reed_solomon(blocks, msg_len, nsym, seed)
+                crypto::reed_solomon(blocks, msg_len, nsym, seed, build)
             }
             Kernel::LzCompress { bytes, window, entropy } => {
-                compress::lz_compress(bytes, window, entropy, seed)
+                compress::lz_compress(bytes, window, entropy, seed, build)
             }
             Kernel::LzDecompress { bytes, entropy } => {
-                compress::lz_decompress(bytes, entropy, seed)
+                compress::lz_decompress(bytes, entropy, seed, build)
             }
-            Kernel::Bwtish { block, entropy } => compress::bwtish(block, entropy, seed),
-            Kernel::Dijkstra { nodes } => graph::dijkstra(nodes, seed),
+            Kernel::Bwtish { block, entropy } => compress::bwtish(block, entropy, seed, build),
+            Kernel::Dijkstra { nodes } => graph::dijkstra(nodes, seed, build),
             Kernel::TrieLookup { keys, queries, depth } => {
-                graph::trie_lookup(keys, queries, depth, seed)
+                graph::trie_lookup(keys, queries, depth, seed, build)
             }
             Kernel::PointerChase { nodes, node_bytes } => {
-                graph::pointer_chase(nodes, node_bytes, seed)
+                graph::pointer_chase(nodes, node_bytes, seed, build)
             }
             Kernel::HashDict { entries, queries, hit_rate } => {
-                graph::hash_dict(entries, queries, hit_rate, seed)
+                graph::hash_dict(entries, queries, hit_rate, seed, build)
             }
-            Kernel::Raster { size, tris, textured } => media::raster(size, tris, textured, seed),
-            Kernel::ImageFilter { w, h, kind } => media::image_filter(w, h, kind, seed),
-            Kernel::MotionEst { w, h, range } => media::motion_est(w, h, range, seed),
-            Kernel::Interp { program_len } => misc::interp(program_len, seed),
-            Kernel::Bitops { words } => misc::bitops(words, seed),
-            Kernel::Qsort { elems } => misc::qsort(elems, seed),
-            Kernel::Raytrace { spheres, rays } => misc::raytrace(spheres, rays, seed),
-            Kernel::QueueSched { packets, kind } => misc::queue_sched(packets, kind, seed),
+            Kernel::Raster { size, tris, textured } => {
+                media::raster(size, tris, textured, seed, build)
+            }
+            Kernel::ImageFilter { w, h, kind } => media::image_filter(w, h, kind, seed, build),
+            Kernel::MotionEst { w, h, range } => media::motion_est(w, h, range, seed, build),
+            Kernel::Interp { program_len } => misc::interp(program_len, seed, build),
+            Kernel::Bitops { words } => misc::bitops(words, seed, build),
+            Kernel::Qsort { elems } => misc::qsort(elems, seed, build),
+            Kernel::Raytrace { spheres, rays } => misc::raytrace(spheres, rays, seed, build),
+            Kernel::QueueSched { packets, kind } => misc::queue_sched(packets, kind, seed, build),
             Kernel::TextLayout { words, line_width } => {
-                misc::text_layout(words, line_width, seed)
+                misc::text_layout(words, line_width, seed, build)
             }
             Kernel::Annealing { cells, sweeps, temp } => {
-                misc::annealing(cells, sweeps, temp, seed)
+                misc::annealing(cells, sweeps, temp, seed, build)
             }
             Kernel::HuffmanDecode { symbols, stream_bytes } => {
-                misc::huffman_decode(symbols, stream_bytes, seed)
+                misc::huffman_decode(symbols, stream_bytes, seed, build)
             }
             Kernel::StrSearch { text_bytes, patterns, pat_len, alphabet } => {
-                graph::str_search(text_bytes, patterns, pat_len, alphabet, seed)
+                graph::str_search(text_bytes, patterns, pat_len, alphabet, seed, build)
             }
         }
     }

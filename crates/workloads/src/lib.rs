@@ -19,6 +19,8 @@
 //! - [`BenchmarkSpec::build_vm`] — assemble the kernel and initialize its
 //!   data segments, ready to run against any
 //!   [`TraceSink`](tinyisa::TraceSink);
+//! - [`BenchmarkSpec::program`] — the same program without its data, for
+//!   static analysis and [`table_fingerprint`];
 //! - [`Kernel`] — the kernel zoo itself, usable directly.
 //!
 //! # Example

@@ -2,7 +2,7 @@
 //! mapped onto a parameterized [`Kernel`].
 
 use crate::kernels::{FilterKind, Kernel, SchedKind};
-use tinyisa::{AsmError, Vm};
+use tinyisa::{AsmError, Program, Vm};
 
 /// The six benchmark suites of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,6 +94,16 @@ impl BenchmarkSpec {
     pub fn build_vm(&self) -> Result<Vm, AsmError> {
         self.kernel.build_vm(self.seed())
     }
+
+    /// The kernel's program without its data (see [`Kernel::program`]):
+    /// what static analysis and the table fingerprint read.
+    ///
+    /// # Errors
+    ///
+    /// As [`BenchmarkSpec::build_vm`].
+    pub fn program(&self) -> Result<Program, AsmError> {
+        self.kernel.program(self.seed())
+    }
 }
 
 /// Number of benchmark instances (matches the paper).
@@ -107,25 +117,28 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a fingerprint of the entire benchmark table: every benchmark's
-/// name, paper instruction count, data seed, kernel parameterization (via
-/// its `Debug` rendering), and the *assembled instruction stream* of the
-/// kernel. Any edit to the table — reordering, re-parameterizing a kernel,
-/// swapping an input — changes the value, and so does any edit to a kernel
-/// builder that alters the emitted program, so profile caches keyed on it
-/// cannot silently survive a change to what actually runs.
+/// Fold one benchmark into a table fingerprint: its name, paper
+/// instruction count, data seed, kernel parameterization (via its `Debug`
+/// rendering), and the *assembled instruction stream* of the kernel.
+fn fold_spec(h: u64, spec: &BenchmarkSpec) -> u64 {
+    let program = spec.program().expect("table kernels must assemble");
+    let mut h = fnv1a(h, spec.name().as_bytes());
+    h = fnv1a(h, &spec.paper_icount_millions.to_le_bytes());
+    h = fnv1a(h, &spec.seed().to_le_bytes());
+    h = fnv1a(h, format!("{:?}", spec.kernel).as_bytes());
+    h = fnv1a(h, &(program.len() as u64).to_le_bytes());
+    fnv1a(h, format!("{:?}", program.insts()).as_bytes())
+}
+
+/// FNV-1a fingerprint of the entire benchmark table, folding in every
+/// benchmark in order (see `fold_spec`). Any edit to the table —
+/// reordering, re-parameterizing a kernel, swapping an input — changes the
+/// value, and so does any edit to a kernel builder that alters the emitted
+/// program, so profile caches keyed on it cannot silently survive a change
+/// to what actually runs. Only the programs are assembled, never the data
+/// segments, so a call costs a few tens of milliseconds.
 pub fn table_fingerprint() -> u64 {
-    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, b"mica-table-v2");
-    for spec in benchmark_table() {
-        h = fnv1a(h, spec.name().as_bytes());
-        h = fnv1a(h, &spec.paper_icount_millions.to_le_bytes());
-        h = fnv1a(h, &spec.seed().to_le_bytes());
-        h = fnv1a(h, format!("{:?}", spec.kernel).as_bytes());
-        let vm = spec.build_vm().expect("table kernels must assemble");
-        h = fnv1a(h, &(vm.program().len() as u64).to_le_bytes());
-        h = fnv1a(h, format!("{:?}", vm.program().insts()).as_bytes());
-    }
-    h
+    benchmark_table().iter().fold(fnv1a(0xcbf2_9ce4_8422_2325, b"mica-table-v2"), fold_spec)
 }
 
 macro_rules! bench {
@@ -344,13 +357,14 @@ mod tests {
         };
         let mut b = a.clone();
         b.kernel = Kernel::Sha { bytes: 1 << 17 };
-        assert_ne!(format!("{:?}", a.kernel), format!("{:?}", b.kernel));
+        assert_ne!(fold_spec(0, &a), fold_spec(0, &b));
     }
 
     #[test]
     fn every_benchmark_builds_and_runs() {
         for b in benchmark_table() {
             let mut vm = b.build_vm().unwrap_or_else(|e| panic!("{} fails: {e}", b.name()));
+            assert_eq!(b.program().unwrap(), *vm.program(), "{}", b.name());
             let mut sink = tinyisa::CountingSink::default();
             let exit = vm
                 .run(&mut sink, 5_000)
