@@ -1,11 +1,10 @@
-//! Ref-vs-batch backend suite, and each costly layer replayed alone.
+//! Block delivery, live and replayed, and each costly layer replayed alone.
 //!
-//! The batch tier earns its keep here: the same kernels run through the
-//! per-instruction reference delivery (`PerInst`) and the block-batched
-//! delivery, live (interpretation + analysis) and over recorded traces
-//! (delivery cost isolated from interpretation). The differential tests
-//! in `mica-core` prove the tiers bit-identical; this suite measures what
-//! the batching buys on the profile hot path.
+//! `backend_live` and `backend_profile` time the profile hot path (VM plus
+//! block delivery) over 100k-instruction kernels. `backend_replay` times,
+//! over recorded traces, each `retire_block` override that production
+//! keeps against the per-instruction default loop it replaces (`replay`
+//! vs `replay_blocks`): an override stays only while it wins here.
 //!
 //! `layer_replay` times the PPM predictors and the EV56/EV67 models one at
 //! a time over one recorded trace, in the manner of nanoBench: a layer's
@@ -13,15 +12,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mica_core::{
-    Backend, CharacterizationSuite, PerInst, PpmPredictor, PpmVariant, RegTraffic, StrideAnalyzer, WorkingSet,
+    CharacterizationSuite, IlpAnalyzer, PpmPredictor, PpmVariant, RegTraffic, WorkingSet,
 };
-use mica_experiments::profile::profile_benchmark_with;
+use mica_experiments::profile::profile_benchmark;
 use mica_workloads::{benchmark_table, BenchmarkSpec};
 use std::hint::black_box;
 use tinyisa::{Trace, TraceRecorder, BATCH_CAPACITY};
 use uarch_sim::{Ev56Model, Ev67Model};
 
 const FUEL: u64 = 100_000;
+
+/// Kernels with different mixes: sorting, pointer chasing, FP stencils.
+const PROGRAMS: [&str; 3] = ["qsort", "mcf", "swim"];
 
 fn spec_for(program: &str) -> BenchmarkSpec {
     benchmark_table().into_iter().find(|b| b.program == program).expect("benchmark exists")
@@ -39,16 +41,8 @@ fn trace_of(program: &str) -> Trace {
 fn bench_live(c: &mut Criterion) {
     let mut g = c.benchmark_group("backend_live");
     g.throughput(Throughput::Elements(FUEL));
-    for program in ["qsort", "mcf", "swim"] {
-        g.bench_function(format!("ref_{program}"), |b| {
-            b.iter(|| {
-                let mut suite = CharacterizationSuite::new();
-                let mut vm = spec_for(program).build_vm().expect("builds");
-                vm.run(&mut PerInst(&mut suite), FUEL).expect("runs");
-                black_box(suite.finish())
-            })
-        });
-        g.bench_function(format!("batch_{program}"), |b| {
+    for program in PROGRAMS {
+        g.bench_function(program, |b| {
             b.iter(|| {
                 let mut suite = CharacterizationSuite::new();
                 let mut vm = spec_for(program).build_vm().expect("builds");
@@ -60,70 +54,51 @@ fn bench_live(c: &mut Criterion) {
     g.finish();
 }
 
+/// Time `fresh()` fed the whole trace one `retire` at a time (the default
+/// loop) and in `BATCH_CAPACITY` blocks (the override), as one pair.
+fn replay_pair<S: tinyisa::TraceSink, R>(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    trace: &Trace,
+    fresh: impl Fn() -> S,
+    result: impl Fn(&S) -> R,
+) {
+    g.bench_function(format!("{name}_replay"), |b| {
+        b.iter(|| {
+            let mut sink = fresh();
+            trace.replay(&mut sink);
+            black_box(result(&sink))
+        })
+    });
+    g.bench_function(format!("{name}_replay_blocks"), |b| {
+        b.iter(|| {
+            let mut sink = fresh();
+            trace.replay_blocks(&mut sink, BATCH_CAPACITY);
+            black_box(result(&sink))
+        })
+    });
+}
+
 /// Trace replays: pure delivery + analysis cost, no interpreter in the
-/// loop — the cleanest view of what `retire_block` saves.
+/// loop — the cleanest view of what each `retire_block` override saves.
 fn bench_replay(c: &mut Criterion) {
-    let trace = trace_of("qsort");
-    let n = trace.len() as u64;
     let mut g = c.benchmark_group("backend_replay");
-    g.throughput(Throughput::Elements(n));
-    g.bench_function("suite_ref", |b| {
-        b.iter(|| {
-            let mut suite = CharacterizationSuite::new();
-            trace.replay(&mut suite);
-            black_box(suite.finish())
-        })
-    });
-    g.bench_function("suite_batch", |b| {
-        b.iter(|| {
-            let mut suite = CharacterizationSuite::new();
-            trace.replay_blocks(&mut suite, BATCH_CAPACITY);
-            black_box(suite.finish())
-        })
-    });
-    // The analyzers with real batch specializations, individually.
-    g.bench_function("working_set_ref", |b| {
-        b.iter(|| {
-            let mut wss = WorkingSet::new();
-            trace.replay(&mut wss);
-            black_box(wss.counts())
-        })
-    });
-    g.bench_function("working_set_batch", |b| {
-        b.iter(|| {
-            let mut wss = WorkingSet::new();
-            trace.replay_blocks(&mut wss, BATCH_CAPACITY);
-            black_box(wss.counts())
-        })
-    });
-    g.bench_function("regtraffic_ref", |b| {
-        b.iter(|| {
-            let mut reg = RegTraffic::new();
-            trace.replay(&mut reg);
-            black_box(reg.dependency_distance_cdf())
-        })
-    });
-    g.bench_function("regtraffic_batch", |b| {
-        b.iter(|| {
-            let mut reg = RegTraffic::new();
-            trace.replay_blocks(&mut reg, BATCH_CAPACITY);
-            black_box(reg.dependency_distance_cdf())
-        })
-    });
-    g.bench_function("strides_ref", |b| {
-        b.iter(|| {
-            let mut s = StrideAnalyzer::new();
-            trace.replay(&mut s);
-            black_box(s.all())
-        })
-    });
-    g.bench_function("strides_batch", |b| {
-        b.iter(|| {
-            let mut s = StrideAnalyzer::new();
-            trace.replay_blocks(&mut s, BATCH_CAPACITY);
-            black_box(s.all())
-        })
-    });
+    for program in PROGRAMS {
+        let trace = trace_of(program);
+        g.throughput(Throughput::Elements(trace.len() as u64));
+        // The suite's own fan-out, with its once-per-block branch
+        // extraction, then the analyzers that keep an override.
+        replay_pair(&mut g, &format!("suite_{program}"), &trace, CharacterizationSuite::new, |s| {
+            s.finish()
+        });
+        replay_pair(&mut g, &format!("working_set_{program}"), &trace, WorkingSet::new, |w| {
+            w.counts()
+        });
+        replay_pair(&mut g, &format!("regtraffic_{program}"), &trace, RegTraffic::new, |r| {
+            r.dependency_distance_cdf()
+        });
+        replay_pair(&mut g, &format!("ilp_{program}"), &trace, IlpAnalyzer::new, |i| i.ipcs());
+    }
     g.finish();
 }
 
@@ -172,17 +147,14 @@ fn bench_layer_replay(c: &mut Criterion) {
     g.finish();
 }
 
-/// The full profile hot path (tandem MICA + HPC record) under each
-/// backend, exactly as `profile_all` dispatches it.
+/// The full profile hot path (tandem MICA + HPC record), exactly as
+/// `profile_all` dispatches it.
 fn bench_profile_hot_path(c: &mut Criterion) {
     let spec = spec_for("qsort");
     let mut g = c.benchmark_group("backend_profile");
     g.throughput(Throughput::Elements(FUEL));
-    g.bench_function("profile_benchmark_ref", |b| {
-        b.iter(|| black_box(profile_benchmark_with(&spec, FUEL, Backend::Ref).expect("profiles")))
-    });
-    g.bench_function("profile_benchmark_batch", |b| {
-        b.iter(|| black_box(profile_benchmark_with(&spec, FUEL, Backend::Batch).expect("profiles")))
+    g.bench_function("profile_benchmark", |b| {
+        b.iter(|| black_box(profile_benchmark(&spec, FUEL).expect("profiles")))
     });
     g.finish();
 }

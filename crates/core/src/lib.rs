@@ -49,7 +49,6 @@
 //! # }
 //! ```
 
-mod backend;
 mod extended;
 mod ilp;
 mod mix;
@@ -62,7 +61,6 @@ mod suite;
 mod vector;
 mod working_set;
 
-pub use backend::{Backend, PerInst};
 pub use extended::{
     BranchBehavior, ExtendedSuite, EXTENDED_METRIC_NAMES, EXTENDED_REUSE_BUCKETS,
     NUM_EXTENDED_METRICS,

@@ -61,30 +61,6 @@ impl TraceSink for InstructionMix {
             InstClass::Fp => self.fp += 1,
         }
     }
-
-    fn retire_block(&mut self, block: &[DynInst]) {
-        // Tally into a block-local array, touching the scattered counter
-        // fields once per block instead of once per instruction.
-        let mut n = [0u64; 6];
-        for inst in block {
-            let slot = match inst.class {
-                InstClass::Load => 0,
-                InstClass::Store => 1,
-                InstClass::Branch | InstClass::Jump => 2,
-                InstClass::IntAlu => 3,
-                InstClass::IntMul => 4,
-                InstClass::Fp => 5,
-            };
-            n[slot] += 1;
-        }
-        self.total += block.len() as u64;
-        self.loads += n[0];
-        self.stores += n[1];
-        self.control += n[2];
-        self.arith += n[3];
-        self.int_mul += n[4];
-        self.fp += n[5];
-    }
 }
 
 #[cfg(test)]

@@ -254,18 +254,6 @@ impl TraceSink for PpmPredictor {
             }
         }
     }
-
-    fn retire_block(&mut self, block: &[DynInst]) {
-        // Conditional branches are sparse in most blocks; skim them out
-        // without the per-instruction virtual hop.
-        for inst in block {
-            if let Some(ctrl) = inst.ctrl {
-                if ctrl.conditional {
-                    self.observe(inst.pc, ctrl.taken);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

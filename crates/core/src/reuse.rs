@@ -180,17 +180,6 @@ impl TraceSink for ReuseDistance {
             self.access(m.addr);
         }
     }
-
-    fn retire_block(&mut self, block: &[DynInst]) {
-        // The LRU stack is mutated by every access, so reuse distance is
-        // inherently sequential; the batch path only skims the memory
-        // accesses out of the block in one pass.
-        for inst in block {
-            if let Some(m) = inst.mem {
-                self.access(m.addr);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

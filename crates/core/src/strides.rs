@@ -24,17 +24,6 @@ impl StrideDist {
         }
     }
 
-    /// Batch-path record: find the first cumulative bucket by binary search
-    /// over the threshold table and bump the suffix, instead of testing all
-    /// five thresholds. Counts are identical to [`StrideDist::record`].
-    fn record_indexed(&mut self, stride: u64) {
-        self.total += 1;
-        let first = STRIDE_BUCKETS.partition_point(|&t| t < stride);
-        for b in &mut self.buckets[first..] {
-            *b += 1;
-        }
-    }
-
     fn cdf(&self) -> [f64; 5] {
         if self.total == 0 {
             return [0.0; 5];
@@ -124,35 +113,6 @@ impl TraceSink for StrideAnalyzer {
             }
         }
     }
-
-    fn retire_block(&mut self, block: &[DynInst]) {
-        // Batch path: keep the global last-address cursors in locals across
-        // the block and use indexed bucket updates. The per-PC maps are
-        // inherently sequential and updated in order, as the reference
-        // path does.
-        let mut last_load = self.last_global_load;
-        let mut last_store = self.last_global_store;
-        for inst in block {
-            let Some(m) = inst.mem else { continue };
-            if m.is_store {
-                if let Some(prev) = last_store.replace(m.addr) {
-                    self.global_store.record_indexed(prev.abs_diff(m.addr));
-                }
-                if let Some(prev) = self.last_local_store.insert(inst.pc, m.addr) {
-                    self.local_store.record_indexed(prev.abs_diff(m.addr));
-                }
-            } else {
-                if let Some(prev) = last_load.replace(m.addr) {
-                    self.global_load.record_indexed(prev.abs_diff(m.addr));
-                }
-                if let Some(prev) = self.last_local_load.insert(inst.pc, m.addr) {
-                    self.local_load.record_indexed(prev.abs_diff(m.addr));
-                }
-            }
-        }
-        self.last_global_load = last_load;
-        self.last_global_store = last_store;
-    }
 }
 
 #[cfg(test)]
@@ -225,19 +185,6 @@ mod tests {
         // The intervening store must not perturb the load stride stream.
         assert_eq!(s.global_load_cdf()[1], 1.0);
         assert_eq!(s.global_store_cdf(), [0.0; 5]); // single store, no stride
-    }
-
-    #[test]
-    fn indexed_record_matches_reference_record() {
-        let mut by_scan = StrideDist::default();
-        let mut by_index = StrideDist::default();
-        // Every threshold, its neighbors, and some far-out strides.
-        for &s in &[0u64, 1, 7, 8, 9, 63, 64, 65, 511, 512, 513, 4095, 4096, 4097, u64::MAX] {
-            by_scan.record(s);
-            by_index.record_indexed(s);
-        }
-        assert_eq!(by_scan.buckets, by_index.buckets);
-        assert_eq!(by_scan.total, by_index.total);
     }
 
     #[test]

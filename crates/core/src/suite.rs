@@ -7,6 +7,7 @@ use crate::regtraffic::RegTraffic;
 use crate::strides::StrideAnalyzer;
 use crate::vector::{MicaVector, NUM_METRICS};
 use crate::working_set::WorkingSet;
+use std::time::Instant;
 use tinyisa::{DynInst, TraceSink};
 
 /// Computes the full 47-dimensional [`MicaVector`] in a single pass over the
@@ -33,6 +34,9 @@ pub struct CharacterizationSuite {
     /// Batch-path scratch: the conditional-branch outcomes of the current
     /// block, extracted once and fed to all four predictors.
     branch_scratch: Vec<(u64, bool)>,
+    /// Block-delivery wall time per analyzer, nanoseconds; see
+    /// [`CharacterizationSuite::analyzer_ns`].
+    busy_ns: [u64; 6],
 }
 
 impl Default for CharacterizationSuite {
@@ -57,7 +61,17 @@ impl CharacterizationSuite {
                 PpmPredictor::new(PpmVariant::PAs),
             ],
             branch_scratch: Vec::new(),
+            busy_ns: [0; 6],
         }
+    }
+
+    /// Wall time each analyzer spent on delivered blocks, in nanoseconds,
+    /// in the order mix, ILP, register traffic, working set, strides,
+    /// PPM (all four predictors plus their branch extraction). Only
+    /// [`TraceSink::retire_block`] is timed: the per-instruction `retire`
+    /// is the reference path and adds nothing here.
+    pub fn analyzer_ns(&self) -> [u64; 6] {
+        self.busy_ns
     }
 
     /// Total instructions observed.
@@ -94,14 +108,21 @@ impl TraceSink for CharacterizationSuite {
 
     fn retire_block(&mut self, block: &[DynInst]) {
         // Fan the whole block out analyzer by analyzer (each runs its own
-        // batch implementation over a hot block) instead of instruction by
+        // `retire_block` over a hot block) instead of instruction by
         // instruction. The analyzers are independent, so per-analyzer
-        // state evolves identically either way.
+        // state evolves identically either way. One clock read between
+        // analyzers charges each its share of the block.
+        let mut clock = Instant::now();
         self.mix.retire_block(block);
+        self.busy_ns[0] += lap(&mut clock);
         self.ilp.retire_block(block);
+        self.busy_ns[1] += lap(&mut clock);
         self.reg.retire_block(block);
+        self.busy_ns[2] += lap(&mut clock);
         self.wss.retire_block(block);
+        self.busy_ns[3] += lap(&mut clock);
         self.strides.retire_block(block);
+        self.busy_ns[4] += lap(&mut clock);
         // Extract the (usually sparse) conditional branches once, then
         // feed all four predictors from the same scratch.
         self.branch_scratch.clear();
@@ -115,7 +136,16 @@ impl TraceSink for CharacterizationSuite {
         for p in &mut self.ppm {
             p.observe_block(&self.branch_scratch);
         }
+        self.busy_ns[5] += lap(&mut clock);
     }
+}
+
+/// Nanoseconds from `*clock` to now; moves `*clock` to now.
+fn lap(clock: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.duration_since(*clock).as_nanos() as u64;
+    *clock = now;
+    ns
 }
 
 #[cfg(test)]
@@ -126,7 +156,7 @@ mod tests {
 
     /// A loop that strides through an array, with one multiply and one FP op
     /// per iteration — every analyzer gets exercised.
-    fn sample_vector() -> MicaVector {
+    fn sample_suite() -> CharacterizationSuite {
         let mut a = Asm::new();
         let head = a.label();
         a.li(T0, 0);
@@ -145,7 +175,11 @@ mod tests {
         let mut suite = CharacterizationSuite::new();
         let mut vm = Vm::new(a.assemble().unwrap());
         vm.run(&mut suite, 100_000).unwrap();
-        suite.finish()
+        suite
+    }
+
+    fn sample_vector() -> MicaVector {
+        sample_suite().finish()
     }
 
     #[test]
@@ -190,6 +224,12 @@ mod tests {
         assert!((245.0..=255.0).contains(&blocks), "blocks {blocks}");
         let pages = v.get(metrics::D_WSS_PAGES);
         assert!((1.0..=4.0).contains(&pages), "pages {pages}");
+    }
+
+    #[test]
+    fn block_delivery_times_every_analyzer() {
+        let ns = sample_suite().analyzer_ns();
+        assert!(ns.iter().all(|&t| t > 0), "{ns:?}");
     }
 
     #[test]

@@ -1,25 +1,23 @@
-//! Differential verification of analyzer backends.
+//! Differential verification of block delivery against the
+//! per-instruction oracle.
 //!
-//! The batch delivery tier (`retire_block`) exists purely as an
-//! optimization: every way of delivering one dynamic instruction stream to
-//! the analyzers must leave **bit-identical** state behind. This harness
-//! pins that contract three ways:
+//! The VM hands analyzers whole blocks (`retire_block`); the
+//! per-instruction `retire` each analyzer also implements is the oracle.
+//! Every way of delivering one dynamic instruction stream to the analyzers
+//! must leave **bit-identical** state behind. This harness pins that
+//! contract two ways:
 //!
-//! 1. all 122 zoo kernels, live per-instruction (ref) vs live batched vs
-//!    recorded-trace replays at several block sizes;
+//! 1. all 122 zoo kernels, live per-instruction (through [`PerInst`]) vs
+//!    live blocks vs recorded-trace replays at several block sizes;
 //! 2. randomized instruction streams (including adversarial addresses at
 //!    the top of the address space) through the same delivery matrix,
 //!    covering [`CharacterizationSuite`], [`ExtendedSuite`] and
-//!    [`PhaseProfiler`];
-//! 3. the quarantine interaction: a kernel panicking under `MICA_FAULTS`
-//!    must quarantine identically under both backends, and the surviving
-//!    [`ProfileSet`]s must serialize byte-identically.
+//!    [`PhaseProfiler`].
 //!
-//! Future backends register in [`DELIVERIES`] (trace-driven tiers) or get
-//! compared through [`mica_experiments::profile::profile_all_with`]; every
-//! test below runs the whole registry.
+//! A new delivery registers in [`DELIVERIES`]; every test below runs the
+//! whole registry.
 
-use mica_core::{CharacterizationSuite, ExtendedSuite, MicaVector, PerInst, PhaseProfiler};
+use mica_core::{CharacterizationSuite, ExtendedSuite, MicaVector, PhaseProfiler};
 use mica_workloads::benchmark_table;
 use tinyisa::{CtrlInfo, DynInst, InstClass, MemAccess, RegRef, Trace, TraceRecorder, TraceSink};
 
@@ -28,9 +26,55 @@ use tinyisa::{CtrlInfo, DynInst, InstClass, MemAccess, RegRef, Trace, TraceRecor
 /// while the full 122-benchmark matrix stays fast.
 const BUDGET: u64 = 10_000;
 
+/// Forces the wrapped sink onto the per-instruction oracle: incoming
+/// blocks are unbundled into single [`TraceSink::retire`] calls, so no
+/// `retire_block` override of `S` runs even though the VM delivers blocks.
+struct PerInst<S>(S);
+
+impl<S: TraceSink> TraceSink for PerInst<S> {
+    fn retire(&mut self, inst: &DynInst) {
+        self.0.retire(inst);
+    }
+
+    fn retire_block(&mut self, block: &[DynInst]) {
+        for inst in block {
+            self.0.retire(inst);
+        }
+    }
+}
+
+#[test]
+fn per_inst_unbundles_blocks() {
+    /// A sink whose block path must never run.
+    #[derive(Default)]
+    struct RefOnly {
+        retired: u64,
+    }
+    impl TraceSink for RefOnly {
+        fn retire(&mut self, _inst: &DynInst) {
+            self.retired += 1;
+        }
+        fn retire_block(&mut self, _block: &[DynInst]) {
+            panic!("PerInst must suppress the block path");
+        }
+    }
+    let inst = DynInst {
+        pc: 0,
+        class: InstClass::IntAlu,
+        dst: None,
+        srcs: [None; 3],
+        mem: None,
+        ctrl: None,
+    };
+    let mut sink = PerInst(RefOnly::default());
+    sink.retire_block(&[inst; 5]);
+    sink.retire(&inst);
+    assert_eq!(sink.0.retired, 6);
+}
+
 /// The registry of trace-driven delivery tiers. Each entry replays a
 /// recorded trace into a sink; the first is the per-instruction reference
-/// everything else is compared against. A new backend is one line here.
+/// everything else is compared against. A new delivery is one line here.
 const DELIVERIES: &[(&str, fn(&Trace, &mut dyn TraceSink))] = &[
     ("per-inst", |t, s| t.replay(s)),
     ("blocks-1", |t, s| t.replay_blocks(s, 1)),
@@ -59,18 +103,18 @@ fn suite_vector_of(trace: &Trace, deliver: fn(&Trace, &mut dyn TraceSink)) -> Mi
 }
 
 #[test]
-fn all_zoo_kernels_are_bit_identical_across_backends() {
+fn all_zoo_kernels_are_bit_identical_across_deliveries() {
     for spec in benchmark_table() {
         let name = spec.name();
 
-        // Live per-instruction reference: the batch path is forced off by
-        // the PerInst wrapper even though the VM delivers blocks.
+        // Live per-instruction oracle: the block path is forced off by the
+        // PerInst wrapper even though the VM delivers blocks.
         let mut ref_suite = CharacterizationSuite::new();
         let mut vm = spec.build_vm().expect("kernel assembles");
         vm.run(&mut PerInst(&mut ref_suite), BUDGET).expect("kernel runs");
         let reference = ref_suite.finish();
 
-        // Live batched run.
+        // Live block delivery, as profiling runs it.
         let mut batch_suite = CharacterizationSuite::new();
         let mut vm = spec.build_vm().expect("kernel assembles");
         vm.run(&mut batch_suite, BUDGET).expect("kernel runs");
@@ -201,7 +245,7 @@ proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
     #[test]
-    fn randomized_streams_are_bit_identical_across_backends(
+    fn randomized_streams_are_bit_identical_across_deliveries(
         seed in proptest::any::<u64>(),
         len in 1usize..700,
         block in 1usize..300,
@@ -292,33 +336,4 @@ fn adversarial_partitions_match_live_execution() {
             );
         }
     }
-}
-
-/// The quarantine interaction: panic isolation must not depend on the
-/// delivery tier. A kernel that panics under the fault plan quarantines
-/// identically under `ref` and `batch`, and the 121 survivors serialize
-/// byte-identically.
-#[test]
-fn quarantine_is_identical_under_both_backends() {
-    use mica_core::Backend;
-    use mica_experiments::profile::profile_all_with;
-    use mica_fault::plan::{self, FaultPlan};
-
-    std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_LOG", "off");
-
-    plan::install(FaultPlan::parse("panic:kernel=CRC32").expect("plan parses"));
-    let ref_run = profile_all_with(1e-9, Backend::Ref).expect("ref run completes");
-    let batch_run = profile_all_with(1e-9, Backend::Batch).expect("batch run completes");
-    plan::clear();
-
-    assert_eq!(ref_run.quarantined.len(), 1, "{:?}", ref_run.quarantined);
-    assert!(ref_run.quarantined[0].name.contains("CRC32"));
-    assert_eq!(ref_run.quarantined, batch_run.quarantined, "same kernel, same reason");
-    assert_eq!(ref_run.set.records.len(), batch_run.set.records.len());
-    assert_eq!(
-        serde_json::to_string(&ref_run.set).expect("serializes"),
-        serde_json::to_string(&batch_run.set).expect("serializes"),
-        "survivors must serialize byte-identically across backends"
-    );
 }

@@ -7,24 +7,22 @@
 //! killing it. [`profile_all_serial`] keeps the old abort-on-first-error
 //! semantics as the reference implementation.
 //!
-//! Every entry point honors `MICA_BACKEND=ref|batch` (see
-//! [`mica_core::Backend`]): `batch` delivers retired instructions to the
-//! analyzers a block at a time through their `retire_block` fast paths,
-//! `ref` (the default) forces the per-instruction reference tier via
-//! [`PerInst`]. The two tiers are differentially tested to produce
-//! bit-identical profiles. `MICA_ANALYZER_TIMING=1` additionally times
-//! each analyzer's share of delivery, feeding the
-//! `profile.analyzer.*_us` counters that `mica-prof analyze` renders.
+//! The VM delivers retired instructions to the analyzers a block at a
+//! time (`retire_block`); `mica-core`'s differential tests prove that
+//! bit-identical to per-instruction delivery. Every profiled kernel adds
+//! each analyzer's share of delivery time to the `profile.analyzer.*_us`
+//! counters that `mica-prof analyze` renders.
 
 use crate::results::{BenchRecord, ProfileSet};
-use mica_core::{Backend, CharacterizationSuite, MicaVector, PerInst, NUM_METRICS};
+use mica_core::{CharacterizationSuite, MicaVector, NUM_METRICS};
 use mica_obs as obs;
 use mica_pmu::{KernelHeat, Pmu, PmuConfig};
 use mica_workloads::{benchmark_table, table_fingerprint, BenchmarkSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
-use tinyisa::{AsmError, DynInst, TraceSink, VmError};
+use std::time::Instant;
+use tinyisa::{AsmError, DynInst, TraceSink, Vm, VmError};
 use uarch_sim::{HpcProfile, HpcSimulator};
 
 /// Benchmarks profiled (each tandem run counts once).
@@ -45,10 +43,10 @@ static QUARANTINED: obs::Counter = obs::Counter::new("profile.quarantined");
 /// Wall time per profiled kernel, microseconds — run summaries carry the
 /// buckets, so `mica-prof` reports per-kernel p50/p95/p99 offline.
 static KERNEL_US: obs::Histogram = obs::Histogram::new("profile.kernel_us");
-/// Delivery wall time per analyzer, microseconds, collected only under
-/// `MICA_ANALYZER_TIMING=1`. Deliberately *not* in [`register_counters`]:
-/// they self-register on first bump, so ordinary runs don't list seven
-/// permanently-zero counters.
+/// Delivery wall time per analyzer, microseconds, added once per profiled
+/// kernel by [`charge_analyzers`]. Not in [`register_counters`]: they
+/// self-register on the first kernel, so runs that profile nothing (cache
+/// hits) don't list seven zero counters.
 static ANALYZER_MIX_US: obs::Counter = obs::Counter::new("profile.analyzer.mix_us");
 static ANALYZER_ILP_US: obs::Counter = obs::Counter::new("profile.analyzer.ilp_us");
 static ANALYZER_REG_US: obs::Counter = obs::Counter::new("profile.analyzer.reg_us");
@@ -56,6 +54,17 @@ static ANALYZER_WSS_US: obs::Counter = obs::Counter::new("profile.analyzer.wss_u
 static ANALYZER_STRIDES_US: obs::Counter = obs::Counter::new("profile.analyzer.strides_us");
 static ANALYZER_PPM_US: obs::Counter = obs::Counter::new("profile.analyzer.ppm_us");
 static ANALYZER_HPC_US: obs::Counter = obs::Counter::new("profile.analyzer.hpc_us");
+/// The MICA counters in [`CharacterizationSuite::analyzer_ns`] order, then
+/// the HPC simulator's.
+static ANALYZER_US: [&obs::Counter; 7] = [
+    &ANALYZER_MIX_US,
+    &ANALYZER_ILP_US,
+    &ANALYZER_REG_US,
+    &ANALYZER_WSS_US,
+    &ANALYZER_STRIDES_US,
+    &ANALYZER_PPM_US,
+    &ANALYZER_HPC_US,
+];
 
 /// Register every profiling counter so run summaries list them (at zero)
 /// even on paths that never touch the cache or the profiler.
@@ -117,12 +126,14 @@ impl From<VmError> for ProfileError {
 
 /// Fan one trace out to both the MICA suite and the HPC simulator, so one
 /// VM run produces both characterizations of identical dynamic behavior.
-struct Tandem<'a> {
-    mica: &'a mut CharacterizationSuite,
-    hpc: &'a mut HpcSimulator,
+/// The suite times its own analyzers; the HPC leg is timed here.
+struct Tandem {
+    mica: CharacterizationSuite,
+    hpc: HpcSimulator,
+    hpc_ns: u64,
 }
 
-impl TraceSink for Tandem<'_> {
+impl TraceSink for Tandem {
     fn retire(&mut self, inst: &DynInst) {
         self.mica.retire(inst);
         self.hpc.retire(inst);
@@ -130,7 +141,9 @@ impl TraceSink for Tandem<'_> {
 
     fn retire_block(&mut self, block: &[DynInst]) {
         self.mica.retire_block(block);
+        let started = Instant::now();
         self.hpc.retire_block(block);
+        self.hpc_ns += started.elapsed().as_nanos() as u64;
     }
 }
 
@@ -155,107 +168,32 @@ impl<S: TraceSink> TraceSink for WithPmu<'_, S> {
     }
 }
 
-/// Whether `MICA_ANALYZER_TIMING` asks for per-analyzer delivery timing
-/// (any non-empty value other than `0`).
-fn analyzer_timing() -> bool {
-    std::env::var("MICA_ANALYZER_TIMING").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Deliver `block` to one analyzer on the requested tier and charge the
-/// wall time to its counter.
-fn timed_deliver<S: TraceSink + ?Sized>(
-    sink: &mut S,
-    block: &[DynInst],
-    backend: Backend,
-    counter: &obs::Counter,
-) {
-    let started = std::time::Instant::now();
-    match backend {
-        Backend::Batch => sink.retire_block(block),
-        Backend::Ref => {
-            for inst in block {
-                sink.retire(inst);
-            }
-        }
-    }
-    counter.add(started.elapsed().as_micros() as u64);
-}
-
-/// [`Tandem`] with a stopwatch per analyzer: delivery is fanned out
-/// component by component so each analyzer's share of the profile wall
-/// time lands on its own `profile.analyzer.*_us` counter. Per-analyzer
-/// state evolves exactly as on the untimed path (the analyzers are
-/// independent), so profiles are unaffected by timing being on.
-struct TimedTandem<'a> {
-    mica: &'a mut CharacterizationSuite,
-    hpc: &'a mut HpcSimulator,
-    backend: Backend,
-}
-
-impl TraceSink for TimedTandem<'_> {
-    fn retire(&mut self, inst: &DynInst) {
-        // The VM delivers blocks; a lone straggler isn't worth timing.
-        self.mica.retire(inst);
-        self.hpc.retire(inst);
-    }
-
-    fn retire_block(&mut self, block: &[DynInst]) {
-        timed_deliver(&mut self.mica.mix, block, self.backend, &ANALYZER_MIX_US);
-        timed_deliver(&mut self.mica.ilp, block, self.backend, &ANALYZER_ILP_US);
-        timed_deliver(&mut self.mica.reg, block, self.backend, &ANALYZER_REG_US);
-        timed_deliver(&mut self.mica.wss, block, self.backend, &ANALYZER_WSS_US);
-        timed_deliver(&mut self.mica.strides, block, self.backend, &ANALYZER_STRIDES_US);
-        let started = std::time::Instant::now();
-        for p in &mut self.mica.ppm {
-            match self.backend {
-                Backend::Batch => p.retire_block(block),
-                Backend::Ref => {
-                    for inst in block {
-                        p.retire(inst);
-                    }
-                }
-            }
-        }
-        ANALYZER_PPM_US.add(started.elapsed().as_micros() as u64);
-        timed_deliver(self.hpc, block, self.backend, &ANALYZER_HPC_US);
+/// Add one kernel's per-analyzer delivery time to the
+/// `profile.analyzer.*_us` counters. Blocks take well under a microsecond
+/// per analyzer, so time is summed in nanoseconds per kernel and rounded
+/// to microseconds once.
+fn charge_analyzers(mica: &CharacterizationSuite, hpc_ns: u64) {
+    let ns = mica.analyzer_ns().into_iter().chain([hpc_ns]);
+    for (counter, ns) in ANALYZER_US.iter().zip(ns) {
+        counter.add((ns + 500) / 1_000);
     }
 }
 
 /// Run one benchmark for `budget` instructions and return only its
-/// microarchitecture-independent characterization, using the backend
-/// selected by `MICA_BACKEND`.
+/// microarchitecture-independent characterization.
 ///
 /// # Errors
 ///
 /// See [`ProfileError`].
 pub fn characterize(spec: &BenchmarkSpec, budget: u64) -> Result<MicaVector, ProfileError> {
-    characterize_with(spec, budget, Backend::from_env())
-}
-
-/// [`characterize`] with an explicit backend — the differential tests
-/// compare the tiers through this.
-///
-/// # Errors
-///
-/// See [`ProfileError`].
-pub fn characterize_with(
-    spec: &BenchmarkSpec,
-    budget: u64,
-    backend: Backend,
-) -> Result<MicaVector, ProfileError> {
     let mut vm = spec.build_vm()?;
     let mut suite = CharacterizationSuite::new();
-    match backend {
-        Backend::Ref => vm.run(&mut PerInst(&mut suite), budget)?,
-        Backend::Batch => vm.run(&mut suite, budget)?,
-    };
+    vm.run(&mut suite, budget)?;
     Ok(suite.finish())
 }
 
 /// Run one benchmark for `budget` instructions and return only its
-/// simulated hardware-counter profile. The HPC simulator has no batch
-/// specialization (its default `retire_block` is the per-instruction
-/// loop), so this path is backend-independent.
+/// simulated hardware-counter profile.
 ///
 /// # Errors
 ///
@@ -268,59 +206,21 @@ pub fn profile_hpc(spec: &BenchmarkSpec, budget: u64) -> Result<HpcProfile, Prof
 }
 
 /// Run one benchmark once, producing both characterizations from the same
-/// dynamic instruction stream, using the backend selected by
-/// `MICA_BACKEND`.
+/// dynamic instruction stream.
 ///
 /// # Errors
 ///
 /// See [`ProfileError`].
 pub fn profile_benchmark(spec: &BenchmarkSpec, budget: u64) -> Result<BenchRecord, ProfileError> {
-    profile_benchmark_with(spec, budget, Backend::from_env())
-}
-
-/// [`profile_benchmark`] with an explicit backend.
-///
-/// # Errors
-///
-/// See [`ProfileError`].
-pub fn profile_benchmark_with(
-    spec: &BenchmarkSpec,
-    budget: u64,
-    backend: Backend,
-) -> Result<BenchRecord, ProfileError> {
     let mut vm = spec.build_vm()?;
-    let mut mica = CharacterizationSuite::new();
-    let mut hpc = HpcSimulator::new();
-    if analyzer_timing() {
-        vm.run(&mut TimedTandem { mica: &mut mica, hpc: &mut hpc, backend }, budget)?;
-    } else {
-        let mut tandem = Tandem { mica: &mut mica, hpc: &mut hpc };
-        match backend {
-            Backend::Ref => vm.run(&mut PerInst(&mut tandem), budget)?,
-            Backend::Batch => vm.run(&mut tandem, budget)?,
-        };
-    }
-    Ok(BenchRecord {
-        name: spec.name(),
-        suite: spec.suite.to_string(),
-        program: spec.program.to_string(),
-        input: spec.input.to_string(),
-        paper_icount_millions: spec.paper_icount_millions,
-        executed_instructions: mica.total_instructions(),
-        mica: mica.finish(),
-        hpc: hpc.finish(),
-    })
+    run_tandem(spec, &mut vm, budget, None)
 }
 
-/// [`profile_benchmark_with`] with the simulated PMU riding along on the
+/// [`profile_benchmark`] with the simulated PMU riding along on the
 /// same dynamic instruction stream: one VM run produces both
-/// characterizations *and* the block-level [`KernelHeat`] profile.
-///
-/// The PMU leg is delivered on whatever partition the backend produces —
-/// per-instruction under `ref`, whole batches under `batch` — and is
-/// partition-independent by construction, so the heat artifact is
-/// identical across backends while the analyzers still exercise the tier
-/// under test.
+/// characterizations *and* the block-level [`KernelHeat`] profile. The
+/// PMU is partition-independent by construction, so the heat artifact
+/// does not depend on how the VM cuts the stream into blocks.
 ///
 /// # Errors
 ///
@@ -328,38 +228,39 @@ pub fn profile_benchmark_with(
 pub fn profile_benchmark_pmu(
     spec: &BenchmarkSpec,
     budget: u64,
-    backend: Backend,
     config: PmuConfig,
 ) -> Result<(BenchRecord, KernelHeat), ProfileError> {
     let mut vm = spec.build_vm()?;
     let mut pmu = Pmu::new(vm.program(), config);
-    let mut mica = CharacterizationSuite::new();
-    let mut hpc = HpcSimulator::new();
-    if analyzer_timing() {
-        let timed = TimedTandem { mica: &mut mica, hpc: &mut hpc, backend };
-        vm.run(&mut WithPmu { inner: timed, pmu: &mut pmu }, budget)?;
-    } else {
-        let mut tandem = Tandem { mica: &mut mica, hpc: &mut hpc };
-        let mut sink = WithPmu { inner: &mut tandem, pmu: &mut pmu };
-        match backend {
-            Backend::Ref => vm.run(&mut PerInst(&mut sink), budget)?,
-            Backend::Batch => vm.run(&mut sink, budget)?,
-        };
-    }
-    let heat = pmu.finish(&spec.name());
-    Ok((
-        BenchRecord {
-            name: spec.name(),
-            suite: spec.suite.to_string(),
-            program: spec.program.to_string(),
-            input: spec.input.to_string(),
-            paper_icount_millions: spec.paper_icount_millions,
-            executed_instructions: mica.total_instructions(),
-            mica: mica.finish(),
-            hpc: hpc.finish(),
-        },
-        heat,
-    ))
+    let rec = run_tandem(spec, &mut vm, budget, Some(&mut pmu))?;
+    Ok((rec, pmu.finish(&spec.name())))
+}
+
+/// Run `vm` into a fresh [`Tandem`] (and the PMU leg, if any), charge the
+/// analyzer counters, and assemble the record.
+fn run_tandem(
+    spec: &BenchmarkSpec,
+    vm: &mut Vm,
+    budget: u64,
+    pmu: Option<&mut Pmu>,
+) -> Result<BenchRecord, ProfileError> {
+    let mut tandem =
+        Tandem { mica: CharacterizationSuite::new(), hpc: HpcSimulator::new(), hpc_ns: 0 };
+    match pmu {
+        Some(pmu) => vm.run(&mut WithPmu { inner: &mut tandem, pmu }, budget)?,
+        None => vm.run(&mut tandem, budget)?,
+    };
+    charge_analyzers(&tandem.mica, tandem.hpc_ns);
+    Ok(BenchRecord {
+        name: spec.name(),
+        suite: spec.suite.to_string(),
+        program: spec.program.to_string(),
+        input: spec.input.to_string(),
+        paper_icount_millions: spec.paper_icount_millions,
+        executed_instructions: tandem.mica.total_instructions(),
+        mica: tandem.mica.finish(),
+        hpc: tandem.hpc.finish(),
+    })
 }
 
 /// Reject scales that would produce meaningless budgets. NaN, infinities,
@@ -415,7 +316,7 @@ pub enum SlicedRun {
 /// retired instruction reaches the analyzers exactly once and — because
 /// the analyzers are partition-independent (differentially tested) — the
 /// finished vector is bit-identical to a single uninterrupted
-/// [`characterize_with`] run at the same budget. Cancellation is
+/// [`characterize`] run at the same budget. Cancellation is
 /// cooperative with slice granularity: a hung submission is cut off at
 /// most `slice` instructions past the deadline.
 ///
@@ -425,7 +326,6 @@ pub enum SlicedRun {
 pub fn characterize_vm_sliced<F: FnMut() -> bool>(
     vm: &mut tinyisa::Vm,
     budget: u64,
-    backend: Backend,
     slice: u64,
     mut should_cancel: F,
 ) -> Result<SlicedRun, ProfileError> {
@@ -437,11 +337,7 @@ pub fn characterize_vm_sliced<F: FnMut() -> bool>(
             return Ok(SlicedRun::Cancelled { executed: suite.total_instructions() });
         }
         let fuel = slice.min(remaining);
-        let exit = match backend {
-            Backend::Ref => vm.run(&mut PerInst(&mut suite), fuel)?,
-            Backend::Batch => vm.run(&mut suite, fuel)?,
-        };
-        if matches!(exit, tinyisa::RunExit::Halted) {
+        if matches!(vm.run(&mut suite, fuel)?, tinyisa::RunExit::Halted) {
             break;
         }
         remaining -= fuel;
@@ -584,22 +480,10 @@ fn finish_outcome(scale: f64, table: &[BenchmarkSpec], results: Vec<ItemOutcome>
 /// [`ProfileError::InvalidScale`] for a non-finite or non-positive scale —
 /// the only error that aborts the run; per-benchmark failures quarantine.
 pub fn profile_all(scale: f64) -> Result<ProfileOutcome, ProfileError> {
-    profile_all_with(scale, Backend::from_env())
+    profile_all_configured(scale, PmuConfig::from_env())
 }
 
-/// [`profile_all`] with an explicit backend. The backend is resolved once,
-/// here, *before* the worker pool starts — an unrecognized `MICA_BACKEND`
-/// panics on the caller's thread instead of quarantining all 122
-/// benchmarks one by one.
-///
-/// # Errors
-///
-/// See [`profile_all`].
-pub fn profile_all_with(scale: f64, backend: Backend) -> Result<ProfileOutcome, ProfileError> {
-    profile_all_configured(scale, backend, PmuConfig::from_env())
-}
-
-/// [`profile_all_with`] with an explicit PMU configuration (`None` runs
+/// [`profile_all`] with an explicit PMU configuration (`None` runs
 /// without the PMU leg) — the determinism tests drive both states through
 /// this without racing on the process environment.
 ///
@@ -608,7 +492,6 @@ pub fn profile_all_with(scale: f64, backend: Backend) -> Result<ProfileOutcome, 
 /// See [`profile_all`].
 pub fn profile_all_configured(
     scale: f64,
-    backend: Backend,
     pmu: Option<PmuConfig>,
 ) -> Result<ProfileOutcome, ProfileError> {
     validate_scale(scale)?;
@@ -617,7 +500,6 @@ pub fn profile_all_configured(
     let mut all_span = obs::span("profile", "profile_all");
     all_span.attr("benchmarks", total as u64);
     all_span.attr("scale", scale);
-    all_span.attr("backend", backend.name());
     if let Some(cfg) = pmu {
         all_span.attr("pmu_period", cfg.period);
     }
@@ -625,7 +507,7 @@ pub fn profile_all_configured(
     let results = mica_par::par_map_isolated(&table, |spec| {
         inject_kernel_panic(spec);
         let budget = scaled_budget(spec, scale);
-        let rec = run_one(spec, budget, backend, pmu);
+        let rec = run_one(spec, budget, pmu);
         let done = progress.tick();
         obs::info!("[{done:3}/{total}] {} ({budget} insts)", spec.name());
         rec
@@ -639,15 +521,14 @@ pub fn profile_all_configured(
 fn run_one(
     spec: &BenchmarkSpec,
     budget: u64,
-    backend: Backend,
     pmu: Option<PmuConfig>,
 ) -> Result<(BenchRecord, Option<KernelHeat>), ProfileError> {
     let started = std::time::Instant::now();
     let mut span = obs::span("profile", spec.name());
     span.attr("budget", budget);
     let rec = match pmu {
-        Some(cfg) => profile_benchmark_pmu(spec, budget, backend, cfg).map(|(r, h)| (r, Some(h))),
-        None => profile_benchmark_with(spec, budget, backend).map(|r| (r, None)),
+        Some(cfg) => profile_benchmark_pmu(spec, budget, cfg).map(|(r, h)| (r, Some(h))),
+        None => profile_benchmark(spec, budget).map(|r| (r, None)),
     };
     KERNELS.incr();
     KERNEL_US.record(started.elapsed().as_micros() as u64);
@@ -664,15 +545,6 @@ fn run_one(
 ///
 /// See [`profile_all`].
 pub fn profile_all_serial(scale: f64) -> Result<ProfileSet, ProfileError> {
-    profile_all_serial_with(scale, Backend::from_env())
-}
-
-/// [`profile_all_serial`] with an explicit backend.
-///
-/// # Errors
-///
-/// See [`profile_all`].
-pub fn profile_all_serial_with(scale: f64, backend: Backend) -> Result<ProfileSet, ProfileError> {
     validate_scale(scale)?;
     let table = benchmark_table();
     let results = table
@@ -681,7 +553,7 @@ pub fn profile_all_serial_with(scale: f64, backend: Backend) -> Result<ProfileSe
         .map(|(i, spec)| {
             let budget = scaled_budget(spec, scale);
             obs::info!("[{:3}/{}] {} ({budget} insts)", i + 1, table.len(), spec.name());
-            run_one(spec, budget, backend, None).map(|(r, _)| r)
+            run_one(spec, budget, None).map(|(r, _)| r)
         })
         .collect();
     finish_set(scale, results)
@@ -914,11 +786,10 @@ mod tests {
     #[test]
     fn sliced_characterization_matches_uninterrupted_run() {
         let s = spec("dijkstra");
-        let whole = characterize_with(&s, 30_000, Backend::Batch).unwrap();
+        let whole = characterize(&s, 30_000).unwrap();
         for slice in [1_000u64, 7_919, 30_000, 100_000] {
             let mut vm = s.build_vm().unwrap();
-            let got =
-                characterize_vm_sliced(&mut vm, 30_000, Backend::Batch, slice, || false).unwrap();
+            let got = characterize_vm_sliced(&mut vm, 30_000, slice, || false).unwrap();
             match got {
                 SlicedRun::Done { mica, executed } => {
                     assert_eq!(mica, whole, "slice {slice}");
@@ -934,7 +805,7 @@ mod tests {
         let s = spec("dijkstra");
         let mut vm = s.build_vm().unwrap();
         let mut polls = 0u32;
-        let got = characterize_vm_sliced(&mut vm, 50_000, Backend::Ref, 5_000, || {
+        let got = characterize_vm_sliced(&mut vm, 50_000, 5_000, || {
             polls += 1;
             polls > 2
         })

@@ -83,9 +83,6 @@ pub struct RunSummary {
     pub scale: f64,
     /// Worker-pool width (`MICA_THREADS` or detected parallelism).
     pub threads: u64,
-    /// Analyzer backend the run used (`MICA_BACKEND`): `"ref"` or
-    /// `"batch"`. Baselines only compare runs on the same backend.
-    pub backend: String,
     /// Sampling period of the simulated PMU when the run profiled with
     /// `MICA_PMU=1`, `None` when the PMU was off. Recorded so a heat
     /// artifact can always be traced back to the period that produced it.
@@ -152,17 +149,13 @@ impl Runner {
         crate::profile::register_counters();
         let threads = mica_par::num_threads();
         let scale = crate::scale();
-        // Resolve the backend up front so a bad MICA_BACKEND aborts before
-        // any work, not 122 quarantines into the profile stage.
-        let backend = mica_core::Backend::from_env();
         let ctx = obs::TraceContext::fresh();
         let ctx_guard = obs::install_context(Some(ctx));
         let mut run_span = obs::span("run", bin);
         run_span.attr("threads", threads as u64);
         run_span.attr("scale", scale);
-        run_span.attr("backend", backend.name());
         run_span.attr("trace", ctx.trace_hex());
-        obs::info!("{bin}: starting ({threads} threads, scale {scale}, backend {backend})");
+        obs::info!("{bin}: starting ({threads} threads, scale {scale})");
         Runner {
             bin,
             started: Instant::now(),
@@ -201,7 +194,6 @@ impl Runner {
             bin: bin.to_string(),
             scale: crate::scale(),
             threads: mica_par::num_threads() as u64,
-            backend: mica_core::Backend::from_env().name().to_string(),
             pmu_period: mica_pmu::PmuConfig::from_env().map(|c| c.period),
             table_fingerprint: mica_workloads::table_fingerprint(),
             wall_s: started.elapsed().as_secs_f64(),

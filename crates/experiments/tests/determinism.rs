@@ -6,8 +6,7 @@
 //! `MICA_THREADS` is pinned to 4 so the parallel path genuinely runs
 //! multi-threaded even on single-core CI machines.
 
-use mica_core::Backend;
-use mica_experiments::profile::{profile_all, profile_all_serial, profile_all_with};
+use mica_experiments::profile::{profile_all, profile_all_serial};
 
 #[test]
 fn parallel_profile_all_is_byte_identical_to_serial() {
@@ -25,26 +24,6 @@ fn parallel_profile_all_is_byte_identical_to_serial() {
     let par_json = serde_json::to_string(&par).expect("serializes");
     let ser_json = serde_json::to_string(&ser).expect("serializes");
     assert_eq!(par_json, ser_json, "serialized artifacts must match byte for byte");
-}
-
-/// The batch backend is an optimization, not a different measurement: the
-/// full 122-benchmark sweep must produce a byte-identical serialized
-/// [`ProfileSet`] (same fingerprint, same records, same bits in every
-/// metric) whichever backend delivers the trace.
-#[test]
-fn batch_backend_is_byte_identical_to_ref() {
-    std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
-    let ref_run = profile_all_with(1e-9, Backend::Ref).expect("ref backend profiles");
-    let batch_run = profile_all_with(1e-9, Backend::Batch).expect("batch backend profiles");
-    assert!(ref_run.quarantined.is_empty() && batch_run.quarantined.is_empty());
-    assert_eq!(ref_run.set.fingerprint, batch_run.set.fingerprint);
-    assert_eq!(ref_run.set.records.len(), 122);
-    assert_eq!(
-        serde_json::to_string(&ref_run.set).expect("serializes"),
-        serde_json::to_string(&batch_run.set).expect("serializes"),
-        "the two backends must agree byte for byte"
-    );
 }
 
 /// Observability must be a pure observer: running the identical sweep with

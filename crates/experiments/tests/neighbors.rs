@@ -8,12 +8,11 @@ use mica_experiments::analysis::mica_dataset;
 use mica_experiments::profile::profile_all_configured;
 use mica_experiments::query::{DistanceMetric, Neighbor, QuerySpace};
 use mica_experiments::results::ProfileSet;
-use mica_core::Backend;
 use mica_stats::zscore_normalize;
 
 /// Profile the full table at the 10k-instruction floor budget.
 fn profile_floor() -> ProfileSet {
-    let outcome = profile_all_configured(1e-9, Backend::Batch, None).expect("profiling succeeds");
+    let outcome = profile_all_configured(1e-9, None).expect("profiling succeeds");
     assert!(outcome.quarantined.is_empty(), "clean run expected");
     outcome.set
 }

@@ -1,13 +1,12 @@
 //! The simulated PMU must be a pure observer: profiling with `MICA_PMU=1`
 //! cannot change a byte of the scientific output, and the heat artifacts
 //! it produces must themselves be deterministic — identical across
-//! analyzer backends and worker-pool widths.
+//! worker-pool widths.
 //!
 //! Tests pass the PMU configuration explicitly through
 //! [`profile_all_configured`] instead of mutating `MICA_PMU`, so they
 //! cannot race on the process environment with the rest of the suite.
 
-use mica_core::Backend;
 use mica_experiments::profile::profile_all_configured;
 use mica_pmu::{PmuConfig, DEFAULT_PERIOD};
 
@@ -19,9 +18,8 @@ const SCALE: f64 = 1e-9;
 fn pmu_does_not_change_the_profile_set() {
     std::env::set_var("MICA_THREADS", "4");
     std::env::set_var("MICA_QUIET", "1");
-    let off = profile_all_configured(SCALE, Backend::Batch, None).expect("pmu-off run");
-    let on = profile_all_configured(SCALE, Backend::Batch, Some(PmuConfig::new(1009)))
-        .expect("pmu-on run");
+    let off = profile_all_configured(SCALE, None).expect("pmu-off run");
+    let on = profile_all_configured(SCALE, Some(PmuConfig::new(1009))).expect("pmu-on run");
     assert!(off.quarantined.is_empty() && on.quarantined.is_empty());
     assert!(off.heat.is_empty(), "no PMU, no heat");
     assert_eq!(on.heat.len(), 122, "one heat profile per benchmark");
@@ -45,22 +43,22 @@ fn pmu_does_not_change_the_profile_set() {
 }
 
 #[test]
-fn heat_is_identical_across_backends_and_thread_counts() {
+fn heat_is_identical_across_thread_counts() {
     std::env::set_var("MICA_QUIET", "1");
     let cfg = Some(PmuConfig::new(257));
 
     std::env::set_var("MICA_THREADS", "1");
-    let serial_ref = profile_all_configured(SCALE, Backend::Ref, cfg).expect("1-thread ref run");
+    let serial = profile_all_configured(SCALE, cfg).expect("1-thread run");
     std::env::set_var("MICA_THREADS", "4");
-    let wide_batch = profile_all_configured(SCALE, Backend::Batch, cfg).expect("4-thread batch");
+    let wide = profile_all_configured(SCALE, cfg).expect("4-thread run");
 
-    assert_eq!(serial_ref.heat.len(), 122);
+    assert_eq!(serial.heat.len(), 122);
     assert_eq!(
-        serde_json::to_string(&serial_ref.set).expect("serializes"),
-        serde_json::to_string(&wide_batch.set).expect("serializes"),
-        "profile sets diverged across backend/threads"
+        serde_json::to_string(&serial.set).expect("serializes"),
+        serde_json::to_string(&wide.set).expect("serializes"),
+        "profile sets diverged across threads"
     );
-    for (a, b) in serial_ref.heat.iter().zip(&wide_batch.heat) {
+    for (a, b) in serial.heat.iter().zip(&wide.heat) {
         assert_eq!(a, b, "heat diverged for {}", a.kernel);
         assert_eq!(a.to_json(), b.to_json(), "heat artifact bytes diverged for {}", a.kernel);
     }

@@ -16,9 +16,8 @@
 //! Everything the PMU counts is a pure function of the retired-instruction
 //! sequence and the period. The countdown carries across batch boundaries
 //! and [`Pmu::retire`] is literally `retire_block` of a one-instruction
-//! slice, so per-instruction (`MICA_BACKEND=ref`) and batched
-//! (`MICA_BACKEND=batch`) delivery produce bit-identical [`KernelHeat`],
-//! for any batch partition and any thread count. Wall clocks, thread ids,
+//! slice, so per-instruction and batched delivery produce bit-identical
+//! [`KernelHeat`], for any batch partition and any thread count. Wall clocks, thread ids,
 //! and allocation state never enter the data.
 //!
 //! # Gating
@@ -28,8 +27,7 @@
 //! cached atomic load returning `None` and no PMU is ever constructed —
 //! the profiling hot loop is byte-for-byte the non-PMU code path.
 //! `MICA_PMU_PERIOD` programs the sampling period (default
-//! [`DEFAULT_PERIOD`]); an unparseable or zero period panics up front,
-//! like a bad `MICA_BACKEND`.
+//! [`DEFAULT_PERIOD`]); an unparseable or zero period panics up front.
 
 use mica_obs::{self as obs, EnvFlag};
 use mica_verify::{Cfg, DomTree, LoopForest};
@@ -88,7 +86,7 @@ impl PmuConfig {
     /// # Panics
     ///
     /// Panics when `MICA_PMU_PERIOD` is set but not a positive integer —
-    /// loudly, before any work, like an unrecognized `MICA_BACKEND`.
+    /// loudly, before any work.
     pub fn from_env() -> Option<PmuConfig> {
         if !PMU_FLAG.enabled() {
             return None;
@@ -355,8 +353,8 @@ impl Pmu {
 
 impl TraceSink for Pmu {
     fn retire(&mut self, inst: &DynInst) {
-        // Identical to batched delivery by construction: the reference
-        // tier is the batch tier at block size one.
+        // Identical to batched delivery by construction: per-instruction
+        // delivery is block delivery at block size one.
         self.retire_block(std::slice::from_ref(inst));
     }
 

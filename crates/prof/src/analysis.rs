@@ -137,7 +137,7 @@ pub struct Analysis {
     /// Every summary counter, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Per-analyzer delivery wall time from the `profile.analyzer.*_us`
-    /// counters (collected under `MICA_ANALYZER_TIMING=1`), descending.
+    /// counters (present in every run that profiled a kernel), descending.
     pub analyzer_us: Vec<(String, u64)>,
     /// `profile.cache.hit / (hit + miss*)`, when the counters exist.
     pub cache_hit_ratio: Option<f64>,

@@ -9,9 +9,8 @@
 //! machine in the history cannot move it much.
 //!
 //! A run is **comparable** to an entry when bin, thread count, workload
-//! table fingerprint, budget scale, and analyzer backend all match —
-//! timings across different configurations say nothing about regressions
-//! (and the batch backend exists precisely because its timings differ).
+//! table fingerprint, and budget scale all match — timings across
+//! different configurations say nothing about regressions.
 //!
 //! A stage regresses when it is slower than the baseline median by *both*
 //! the relative threshold (`max_ratio`) and the absolute floor
@@ -96,7 +95,7 @@ impl Baseline {
     }
 
     /// Entries comparable to `cur`: same bin, threads, table fingerprint,
-    /// budget scale, and analyzer backend.
+    /// and budget scale.
     pub fn comparable(&self, cur: &RunSummary) -> Vec<&BaselineEntry> {
         self.entries
             .iter()
@@ -104,7 +103,6 @@ impl Baseline {
                 let s = &e.summary;
                 s.bin == cur.bin
                     && s.threads == cur.threads
-                    && s.backend == cur.backend
                     && s.table_fingerprint == cur.table_fingerprint
                     && (s.scale - cur.scale).abs() <= 1e-12 * s.scale.abs().max(1.0)
             })
@@ -194,12 +192,10 @@ pub fn check(base: &Baseline, cur: &RunSummary, cfg: &CheckConfig) -> Vec<Findin
             "baseline",
             format!(
                 "no comparable baseline entries for bin={} threads={} scale={} \
-                 backend={} fingerprint={:#x} ({} total entries) — gate passes \
-                 vacuously",
+                 fingerprint={:#x} ({} total entries) — gate passes vacuously",
                 cur.bin,
                 cur.threads,
                 cur.scale,
-                cur.backend,
                 cur.table_fingerprint,
                 base.entries.len()
             ),

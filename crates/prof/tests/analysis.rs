@@ -37,7 +37,6 @@ fn summary() -> RunSummary {
         bin: "profile".to_string(),
         scale: 1.0,
         threads: 2,
-        backend: "ref".to_string(),
         pmu_period: None,
         table_fingerprint: 0xfeed,
         wall_s: 0.001,
@@ -150,8 +149,8 @@ fn analyzer_attribution_renders_when_its_counters_exist() {
     assert!(report.contains("Profile wall time by analyzer"), "{report}");
     assert!(report.contains("60.0%"), "ppm's share of 1000us:\n{report}");
 
-    // A run without MICA_ANALYZER_TIMING has none of the counters and the
-    // section stays out of the report entirely.
+    // A run that profiled nothing (a cache hit) has none of the counters
+    // and the section stays out of the report entirely.
     let plain = render(&analyze(&trace, Some(&summary())));
     assert!(!plain.contains("by analyzer"), "{plain}");
 }

@@ -12,7 +12,6 @@ fn summary(profile_s: f64) -> RunSummary {
         bin: "profile".to_string(),
         scale: 1e-6,
         threads: 4,
-        backend: "ref".to_string(),
         pmu_period: None,
         table_fingerprint: 0xabcd,
         wall_s: profile_s + 0.1,

@@ -15,7 +15,6 @@
 
 use crate::protocol::{status, NeighborEntry, QueryResult, Request, RequestKind};
 use crate::{asmtext, ServeConfig};
-use mica_core::Backend;
 use mica_experiments::profile::{
     characterize_vm_sliced, load_or_profile_all, scaled_budget,
     validate_scale, ProfileError, SlicedRun,
@@ -103,7 +102,6 @@ pub struct Engine {
     space: QuerySpace,
     by_name: BTreeMap<String, usize>,
     table: Vec<BenchmarkSpec>,
-    backend: Backend,
     scale: f64,
     index: Mutex<BTreeMap<String, IndexEntry>>,
     index_dir: PathBuf,
@@ -121,7 +119,6 @@ impl Engine {
     pub fn boot() -> Result<Engine, ProfileError> {
         let results = mica_experiments::results_dir();
         let scale = mica_experiments::scale();
-        let backend = Backend::from_env();
         let outcome = load_or_profile_all(&results.join("profiles.json"), scale)?;
         if !outcome.quarantined.is_empty() {
             // A server answering from a partial reference set would compare
@@ -148,7 +145,6 @@ impl Engine {
             space,
             by_name,
             table: benchmark_table(),
-            backend,
             scale,
             index: Mutex::new(index),
             index_dir,
@@ -348,10 +344,8 @@ impl Engine {
             ));
         }
         SIMULATED.incr();
-        let run = characterize_vm_sliced(vm, budget, self.backend, cfg.slice, || {
-            cancel.load(Ordering::Relaxed)
-        })
-        .map_err(|e| Outcome::fail(e.to_string()))?;
+        let run = characterize_vm_sliced(vm, budget, cfg.slice, || cancel.load(Ordering::Relaxed))
+            .map_err(|e| Outcome::fail(e.to_string()))?;
         match run {
             SlicedRun::Cancelled { executed } => {
                 INSTS.add(executed);

@@ -45,9 +45,9 @@
 //!   ([`mica_fault::io::backoff_ms`]), honoring `retry_after_ms` hints.
 //!
 //! Every answer carries a sprout-style [`protocol::Provenance`] block —
-//! table fingerprint, profile fingerprint, budget scale, backend, thread
-//! count, GA selection, and the `MICA_*` environment — so two answers
-//! taken months apart compare honestly or visibly don't.
+//! table fingerprint, profile fingerprint, budget scale, thread count, GA
+//! selection, and the `MICA_*` environment — so two answers taken months
+//! apart compare honestly or visibly don't.
 //!
 //! Environment knobs (all optional):
 //!
@@ -64,10 +64,10 @@
 //! | `MICA_SERVE_SLO_MS` | 1000 | latency objective: an answered request is SLO-good iff `ok` within this |
 //! | `MICA_SERVE_SLO_TARGET` | 0.99 | attainment objective in `[0, 1)`; burn rate is measured against it |
 //!
-//! The profile cache, budget scale, backend, and thread pool are shared
-//! with the batch pipeline (`MICA_RESULTS_DIR`, `MICA_SCALE`,
-//! `MICA_BACKEND`, `MICA_THREADS`), so a `table` query answers with the
-//! byte-identical vector the batch run wrote to `profiles.json`.
+//! The profile cache, budget scale, and thread pool are shared with the
+//! batch pipeline (`MICA_RESULTS_DIR`, `MICA_SCALE`, `MICA_THREADS`), so a
+//! `table` query answers with the byte-identical vector the batch run
+//! wrote to `profiles.json`.
 
 pub mod asmtext;
 pub mod client;

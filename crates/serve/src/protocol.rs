@@ -263,8 +263,6 @@ pub struct Provenance {
     pub profile_fingerprint: u64,
     /// Budget scale of the warm profile set (`MICA_SCALE`).
     pub scale: f64,
-    /// Analyzer backend (`MICA_BACKEND`).
-    pub backend: String,
     /// Worker-pool width.
     pub threads: u64,
     /// GA-selected metric indices defining the projection space.
@@ -404,7 +402,6 @@ mod tests {
                 table_fingerprint: 7,
                 profile_fingerprint: 9,
                 scale: 1.0,
-                backend: "ref".into(),
                 threads: 4,
                 selected_metrics: vec![1, 5],
                 ga_rho: 0.9,

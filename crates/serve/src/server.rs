@@ -778,7 +778,6 @@ fn build_provenance(engine: &Engine) -> Provenance {
         table_fingerprint: mica_workloads::table_fingerprint(),
         profile_fingerprint: engine.profiles().fingerprint,
         scale: engine.profiles().scale,
-        backend: mica_core::Backend::from_env().name().to_string(),
         threads: mica_par::num_threads() as u64,
         selected_metrics: engine.space().selected().iter().map(|&i| i as u64).collect(),
         ga_rho: engine.space().rho(),
@@ -1111,7 +1110,6 @@ mod tests {
                 table_fingerprint: 1,
                 profile_fingerprint: 2,
                 scale: 1.0,
-                backend: "batch".into(),
                 threads: 4,
                 selected_metrics: vec![0, 3],
                 ga_rho: 0.8,

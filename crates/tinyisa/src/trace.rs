@@ -141,7 +141,7 @@ impl Trace {
 
     /// Feed every recorded instruction to `sink`, in order, one
     /// [`TraceSink::retire`] call per instruction — the reference delivery
-    /// path the batch backends are verified against.
+    /// path block delivery is verified against.
     pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         for e in &self.events {
             sink.retire(e);

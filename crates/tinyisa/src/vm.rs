@@ -33,8 +33,8 @@ pub trait TraceSink {
     ///
     /// The default implementation loops [`TraceSink::retire`], so existing
     /// sinks keep working unchanged. Overrides must leave the sink in a
-    /// state indistinguishable from the default (the differential backend
-    /// harness in `mica-core` enforces this for the analyzers).
+    /// state indistinguishable from the default (`mica-core`'s
+    /// differential delivery harness enforces this for the analyzers).
     fn retire_block(&mut self, block: &[DynInst]) {
         for inst in block {
             self.retire(inst);

@@ -107,29 +107,46 @@ fn sibling_inputs_are_closer_than_strangers() {
     assert!(intra < inter, "bzip2 inputs (max intra {intra:.2}) vs mcf (min inter {inter:.2})");
 }
 
+/// Bit-level equality: `==` on f64 would let `-0.0 == 0.0` or two NaNs
+/// slip through; the artifact files serialize bits.
+fn assert_bits_eq(live: &[f64], replayed: &[f64], ctx: &str) {
+    assert_eq!(live.len(), replayed.len(), "{ctx}: metric count");
+    for (i, (a, b)) in live.iter().zip(replayed).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: metric {i}: live {a} vs replayed {b}");
+    }
+}
+
 #[test]
 fn recorded_trace_replays_to_identical_characterization() {
-    use mica_suite::isa::TraceRecorder;
-    let s = spec("CRC32");
+    use mica_suite::isa::{Trace, TraceRecorder};
+    // The representatives of `full_pipeline_for_representative_benchmarks`.
+    for program in ["blast", "csu", "rtr", "epic", "qsort", "mcf"] {
+        let s = spec(program);
 
-    // Live analysis.
-    let live = characterize(&s, 30_000).unwrap();
+        // Live analysis: the VM delivers blocks.
+        let live = characterize(&s, 30_000).unwrap();
 
-    // Record once, replay into a fresh suite — the "instrument once,
-    // analyze many" workflow; also exercise the binary codec.
-    let mut vm = s.build_vm().unwrap();
-    let mut rec = TraceRecorder::new();
-    vm.run(&mut rec, 30_000).unwrap();
-    let trace = rec.into_trace();
-    let decoded = mica_suite::isa::Trace::from_bytes(&trace.to_bytes()).unwrap();
+        // Record once, replay one `retire` per instruction into a fresh
+        // suite — the "instrument once, analyze many" workflow and the
+        // per-instruction oracle; also exercise the binary codec.
+        let mut vm = s.build_vm().unwrap();
+        let mut rec = TraceRecorder::new();
+        vm.run(&mut rec, 30_000).unwrap();
+        let decoded = Trace::from_bytes(&rec.into_trace().to_bytes()).unwrap();
 
-    let mut suite = CharacterizationSuite::new();
-    decoded.replay(&mut suite);
-    assert_eq!(suite.finish(), live, "replayed trace must characterize identically");
+        let mut suite = CharacterizationSuite::new();
+        decoded.replay(&mut suite);
+        assert_bits_eq(live.values(), suite.finish().values(), program);
 
-    let mut hpc = HpcSimulator::new();
-    decoded.replay(&mut hpc);
-    let via_trace = hpc.finish();
-    let direct = profile_hpc(&s, 30_000).unwrap();
-    assert_eq!(via_trace, direct, "machine simulation from the trace matches live");
+        let mut hpc = HpcSimulator::new();
+        decoded.replay(&mut hpc);
+        let via_trace = hpc.finish();
+        let direct = profile_hpc(&s, 30_000).unwrap();
+        assert_eq!(via_trace.instructions, direct.instructions, "{program}");
+        assert_bits_eq(
+            &direct.extended_vector(),
+            &via_trace.extended_vector(),
+            &format!("{program}: machine simulation"),
+        );
+    }
 }
