@@ -32,7 +32,7 @@ fn synthetic_workload_space() -> DataSet {
 fn bench_parallel(c: &mut Criterion) {
     // Suppress the 122 per-benchmark progress lines each iteration would
     // otherwise print.
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     // The headline pair: the full 122-benchmark profiling pass, at a tiny
     // scale (every budget floors at 10 000 instructions) so a sample is
     // ~1.2 M simulated instructions rather than tens of millions.

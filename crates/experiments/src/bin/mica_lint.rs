@@ -11,8 +11,8 @@
 //!   artifact.
 //! - `--static PATH`: also write the per-kernel static report (natural
 //!   loops with nesting depth and body instruction ranges, static
-//!   instruction mix, refined indirect blocks) — the region-selection
-//!   input for a tiered JIT, to be compared against the dynamic profile.
+//!   instruction mix, refined indirect blocks), which the test suite checks
+//!   against the dynamic profile.
 //!
 //! Both files are written with `mica_fault::io::atomic_write_retry`, so a
 //! crash mid-write never leaves a truncated artifact.

@@ -9,12 +9,12 @@
 //! conclusions taken based on this characterization may not be generalized
 //! to other microarchitectures." — Section IV.
 
-use mica_experiments::profile::Quarantine;
+use mica_experiments::profile::{scaled_budget, validate_scale, Quarantine};
 use mica_experiments::results::write_csv;
 use mica_experiments::runner::Runner;
 use mica_experiments::{results_dir, scale};
 use mica_stats::{classify_pairs, pairwise_distances, pearson, zscore_normalize, DataSet};
-use mica_workloads::benchmark_table;
+use mica_workloads::{benchmark_table, BenchmarkSpec};
 use tinyisa::{DynInst, TraceSink};
 use uarch_sim::{
     CacheConfig, Ev56Model, Ev67Model, HpcSimulator, InOrderConfig, MemoryLatency, OooConfig,
@@ -59,44 +59,41 @@ impl TraceSink for Both {
     }
 }
 
-/// Run one kernel on both machine pairs, converting panics and errors
-/// into a quarantine reason instead of killing the sweep.
-fn run_both(
-    spec: &mica_workloads::BenchmarkSpec,
-    budget: u64,
-) -> Result<(Vec<f64>, Vec<f64>), String> {
+/// Run one kernel on both machine pairs; an error becomes its quarantine
+/// reason.
+fn run_both(spec: &BenchmarkSpec, budget: u64) -> Result<(Vec<f64>, Vec<f64>), String> {
     if mica_fault::plan::should_panic_kernel(spec.program)
         || mica_fault::plan::should_panic_kernel(&spec.name())
     {
         return Err(format!("injected fault: kernel {} (MICA_FAULTS)", spec.name()));
     }
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<_, String> {
-        let mut vm = spec.build_vm().map_err(|e| format!("kernel failed to assemble: {e}"))?;
-        let mut both = Both { alpha: HpcSimulator::new(), modern: modern_pair() };
-        vm.run(&mut both, budget).map_err(|e| format!("kernel faulted: {e}"))?;
-        Ok((both.alpha.finish().counter_vector(), both.modern.finish().counter_vector()))
-    }))
-    .unwrap_or_else(|payload| {
-        let text = payload
-            .downcast_ref::<&'static str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(format!("panic: {text}"))
-    })
+    let mut vm = spec.build_vm().map_err(|e| format!("kernel failed to assemble: {e}"))?;
+    let mut both = Both { alpha: HpcSimulator::new(), modern: modern_pair() };
+    vm.run(&mut both, budget).map_err(|e| format!("kernel faulted: {e}"))?;
+    Ok((both.alpha.finish().counter_vector(), both.modern.finish().counter_vector()))
 }
 
 fn main() {
     let mut run = Runner::new("sensitivity");
+    let scale = scale();
+    if let Err(e) = validate_scale(scale) {
+        mica_obs::error!("profiling failed: {e}");
+        mica_obs::flush();
+        std::process::exit(1);
+    }
     let table = benchmark_table();
     let (alpha_rows, modern_rows, quarantined) = run.stage("profile", || {
+        let progress = mica_par::Progress::new();
+        let results = mica_par::par_map_isolated(&table, |spec| {
+            let rows = run_both(spec, scaled_budget(spec, scale));
+            mica_obs::info!("[{:3}/{}] {}", progress.tick(), table.len(), spec.name());
+            rows
+        });
         let mut alpha_rows = Vec::with_capacity(table.len());
         let mut modern_rows = Vec::with_capacity(table.len());
         let mut quarantined = Vec::new();
-        for (i, spec) in table.iter().enumerate() {
-            let budget = ((spec.instruction_budget() as f64) * scale()).max(10_000.0) as u64;
-            mica_obs::info!("[{:3}/{}] {}", i + 1, table.len(), spec.name());
-            match run_both(spec, budget) {
+        for (spec, result) in table.iter().zip(results) {
+            match result.unwrap_or_else(|p| Err(format!("panic: {}", p.payload))) {
                 Ok((a, m)) => {
                     alpha_rows.push(a);
                     modern_rows.push(m);

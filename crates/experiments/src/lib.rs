@@ -27,8 +27,8 @@
 //! Observability (`MICA_LOG`, `MICA_TRACE`, `MICA_EVENTS`) is provided by
 //! [`mica_obs`]; every binary drives a [`runner::Runner`] that times its
 //! stages and writes a machine-readable `run-<bin>.json` report next to
-//! its outputs (override with `--report PATH` or `MICA_REPORT`). Two
-//! deeper profiling knobs feed `mica-prof`:
+//! its outputs (override with `--report PATH`). Two deeper profiling knobs
+//! feed `mica-prof`:
 //!
 //! - `MICA_ALLOC=1` — count allocations and bytes per span via the
 //!   process-wide tracking allocator installed below;
@@ -61,7 +61,15 @@ pub fn results_dir() -> PathBuf {
     std::env::var_os("MICA_RESULTS_DIR").map(PathBuf::from).unwrap_or_else(|| "results".into())
 }
 
-/// The instruction-budget multiplier (`MICA_SCALE`, default 1.0).
+/// The instruction-budget multiplier (`MICA_SCALE`, default 1.0). Text
+/// that does not parse as a number is warned about and read as NaN, which
+/// [`profile::validate_scale`] rejects.
 pub fn scale() -> f64 {
-    std::env::var("MICA_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
+    match std::env::var("MICA_SCALE") {
+        Ok(raw) => raw.parse().unwrap_or_else(|_| {
+            mica_obs::warn!("MICA_SCALE={raw:?} is not a number");
+            f64::NAN
+        }),
+        Err(_) => 1.0,
+    }
 }

@@ -109,7 +109,7 @@ pub fn findings_json(reports: &[(String, Report)]) -> Vec<JsonFinding> {
 }
 
 /// One natural loop in the static survey: where it is, how big it is, and
-/// which instruction ranges a region-selecting JIT would compile for it.
+/// which instruction ranges its body covers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoopSummary {
     /// Byte address of the loop header's first instruction.
@@ -128,9 +128,9 @@ pub struct LoopSummary {
 
 /// Per-kernel static structure: the `mica-lint --static` report entry.
 ///
-/// This is the region-selection input a tiered JIT needs — which loops
-/// exist, how deeply they nest, and what the code inside them looks like —
-/// derived purely statically, to be compared against the dynamic profile.
+/// Which loops exist, how deeply they nest, and what the code inside them
+/// looks like — derived purely statically and checked against the dynamic
+/// profile (`tests/static_report.rs`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelStatic {
     /// `suite/program/input` identifier.

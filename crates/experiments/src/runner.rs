@@ -10,8 +10,8 @@
 //! the workload-table fingerprint — then flushes all sinks so `MICA_TRACE`
 //! files are complete even if the binary exits immediately afterwards.
 //!
-//! The summary path is `--report PATH` (every binary accepts it) or
-//! `MICA_REPORT`, defaulting to `results/run-<bin>.json`.
+//! The summary path is `--report PATH` (every binary accepts it),
+//! defaulting to `results/run-<bin>.json`.
 
 use crate::profile::Quarantine;
 use mica_obs as obs;
@@ -103,11 +103,10 @@ pub struct RunSummary {
 }
 
 /// Resolve where the run summary goes: the `--report PATH` (or
-/// `--report=PATH`) command-line flag wins, then the `MICA_REPORT`
-/// environment variable, then `results/run-<bin>.json`. Every experiment
-/// binary constructs a [`Runner`], so every binary accepts the flag — CI
-/// collects summaries from parallel jobs without fighting over
-/// `MICA_RESULTS_DIR`.
+/// `--report=PATH`) command-line flag, else `results/run-<bin>.json`.
+/// Every experiment binary constructs a [`Runner`], so every binary
+/// accepts the flag — CI collects summaries from parallel jobs without
+/// fighting over `MICA_RESULTS_DIR`.
 fn report_path(bin: &str) -> PathBuf {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -119,9 +118,6 @@ fn report_path(bin: &str) -> PathBuf {
         } else if let Some(path) = arg.strip_prefix("--report=") {
             return PathBuf::from(path);
         }
-    }
-    if let Some(path) = std::env::var_os("MICA_REPORT") {
-        return PathBuf::from(path);
     }
     crate::results_dir().join(format!("run-{bin}.json"))
 }

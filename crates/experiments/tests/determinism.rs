@@ -11,7 +11,7 @@ use mica_experiments::profile::{profile_all, profile_all_serial};
 #[test]
 fn parallel_profile_all_is_byte_identical_to_serial() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     // Tiny scale: every budget hits the 10 000-instruction floor, so the
     // full 122-benchmark sweep stays fast while still exercising every
     // kernel through both characterizations.
@@ -35,7 +35,7 @@ fn parallel_profile_all_is_byte_identical_to_serial() {
 #[test]
 fn tracing_does_not_change_results() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     let dir = std::env::temp_dir().join(format!("mica_trace_determinism_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("trace.json");
@@ -109,7 +109,7 @@ fn tracing_does_not_change_results() {
 #[test]
 fn alloc_tracking_does_not_change_results() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
 
     let untracked = profile_all(1e-9).expect("untracked profiling succeeds").set;
 
@@ -136,7 +136,7 @@ fn alloc_tracking_does_not_change_results() {
 #[test]
 fn profile_order_follows_table_order_not_completion_order() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     let set = profile_all(1e-9).expect("profiles").set;
     let expected: Vec<String> =
         mica_workloads::benchmark_table().iter().map(|s| s.name()).collect();

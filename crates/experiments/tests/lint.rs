@@ -38,3 +38,18 @@ fn findings_json_round_trips() {
     let back: Vec<JsonFinding> = serde_json::from_str(&json).expect("parses");
     assert_eq!(findings, back);
 }
+
+/// The zoo's full census, as `mica-lint --json` reports it: the 23
+/// deliberate merge jumps (kept so taken unconditional jumps stay in the
+/// characterized control mix) and nothing else. A memory lint that starts
+/// firing, or a merge jump that disappears, changes this count.
+#[test]
+fn zoo_census_is_the_23_documented_merge_jumps() {
+    let findings = findings_json(&lint_all());
+    let off_census: Vec<&JsonFinding> = findings
+        .iter()
+        .filter(|f| f.lint != "jump-to-fallthrough" || f.severity != "warn")
+        .collect();
+    assert!(off_census.is_empty(), "{off_census:#?}");
+    assert_eq!(findings.len(), 23);
+}

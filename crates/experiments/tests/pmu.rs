@@ -17,7 +17,7 @@ const SCALE: f64 = 1e-9;
 #[test]
 fn pmu_does_not_change_the_profile_set() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     let off = profile_all_configured(SCALE, None).expect("pmu-off run");
     let on = profile_all_configured(SCALE, Some(PmuConfig::new(1009))).expect("pmu-on run");
     assert!(off.quarantined.is_empty() && on.quarantined.is_empty());
@@ -44,7 +44,7 @@ fn pmu_does_not_change_the_profile_set() {
 
 #[test]
 fn heat_is_identical_across_thread_counts() {
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     let cfg = Some(PmuConfig::new(257));
 
     std::env::set_var("MICA_THREADS", "1");

@@ -14,8 +14,8 @@
 //!   executed but not reported would mean the report under-describes the
 //!   kernel).
 //!
-//! This is the check that makes the report trustworthy as a JIT
-//! region-selection input: a loop table that missed the hot code would
+//! This is the check that makes the report trustworthy as an account of
+//! where each kernel runs: a loop table that missed the hot code would
 //! pass the lint gate but fail here.
 
 use mica_experiments::lint::lint_and_survey;

@@ -28,7 +28,7 @@
 //! use (or explicitly via [`add_sink`]):
 //!
 //! - `MICA_LOG=error|warn|info|debug|trace|off` — stderr verbosity
-//!   (default `info`; `warn` if the legacy `MICA_QUIET` is set);
+//!   (default `info`);
 //! - `MICA_TRACE=out.json` — write a Chrome-trace file of every span;
 //! - `MICA_EVENTS=out.jsonl` — record every event and span as JSON lines.
 //!
@@ -78,7 +78,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Level {
-    /// The run is broken (still reported even under `MICA_QUIET`).
+    /// The run is broken (still reported at `MICA_LOG=error`).
     Error = 1,
     /// Something unexpected that the run recovers from (e.g. a rejected
     /// profile cache).
@@ -284,8 +284,7 @@ fn state() -> &'static State {
             next_id += 1;
         };
 
-        // Stderr verbosity: MICA_LOG, defaulting to info — or warn under
-        // the legacy MICA_QUIET knob, which predates this crate.
+        // Stderr verbosity: MICA_LOG, defaulting to info.
         let stderr_level = match std::env::var("MICA_LOG") {
             Ok(v) => {
                 let parsed = Level::parse(&v);
@@ -294,7 +293,6 @@ fn state() -> &'static State {
                 }
                 parsed
             }
-            Err(_) if std::env::var_os("MICA_QUIET").is_some() => Some(Level::Warn),
             Err(_) => Some(Level::Info),
         };
         if let Some(level) = stderr_level {

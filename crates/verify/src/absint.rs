@@ -16,15 +16,16 @@
 //! edges (every CFG cycle contains one, reducible or not), so the fixpoint
 //! terminates on arbitrary — including irreducible — graphs.
 //!
-//! The computed states are spent three ways: value-range lints
-//! (out-of-bounds accesses, refuted loop exits), dead-edge refutation via
-//! [`branch_outcome`], and tightening the conservative indirect-target pool
-//! ([`Analysis::build`] re-resolves `jr`/`callr`/`ret` whose target register
-//! is a singleton constant, then re-runs the fixpoint on the smaller graph).
+//! The computed states are spent three ways: value-range lints (every
+//! memory lint reads the base-address interval, singleton or not; refuted
+//! loop exits), dead-edge refutation via [`branch_outcome`], and tightening
+//! the conservative indirect-target pool ([`Analysis::build`] re-resolves
+//! `jr`/`callr`/`ret` whose target register is a singleton constant, then
+//! re-runs the fixpoint on the smaller graph).
 
 use crate::cfg::Cfg;
 use crate::dom::{DomTree, LoopForest};
-use crate::liveness::{Liveness, ReachingDefs};
+use crate::liveness::Liveness;
 use crate::VerifyConfig;
 use std::collections::{BTreeMap, VecDeque};
 use tinyisa::{FCmpOp, Op, Program, Reg, RegRef, INST_BYTES};
@@ -789,15 +790,13 @@ fn resolve_indirect(
 }
 
 /// Every analysis this crate computes for one program, over a shared
-/// (possibly indirect-refined) CFG: dominators, natural loops, liveness,
-/// reaching definitions, and per-instruction abstract states.
+/// (possibly indirect-refined) CFG: natural loops, liveness, and
+/// per-instruction abstract states.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     cfg: Cfg,
-    dom: DomTree,
     loops: LoopForest,
     liveness: Liveness,
-    reaching: ReachingDefs,
     inst_in: Vec<Option<AbsState>>,
     refined_blocks: usize,
     rounds: usize,
@@ -807,8 +806,8 @@ impl Analysis {
     /// Build the full analysis bundle: run the abstract interpretation,
     /// use singleton targets to narrow indirect edges, re-run on the
     /// refined graph until nothing else resolves (at most
-    /// [`MAX_REFINE_ROUNDS`] rounds), then derive dominators, loops,
-    /// liveness and reaching definitions from the final CFG.
+    /// [`MAX_REFINE_ROUNDS`] rounds), then derive loops and liveness from
+    /// the final CFG.
     pub fn build(prog: &Program, config: &VerifyConfig) -> Analysis {
         let mut cfg = Cfg::build(prog);
         let mut resolved: BTreeMap<usize, usize> = BTreeMap::new();
@@ -837,13 +836,10 @@ impl Analysis {
         let dom = DomTree::compute(&cfg);
         let loops = LoopForest::compute(&cfg, &dom);
         let liveness = Liveness::compute(prog, &cfg);
-        let reaching = ReachingDefs::compute(prog, &cfg);
         Analysis {
             cfg,
-            dom,
             loops,
             liveness,
-            reaching,
             inst_in,
             refined_blocks: resolved.len(),
             rounds,
@@ -856,11 +852,6 @@ impl Analysis {
         &self.cfg
     }
 
-    /// The dominator tree.
-    pub fn dom(&self) -> &DomTree {
-        &self.dom
-    }
-
     /// The natural-loop forest.
     pub fn loops(&self) -> &LoopForest {
         &self.loops
@@ -869,11 +860,6 @@ impl Analysis {
     /// Liveness facts.
     pub fn liveness(&self) -> &Liveness {
         &self.liveness
-    }
-
-    /// Reaching definitions.
-    pub fn reaching(&self) -> &ReachingDefs {
-        &self.reaching
     }
 
     /// The abstract state on entry to instruction `idx`, `None` if the

@@ -391,7 +391,7 @@ mod tests {
             let _ = g;
         });
         let ret_block = cfg.block_of(2);
-        assert!(cfg.blocks()[ret_block].succs.len() >= 1);
+        assert!(!cfg.blocks()[ret_block].succs.is_empty());
         let resolved = std::collections::BTreeMap::from([(ret_block, 1usize)]);
         let refined = cfg.refine_indirect(&resolved);
         assert_eq!(refined.blocks()[ret_block].succs, vec![refined.block_of(1)]);

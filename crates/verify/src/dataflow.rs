@@ -1,11 +1,10 @@
-//! Forward dataflow analyses over the CFG: may-uninitialized registers and
-//! must-constant propagation.
+//! Forward may-uninitialized dataflow over the CFG.
 //!
-//! Both are classic worklist fixpoints. Facts live at block boundaries;
-//! reporting walks each reachable block once with its entry fact.
+//! A classic worklist fixpoint. Facts live at block boundaries; reporting
+//! walks each reachable block once with its entry fact.
 
 use crate::cfg::Cfg;
-use tinyisa::{Op, Program, Reg, RegRef};
+use tinyisa::{Program, RegRef};
 
 /// A set of architectural registers over the unified 64-register index
 /// space ([`RegRef::unified`]): bits 0..32 integer, 32..64 FP.
@@ -57,8 +56,8 @@ pub struct UninitRead {
 /// preset through `Vm::set_reg` before running). The lattice is the
 /// powerset of registers ordered by inclusion, join is union (*may*), and
 /// the transfer function of an instruction removes its definition
-/// ([`Op::def`]); reads do not change the fact, so every use of a
-/// maybe-uninitialized register is reported, not just the first.
+/// ([`Op::def`](tinyisa::Op::def)); reads do not change the fact, so every
+/// use of a maybe-uninitialized register is reported, not just the first.
 pub fn may_uninit_reads(
     prog: &Program,
     cfg: &Cfg,
@@ -135,144 +134,6 @@ pub fn may_uninit_reads(
     }
     reads.sort_by_key(|r| (r.idx, r.reg.unified()));
     reads
-}
-
-/// A must-constant lattice value for one integer register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Const {
-    /// Not yet reached (bottom).
-    Bot,
-    /// Holds exactly this value on every path.
-    Val(i64),
-    /// Unknown (top).
-    Top,
-}
-
-impl Const {
-    fn join(self, other: Const) -> Const {
-        match (self, other) {
-            (Const::Bot, x) | (x, Const::Bot) => x,
-            (Const::Val(a), Const::Val(b)) if a == b => Const::Val(a),
-            _ => Const::Top,
-        }
-    }
-}
-
-/// Per-program-point integer-register constant facts.
-type ConstFact = [Const; 32];
-
-fn join_fact(a: &ConstFact, b: &ConstFact) -> ConstFact {
-    let mut out = [Const::Bot; 32];
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = a[i].join(b[i]);
-    }
-    out
-}
-
-fn const_transfer(op: &Op, fact: &mut ConstFact) {
-    // `li` introduces constants; `addi` (which also encodes `mov`)
-    // propagates them. Any other write invalidates. x0 stays pinned to 0.
-    match *op {
-        Op::Li(d, imm) => set_const(fact, d, Const::Val(imm)),
-        Op::Addi(d, a, imm) => {
-            let v = match read_const(fact, a) {
-                Const::Val(x) => Const::Val(x.wrapping_add(imm)),
-                c => c,
-            };
-            set_const(fact, d, v);
-        }
-        _ => {
-            if let Some(RegRef::Int(d)) = op.def() {
-                fact[d as usize] = Const::Top;
-            }
-        }
-    }
-}
-
-fn read_const(fact: &ConstFact, r: Reg) -> Const {
-    if r.0 == 0 {
-        Const::Val(0)
-    } else {
-        fact[r.0 as usize]
-    }
-}
-
-fn set_const(fact: &mut ConstFact, d: Reg, v: Const) {
-    if d.0 != 0 {
-        fact[d.0 as usize] = v;
-    }
-}
-
-/// A memory access whose effective address is provably constant: the base
-/// register held a known `li`/`addi` constant on every path to the access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConstAccess {
-    /// Instruction index of the load/store.
-    pub idx: usize,
-    /// The provable effective byte address (`base + offset`).
-    pub addr: u64,
-    /// Access width in bytes.
-    pub width: u64,
-    /// True for stores.
-    pub is_store: bool,
-}
-
-/// Must-constant propagation over integer registers, reporting every
-/// reachable load/store whose effective address is statically known.
-///
-/// The lattice per register is flat (`Bot < Val(c) < Top`); `li` generates
-/// constants, `addi`/`mov` propagate them, any other definition kills.
-/// The entry fact is all-`Top` (a harness may preset registers), so a
-/// reported address is sound for any entry state.
-pub fn const_accesses(prog: &Program, cfg: &Cfg) -> Vec<ConstAccess> {
-    let insts = prog.insts();
-    let nb = cfg.blocks().len();
-
-    let mut inb: Vec<ConstFact> = vec![[Const::Bot; 32]; nb];
-    let mut outb: Vec<ConstFact> = vec![[Const::Bot; 32]; nb];
-    inb[0] = [Const::Top; 32];
-    let mut work: Vec<usize> = (0..nb).collect();
-    while let Some(b) = work.pop() {
-        let mut fact = if b == 0 { [Const::Top; 32] } else { [Const::Bot; 32] };
-        for p in &cfg.blocks()[b].preds {
-            fact = join_fact(&fact, &outb[*p]);
-        }
-        inb[b] = fact;
-        for op in &insts[cfg.blocks()[b].start..cfg.blocks()[b].end] {
-            const_transfer(op, &mut fact);
-        }
-        if fact != outb[b] {
-            outb[b] = fact;
-            for s in &cfg.blocks()[b].succs {
-                if !work.contains(s) {
-                    work.push(*s);
-                }
-            }
-        }
-    }
-
-    let mut accesses = Vec::new();
-    for (bi, b) in cfg.blocks().iter().enumerate() {
-        if !cfg.is_reachable(bi) {
-            continue;
-        }
-        let mut fact = inb[bi];
-        for (idx, op) in insts.iter().enumerate().take(b.end).skip(b.start) {
-            if let Some(m) = op.mem_ref() {
-                if let Const::Val(base) = read_const(&fact, m.base) {
-                    accesses.push(ConstAccess {
-                        idx,
-                        addr: (base as u64).wrapping_add(m.offset as u64),
-                        width: m.width.bytes(),
-                        is_store: m.is_store,
-                    });
-                }
-            }
-            const_transfer(op, &mut fact);
-        }
-    }
-    accesses.sort_by_key(|a| a.idx);
-    accesses
 }
 
 #[cfg(test)]
@@ -402,54 +263,5 @@ mod tests {
             a.halt();
         });
         assert!(reads.is_empty(), "{reads:?}");
-    }
-
-    #[test]
-    fn const_prop_tracks_li_addi_and_mov() {
-        let (p, cfg) = analyze(|a| {
-            a.li(T0, 0x8000);
-            a.addi(T1, T0, 0x10);
-            a.mov(T2, T1);
-            a.ld8(T3, T2, 8); // provably 0x8018
-            a.add(T2, T2, T0); // killed
-            a.ld8(T4, T2, 0); // no longer constant
-            a.halt();
-        });
-        let acc = const_accesses(&p, &cfg);
-        assert_eq!(acc.len(), 1);
-        assert_eq!(acc[0], ConstAccess { idx: 3, addr: 0x8018, width: 8, is_store: false });
-    }
-
-    #[test]
-    fn const_prop_joins_divergent_values_to_top() {
-        let (p, cfg) = analyze(|a| {
-            let (other, join) = (a.label(), a.label());
-            a.li(T0, 1);
-            a.beq(T0, ZERO, other);
-            a.li(T1, 0x8000);
-            a.jmp(join);
-            a.bind(other);
-            a.li(T1, 0x9000);
-            a.bind(join);
-            a.st8(T0, T1, 0); // T1 is 0x8000 or 0x9000: not provable
-            a.li(T2, 0x7000);
-            a.st8(T0, T2, 16); // provable
-            a.halt();
-        });
-        let acc = const_accesses(&p, &cfg);
-        assert_eq!(acc.len(), 1);
-        assert_eq!(acc[0].addr, 0x7010);
-        assert!(acc[0].is_store);
-    }
-
-    #[test]
-    fn x0_base_is_the_constant_zero() {
-        let (p, cfg) = analyze(|a| {
-            a.ld1(T0, ZERO, 0x40);
-            a.halt();
-        });
-        let acc = const_accesses(&p, &cfg);
-        assert_eq!(acc.len(), 1);
-        assert_eq!(acc[0].addr, 0x40);
     }
 }

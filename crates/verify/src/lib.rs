@@ -15,20 +15,21 @@
 //!    are endless steady-state loops by design);
 //! 3. a forward may-uninitialized dataflow over the integer and FP register
 //!    files ([`may_uninit_reads`]) flags read-before-write;
-//! 4. memory lints on provably-constant addresses ([`const_accesses`]):
-//!    segment bounds, text-segment collisions, width misalignment;
+//! 4. memory lints on the abstract base address of every load and store: a
+//!    singleton address is checked against the segment bounds, the text
+//!    segment and the access width; a bounded range whose whole hull misses
+//!    every declared segment is flagged too;
 //! 5. structural lints: redundant jumps, no-op branches, self-loops with no
 //!    exit, unresolvable indirect transfers;
-//! 6. an abstract interpretation ([`Analysis`]) layering dominators and the
-//!    natural-loop forest ([`DomTree`], [`LoopForest`]), backward liveness
-//!    and reaching definitions ([`Liveness`], [`ReachingDefs`]), and a
-//!    forward interval ∧ constant domain ([`AbsState`]) with widening at
-//!    loop headers on top of the CFG — and uses constant propagation to
-//!    *tighten* the conservative indirect-target pool before the other
-//!    passes run;
-//! 7. analysis-backed lints: dead stores, memory accesses whose whole value
-//!    range provably misses every declared segment, loops whose every exit
-//!    branch is statically refuted;
+//! 6. an abstract interpretation ([`Analysis`]) layering the natural-loop
+//!    forest ([`LoopForest`]), backward liveness ([`Liveness`]), and a
+//!    forward interval domain ([`AbsState`], whose singletons are the
+//!    must-constants) with widening at loop headers on top of the CFG — and
+//!    uses singleton targets to *tighten* the conservative indirect-target
+//!    pool before the other passes run; its per-instruction states drive the
+//!    memory lints of item 4;
+//! 7. analysis-backed lints: dead stores, loops whose every exit branch is
+//!    statically refuted;
 //! 8. a dynamic soundness harness ([`soundness::check_execution`]) that
 //!    single-steps a [`tinyisa::Vm`] and refutes the static claims against
 //!    every retired instruction.
@@ -63,9 +64,9 @@ pub mod soundness;
 
 pub use absint::{branch_outcome, transfer, AbsState, Analysis, FpAbs, IntAbs};
 pub use cfg::{Block, Cfg};
-pub use dataflow::{const_accesses, may_uninit_reads, Const, ConstAccess, RegSet, UninitRead};
+pub use dataflow::{may_uninit_reads, RegSet, UninitRead};
 pub use dom::{DomTree, LoopForest, NaturalLoop};
-pub use liveness::{Liveness, ReachingDefs};
+pub use liveness::Liveness;
 pub use soundness::{check_execution, SoundnessReport, Violation};
 
 use mica_obs as obs;
@@ -379,47 +380,73 @@ pub fn verify_with_analysis(prog: &Program, analysis: &Analysis, config: &Verify
 
     drop(dataflow_span);
 
-    // --- (c) constant-address memory lints ---
+    // --- (c) memory lints over the abstract base address ---
     let memory_span = obs::span("verify", "memory");
     let text_start = prog.base();
     let text_end = prog.base() + insts.len() as u64 * INST_BYTES;
-    for acc in const_accesses(prog, cfg) {
-        let end = acc.addr.saturating_add(acc.width);
-        let kind = if acc.is_store { "store" } else { "load" };
-        if acc.addr < text_end && end > text_start {
-            push(
-                &mut findings,
-                Lint::AccessInText,
-                acc.idx,
-                format!("{kind} of {} byte(s) at {:#x} lands in the text segment", acc.width, acc.addr),
-            );
-        } else if !config.segments.is_empty()
-            && !config.segments.iter().any(|s| s.contains(acc.addr, acc.width))
-        {
-            let names: Vec<&str> = config.segments.iter().map(|s| s.name).collect();
-            push(
-                &mut findings,
-                Lint::OutOfSegment,
-                acc.idx,
-                format!(
-                    "{kind} of {} byte(s) at provably-constant address {:#x} misses every \
-                     declared data segment ({})",
-                    acc.width,
-                    acc.addr,
-                    names.join(", ")
-                ),
-            );
-        }
-        if acc.addr % acc.width != 0 {
-            push(
-                &mut findings,
-                Lint::MisalignedAccess,
-                acc.idx,
-                format!(
-                    "{kind} of {} byte(s) at {:#x} is not {}-byte aligned",
-                    acc.width, acc.addr, acc.width
-                ),
-            );
+    for (idx, op) in insts.iter().enumerate() {
+        let Some(m) = op.mem_ref() else { continue };
+        // `None` = no execution reaches the access.
+        let Some(st) = analysis.inst_state(idx) else { continue };
+        let base = st.read_int(m.base);
+        let width = m.width.bytes();
+        let kind = if m.is_store { "store" } else { "load" };
+        if let Some(base) = base.singleton() {
+            let addr = (base as u64).wrapping_add(m.offset as u64);
+            let end = addr.saturating_add(width);
+            if addr < text_end && end > text_start {
+                push(
+                    &mut findings,
+                    Lint::AccessInText,
+                    idx,
+                    format!("{kind} of {width} byte(s) at {addr:#x} lands in the text segment"),
+                );
+            } else if !config.segments.is_empty()
+                && !config.segments.iter().any(|s| s.contains(addr, width))
+            {
+                let names: Vec<&str> = config.segments.iter().map(|s| s.name).collect();
+                push(
+                    &mut findings,
+                    Lint::OutOfSegment,
+                    idx,
+                    format!(
+                        "{kind} of {width} byte(s) at provably-constant address {addr:#x} misses \
+                         every declared data segment ({})",
+                        names.join(", ")
+                    ),
+                );
+            }
+            if !addr.is_multiple_of(width) {
+                push(
+                    &mut findings,
+                    Lint::MisalignedAccess,
+                    idx,
+                    format!("{kind} of {width} byte(s) at {addr:#x} is not {width}-byte aligned"),
+                );
+            }
+        } else if !base.is_top() && !config.segments.is_empty() {
+            let lo = base.lo as i128 + m.offset as i128;
+            let one_past = base.hi as i128 + m.offset as i128 + width as i128;
+            if lo < 0 || one_past > i64::MAX as i128 {
+                continue; // range could wrap as an address: undecidable
+            }
+            let (lo, one_past) = (lo as u64, one_past as u64);
+            let hits_segment = config
+                .segments
+                .iter()
+                .any(|s| lo < s.start.saturating_add(s.len) && one_past > s.start);
+            let hits_text = lo < text_end && one_past > text_start;
+            if !hits_segment && !hits_text {
+                push(
+                    &mut findings,
+                    Lint::IntervalOutOfSegment,
+                    idx,
+                    format!(
+                        "{kind} of {width} byte(s) ranges over [{lo:#x}, {one_past:#x}), \
+                         which misses every declared data segment"
+                    ),
+                );
+            }
         }
     }
 
@@ -527,59 +554,8 @@ pub fn verify_with_analysis(prog: &Program, analysis: &Analysis, config: &Verify
 
     drop(liveness_span);
 
-    // --- (f) interval-range memory lints ---
+    // --- (f) loops whose every exit is statically refuted ---
     let absint_span = obs::span("verify", "absint");
-    if !config.segments.is_empty() {
-        // Sites the flat-constant pass already reported keep one finding.
-        let const_flagged: std::collections::HashSet<usize> = findings
-            .iter()
-            .filter(|f| matches!(f.lint, Lint::OutOfSegment | Lint::AccessInText))
-            .map(|f| f.idx)
-            .collect();
-        for (bi, b) in cfg.blocks().iter().enumerate() {
-            if !cfg.is_reachable(bi) {
-                continue;
-            }
-            for (off, op) in insts[b.start..b.end].iter().enumerate() {
-                let idx = b.start + off;
-                let Some(m) = op.mem_ref() else { continue };
-                if const_flagged.contains(&idx) {
-                    continue;
-                }
-                let Some(st) = analysis.inst_state(idx) else { continue };
-                let base = st.read_int(m.base);
-                if base.is_top() {
-                    continue;
-                }
-                let width = m.width.bytes();
-                let lo = base.lo as i128 + m.offset as i128;
-                let one_past = base.hi as i128 + m.offset as i128 + width as i128;
-                if lo < 0 || one_past > i64::MAX as i128 {
-                    continue; // range could wrap as an address: undecidable
-                }
-                let (lo, one_past) = (lo as u64, one_past as u64);
-                let hits_segment = config
-                    .segments
-                    .iter()
-                    .any(|s| lo < s.start.saturating_add(s.len) && one_past > s.start);
-                let hits_text = lo < text_end && one_past > text_start;
-                if !hits_segment && !hits_text {
-                    let kind = if m.is_store { "store" } else { "load" };
-                    push(
-                        &mut findings,
-                        Lint::IntervalOutOfSegment,
-                        idx,
-                        format!(
-                            "{kind} of {width} byte(s) ranges over [{lo:#x}, {one_past:#x}), \
-                             which misses every declared data segment"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // --- (g) loops whose every exit is statically refuted ---
     for lp in &analysis.loops().loops {
         if lp.exits.is_empty() || !cfg.is_reachable(lp.header) {
             continue; // endless steady-state loops are the kernel shape
@@ -767,12 +743,109 @@ mod tests {
 
     #[test]
     fn constant_access_in_text_is_an_error_even_without_segments() {
-        let r = report(|a| {
-            a.li(T0, 0x1_0000); // the text base itself
+        // The text base itself, loaded by one `li` or summed from two.
+        let by_li = report(|a| {
+            a.li(T0, 0x1_0000);
             a.st8(T0, T0, 0);
             a.halt();
         });
-        assert_eq!(lints(&r), vec![Lint::AccessInText]);
+        let by_add = report(|a| {
+            a.li(T0, 0x8000);
+            a.li(T1, 0x8000);
+            a.add(T2, T0, T1);
+            a.st8(T2, T2, 0);
+            a.halt();
+        });
+        for r in [by_li, by_add] {
+            assert_eq!(lints(&r), vec![Lint::AccessInText], "{r}");
+        }
+    }
+
+    #[test]
+    fn add_built_constant_gets_the_constant_address_lints() {
+        let cfg = VerifyConfig {
+            segments: vec![Segment { name: "data", start: 0x8000, len: 0x100 }],
+            ..VerifyConfig::default()
+        };
+        let r = report_with(
+            |a| {
+                a.li(T0, 0x9000);
+                a.li(T1, 4);
+                a.add(T2, T0, T1); // exactly 0x9004: past "data", 4-aligned
+                a.st8(T1, T2, 0);
+                a.halt();
+            },
+            &cfg,
+        );
+        assert_eq!(lints(&r), vec![Lint::OutOfSegment, Lint::MisalignedAccess], "{r}");
+        assert!(r.findings[0].message.contains("provably-constant address 0x9004"), "{r}");
+    }
+
+    #[test]
+    fn constant_address_tracks_li_addi_and_mov() {
+        let cfg = VerifyConfig {
+            segments: vec![Segment { name: "data", start: 0x8000, len: 0x18 }],
+            ..VerifyConfig::default()
+        };
+        let r = report_with(
+            |a| {
+                a.li(T0, 0x8000);
+                a.addi(T1, T0, 0x10);
+                a.mov(T2, T1);
+                a.ld8(T3, T2, 8); // provably 0x8018: one past "data"
+                a.halt();
+            },
+            &cfg,
+        );
+        assert_eq!(lints(&r), vec![Lint::OutOfSegment], "{r}");
+        assert_eq!(r.findings[0].idx, 3);
+        assert!(r.findings[0].message.contains("0x8018"), "{r}");
+    }
+
+    #[test]
+    fn divergent_constant_bases_join_to_a_range() {
+        let cfg = VerifyConfig {
+            entry_regs: vec![RegRef::Int(1)], // A0 preset: the branch is undecided
+            segments: vec![Segment { name: "data", start: 0x7000, len: 0x100 }],
+            ..VerifyConfig::default()
+        };
+        let r = report_with(
+            |a| {
+                let (other, join) = (a.label(), a.label());
+                a.beq(A0, ZERO, other);
+                a.li(T1, 0x8000);
+                a.jmp(join);
+                a.bind(other);
+                a.li(T1, 0x9000);
+                a.bind(join);
+                a.st8(A0, T1, 0); // 4: T1 is 0x8000 or 0x9000, not a constant
+                a.li(T2, 0x7000);
+                a.st8(A0, T2, 0x14); // 6: provably 0x7014
+                a.halt();
+            },
+            &cfg,
+        );
+        assert_eq!(lints(&r), vec![Lint::IntervalOutOfSegment, Lint::MisalignedAccess], "{r}");
+        assert_eq!((r.findings[0].idx, r.findings[1].idx), (4, 6));
+        assert!(r.findings[0].message.contains("[0x8000, 0x9008)"), "{r}");
+        assert!(r.findings[1].message.contains("0x7014"), "{r}");
+    }
+
+    #[test]
+    fn x0_base_is_the_constant_zero() {
+        let cfg = VerifyConfig {
+            segments: vec![Segment { name: "data", start: 0x8000, len: 0x100 }],
+            ..VerifyConfig::default()
+        };
+        let r = report_with(
+            |a| {
+                a.ld1(T0, ZERO, 0x40);
+                a.halt();
+            },
+            &cfg,
+        );
+        assert_eq!(lints(&r), vec![Lint::OutOfSegment], "{r}");
+        assert!(r.findings[0].message.contains("address 0x40 "), "{r}");
     }
 
     #[test]

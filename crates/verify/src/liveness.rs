@@ -1,4 +1,4 @@
-//! Backward liveness and forward reaching definitions over the CFG.
+//! Backward liveness over the CFG.
 //!
 //! Liveness is the classic backward may-analysis: a register is live at a
 //! point if some path from that point reads it before writing it. Because
@@ -7,15 +7,10 @@
 //! dynamic ones — which is the sound direction for the dead-store lint (a
 //! store is only reported dead if *no* static path reads it) and for the
 //! soundness harness (every dynamic read must be statically live).
-//!
-//! Reaching definitions is the dual forward analysis over definition
-//! *sites*: which instruction indices may have produced the current value
-//! of each register. The JIT's region former consumes it for rematerialization
-//! decisions; here it also backs a def-use consistency check.
 
 use crate::cfg::Cfg;
 use crate::dataflow::RegSet;
-use tinyisa::{Program, RegRef};
+use tinyisa::Program;
 
 /// Per-block and per-instruction liveness facts.
 #[derive(Debug, Clone)]
@@ -108,110 +103,6 @@ impl Liveness {
     }
 }
 
-/// Reaching definitions: for each block, the set of definition sites
-/// (instruction indices) that may reach its entry.
-#[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    /// Bitset words per block, one bit per instruction index.
-    reach_in: Vec<Vec<u64>>,
-    words: usize,
-    /// `def_reg[i]` is the register instruction `i` defines, if any.
-    def_reg: Vec<Option<RegRef>>,
-}
-
-impl ReachingDefs {
-    /// Compute reaching definitions for `prog` over `cfg`.
-    pub fn compute(prog: &Program, cfg: &Cfg) -> ReachingDefs {
-        let insts = prog.insts();
-        let n = insts.len();
-        let nb = cfg.blocks().len();
-        let words = n.div_ceil(64);
-
-        let def_reg: Vec<Option<RegRef>> = insts.iter().map(|op| op.def()).collect();
-
-        // All definition sites of each unified register, for kill sets.
-        let mut sites_of: [Vec<usize>; 64] = std::array::from_fn(|_| Vec::new());
-        for (i, d) in def_reg.iter().enumerate() {
-            if let Some(r) = d {
-                sites_of[r.unified()].push(i);
-            }
-        }
-
-        // Per-block transfer as (gen, kill) bitsets.
-        let mut genb = vec![vec![0u64; words]; nb];
-        let mut killb = vec![vec![0u64; words]; nb];
-        for (bi, b) in cfg.blocks().iter().enumerate() {
-            for idx in b.start..b.end {
-                if let Some(r) = def_reg[idx] {
-                    for &site in &sites_of[r.unified()] {
-                        killb[bi][site / 64] |= 1 << (site % 64);
-                        genb[bi][site / 64] &= !(1u64 << (site % 64));
-                    }
-                    genb[bi][idx / 64] |= 1 << (idx % 64);
-                }
-            }
-        }
-
-        let mut reach_in = vec![vec![0u64; words]; nb];
-        let mut reach_out = vec![vec![0u64; words]; nb];
-        let mut work: Vec<usize> = (0..nb).collect();
-        while let Some(b) = work.pop() {
-            let mut i = vec![0u64; words];
-            for p in &cfg.blocks()[b].preds {
-                for (w, o) in i.iter_mut().zip(&reach_out[*p]) {
-                    *w |= o;
-                }
-            }
-            reach_in[b] = i.clone();
-            for w in 0..words {
-                i[w] = (i[w] & !killb[b][w]) | genb[b][w];
-            }
-            if i != reach_out[b] {
-                reach_out[b] = i;
-                for s in &cfg.blocks()[b].succs {
-                    if !work.contains(s) {
-                        work.push(*s);
-                    }
-                }
-            }
-        }
-
-        ReachingDefs { reach_in, words, def_reg }
-    }
-
-    /// The definition sites of `reg` that may reach instruction `idx`
-    /// (inside block `block`), in ascending order. Empty means the value can
-    /// only be the VM's power-on zero (or a harness preset).
-    pub fn defs_reaching(&self, cfg: &Cfg, prog: &Program, block: usize, idx: usize, reg: RegRef) -> Vec<usize> {
-        let insts = prog.insts();
-        let b = &cfg.blocks()[block];
-        debug_assert!((b.start..b.end).contains(&idx));
-        // Walk the block prefix: a def of `reg` before `idx` supersedes
-        // everything inbound.
-        let mut local: Option<usize> = None;
-        for j in b.start..idx {
-            if self.def_reg[j] == Some(reg) {
-                local = Some(j);
-            }
-        }
-        if let Some(j) = local {
-            return vec![j];
-        }
-        let mut out = Vec::new();
-        for w in 0..self.words {
-            let mut bits = self.reach_in[block][w];
-            while bits != 0 {
-                let site = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if insts[site].def() == Some(reg) {
-                    out.push(site);
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,41 +172,5 @@ mod tests {
         });
         assert!(l.inst_live_out(0).contains(RegRef::Fp(1)));
         assert!(!l.inst_live_out(1).contains(RegRef::Fp(2)), "F2 is never read");
-    }
-
-    #[test]
-    fn reaching_defs_merge_at_joins_and_are_killed_locally() {
-        let mut a = Asm::new();
-        let (other, join) = (a.label(), a.label());
-        a.li(T0, 1); // 0
-        a.beq(T0, ZERO, other); // 1
-        a.li(T1, 7); // 2
-        a.jmp(join); // 3
-        a.bind(other);
-        a.li(T1, 9); // 4
-        a.bind(join);
-        a.add(T2, T1, T0); // 5: both defs of T1 reach
-        a.li(T1, 0); // 6
-        a.add(T3, T1, T0); // 7: only the local def reaches
-        a.halt();
-        let p = a.assemble().unwrap();
-        let cfg = Cfg::build(&p);
-        let rd = ReachingDefs::compute(&p, &cfg);
-        let t1 = RegRef::Int(8);
-        let at5 = rd.defs_reaching(&cfg, &p, cfg.block_of(5), 5, t1);
-        assert_eq!(at5, vec![2, 4]);
-        let at7 = rd.defs_reaching(&cfg, &p, cfg.block_of(7), 7, t1);
-        assert_eq!(at7, vec![6]);
-    }
-
-    #[test]
-    fn use_without_any_def_has_no_reaching_sites() {
-        let mut a = Asm::new();
-        a.addi(T0, T1, 1); // T1 only holds the power-on zero
-        a.halt();
-        let p = a.assemble().unwrap();
-        let cfg = Cfg::build(&p);
-        let rd = ReachingDefs::compute(&p, &cfg);
-        assert!(rd.defs_reaching(&cfg, &p, 0, 0, RegRef::Int(8)).is_empty());
     }
 }
