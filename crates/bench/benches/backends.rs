@@ -6,18 +6,21 @@
 //! keeps against the per-instruction default loop it replaces (`replay`
 //! vs `replay_blocks`): an override stays only while it wins here.
 //!
-//! `layer_replay` times the PPM predictors and the EV56/EV67 models one at
-//! a time over one recorded trace, in the manner of nanoBench: a layer's
-//! cost with nothing else in the loop.
+//! `layer_replay` times each layer of the profile hot path alone, in the
+//! manner of nanoBench: a layer's cost with nothing else in the loop. The
+//! VM runs the qsort kernel live into a counting sink; the ILP, working
+//! set, strides, each PPM predictor and the EV56/EV67 models replay its
+//! recorded trace.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mica_core::{
-    CharacterizationSuite, IlpAnalyzer, PpmPredictor, PpmVariant, RegTraffic, WorkingSet,
+    CharacterizationSuite, IlpAnalyzer, PpmPredictor, PpmVariant, RegTraffic, StrideAnalyzer,
+    WorkingSet,
 };
 use mica_experiments::profile::profile_benchmark;
 use mica_workloads::{benchmark_table, BenchmarkSpec};
 use std::hint::black_box;
-use tinyisa::{Trace, TraceRecorder, BATCH_CAPACITY};
+use tinyisa::{CountingSink, Trace, TraceRecorder, TraceSink, BATCH_CAPACITY};
 use uarch_sim::{Ev56Model, Ev67Model};
 
 const FUEL: u64 = 100_000;
@@ -54,9 +57,27 @@ fn bench_live(c: &mut Criterion) {
     g.finish();
 }
 
+/// Time `fresh()` fed the whole trace in `BATCH_CAPACITY` blocks, as the
+/// VM delivers them.
+fn replay_layer<S: TraceSink, R>(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    trace: &Trace,
+    fresh: impl Fn() -> S,
+    result: impl Fn(&S) -> R,
+) {
+    g.bench_function(name, |b| {
+        b.iter(|| {
+            let mut sink = fresh();
+            trace.replay_blocks(&mut sink, BATCH_CAPACITY);
+            black_box(result(&sink))
+        })
+    });
+}
+
 /// Time `fresh()` fed the whole trace one `retire` at a time (the default
 /// loop) and in `BATCH_CAPACITY` blocks (the override), as one pair.
-fn replay_pair<S: tinyisa::TraceSink, R>(
+fn replay_pair<S: TraceSink, R>(
     g: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
     trace: &Trace,
@@ -70,13 +91,7 @@ fn replay_pair<S: tinyisa::TraceSink, R>(
             black_box(result(&sink))
         })
     });
-    g.bench_function(format!("{name}_replay_blocks"), |b| {
-        b.iter(|| {
-            let mut sink = fresh();
-            trace.replay_blocks(&mut sink, BATCH_CAPACITY);
-            black_box(result(&sink))
-        })
-    });
+    replay_layer(g, &format!("{name}_replay_blocks"), trace, fresh, result);
 }
 
 /// Trace replays: pure delivery + analysis cost, no interpreter in the
@@ -91,25 +106,33 @@ fn bench_replay(c: &mut Criterion) {
         replay_pair(&mut g, &format!("suite_{program}"), &trace, CharacterizationSuite::new, |s| {
             s.finish()
         });
-        replay_pair(&mut g, &format!("working_set_{program}"), &trace, WorkingSet::new, |w| {
-            w.counts()
-        });
         replay_pair(&mut g, &format!("regtraffic_{program}"), &trace, RegTraffic::new, |r| {
             r.dependency_distance_cdf()
         });
-        replay_pair(&mut g, &format!("ilp_{program}"), &trace, IlpAnalyzer::new, |i| i.ipcs());
     }
     g.finish();
 }
 
-/// Each PPM variant's `observe_block` and each machine model's
-/// `retire_block`, alone over the same recorded trace. Throughput counts
-/// the trace's instructions, so each line reads as the layer's cost per
-/// instruction, as in the per-layer ledger of the repository benchmark.
+/// The VM alone, then each layer alone over the trace it records: the
+/// ILP, working-set and strides analyzers' and each machine model's
+/// `retire_block`, and each PPM variant's `observe_block`. Throughput
+/// counts the trace's instructions, so each line reads as the layer's cost
+/// per instruction, as in the per-layer ledger of the repository benchmark.
 fn bench_layer_replay(c: &mut Criterion) {
     let trace = trace_of("qsort");
     let mut g = c.benchmark_group("layer_replay");
     g.throughput(Throughput::Elements(trace.len() as u64));
+    let vm = spec_for("qsort").build_vm().expect("builds");
+    g.bench_function("vm", |b| {
+        b.iter(|| {
+            let mut sink = CountingSink::default();
+            vm.clone().run(&mut sink, FUEL).expect("runs");
+            black_box(sink.retired())
+        })
+    });
+    replay_layer(&mut g, "ilp", &trace, IlpAnalyzer::new, |i| i.ipcs());
+    replay_layer(&mut g, "working_set", &trace, WorkingSet::new, |w| w.counts());
+    replay_layer(&mut g, "strides", &trace, StrideAnalyzer::new, |s| s.all());
     // Each block's conditional branches, extracted as
     // `CharacterizationSuite::retire_block` does, outside the timed loop.
     let blocks: Vec<Vec<(u64, bool)>> = trace
@@ -130,20 +153,8 @@ fn bench_layer_replay(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function("ev56", |b| {
-        b.iter(|| {
-            let mut m = Ev56Model::new();
-            trace.replay_blocks(&mut m, BATCH_CAPACITY);
-            black_box(m.ipc())
-        })
-    });
-    g.bench_function("ev67", |b| {
-        b.iter(|| {
-            let mut m = Ev67Model::new();
-            trace.replay_blocks(&mut m, BATCH_CAPACITY);
-            black_box(m.ipc())
-        })
-    });
+    replay_layer(&mut g, "ev56", &trace, Ev56Model::new, |m| m.ipc());
+    replay_layer(&mut g, "ev67", &trace, Ev67Model::new, |m| m.ipc());
     g.finish();
 }
 

@@ -5,70 +5,42 @@ use tinyisa::{DynInst, TraceSink};
 /// The window sizes of Table II.
 pub const DEFAULT_WINDOWS: [usize; 4] = [32, 64, 128, 256];
 
-/// One idealized out-of-order machine, limited only by its window size.
-///
-/// Everything else is perfect: caches, branch prediction, unbounded
-/// functional units, unit execution latency, perfect memory disambiguation.
-/// An instruction executes one cycle after all its register producers have
-/// executed, but cannot enter the window (and therefore execute) before the
-/// instruction `window_size` positions ahead of it has completed.
+/// Register rows of a window's ready times: the 64 unified registers, then
+/// a row no instruction writes (read for a missing source, so it stays 0)
+/// and a row no instruction reads (written for a missing destination).
+const ROWS: usize = 66;
+const NEVER_WRITTEN: usize = 64;
+const NEVER_READ: usize = 65;
+
+/// The state of one window size.
 #[derive(Debug, Clone)]
-struct WindowModel {
-    size: usize,
-    /// Completion cycle of each unified register's most recent producer.
-    reg_ready: [u64; 64],
-    /// Completion cycles of the last `size` instructions (ring buffer).
+struct Window {
+    /// Completion cycle of each row's most recent producer.
+    ready: [u64; ROWS],
+    /// Completion cycles of the last `ring.len()` instructions, 0 before
+    /// the ring fills; `slot` holds the oldest.
     ring: Vec<u64>,
-    count: u64,
+    slot: usize,
     last_cycle: u64,
-}
-
-impl WindowModel {
-    fn new(size: usize) -> Self {
-        WindowModel {
-            size,
-            reg_ready: [0; 64],
-            ring: vec![0; size],
-            count: 0,
-            last_cycle: 0,
-        }
-    }
-
-    fn observe(&mut self, inst: &DynInst) {
-        let slot = (self.count % self.size as u64) as usize;
-        // Window constraint: this instruction enters the window only once the
-        // instruction `size` positions earlier has completed.
-        let window_ready = if self.count >= self.size as u64 { self.ring[slot] } else { 0 };
-        let mut start = window_ready;
-        for s in inst.sources() {
-            start = start.max(self.reg_ready[s.unified()]);
-        }
-        let complete = start + 1;
-        if let Some(d) = inst.dst {
-            self.reg_ready[d.unified()] = complete;
-        }
-        self.ring[slot] = complete;
-        self.count += 1;
-        self.last_cycle = self.last_cycle.max(complete);
-    }
-
-    fn ipc(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.count as f64 / self.last_cycle as f64
-        }
-    }
 }
 
 /// Computes the idealized IPC achievable with windows of 32, 64, 128 and 256
 /// in-flight instructions (metrics 7–10 of Table II).
 ///
+/// Each window is an idealized out-of-order machine limited only by its
+/// size. Everything else is perfect: caches, branch prediction, unbounded
+/// functional units, unit execution latency, perfect memory disambiguation.
+/// An instruction executes one cycle after all its register producers have
+/// executed, but cannot enter the window (and therefore execute) before the
+/// instruction `size` positions ahead of it has completed. One pass decodes
+/// an instruction's registers once and updates every window.
+///
 /// Custom window sizes can be supplied with [`IlpAnalyzer::with_windows`]
 /// (used by the ablation benchmarks).
 #[derive(Debug, Clone)]
 pub struct IlpAnalyzer {
-    models: Vec<WindowModel>,
+    windows: Vec<Window>,
+    count: u64,
 }
 
 impl Default for IlpAnalyzer {
@@ -91,40 +63,47 @@ impl IlpAnalyzer {
     pub fn with_windows(windows: &[usize]) -> Self {
         assert!(!windows.is_empty(), "need at least one window size");
         assert!(windows.iter().all(|&w| w > 0), "window sizes must be positive");
-        IlpAnalyzer { models: windows.iter().map(|&w| WindowModel::new(w)).collect() }
+        let windows = windows
+            .iter()
+            .map(|&size| Window { ready: [0; ROWS], ring: vec![0; size], slot: 0, last_cycle: 0 })
+            .collect();
+        IlpAnalyzer { windows, count: 0 }
     }
 
     /// The configured window sizes.
     pub fn windows(&self) -> Vec<usize> {
-        self.models.iter().map(|m| m.size).collect()
+        self.windows.iter().map(|w| w.ring.len()).collect()
     }
 
     /// IPC per configured window, in configuration order.
     pub fn ipcs(&self) -> Vec<f64> {
-        self.models.iter().map(|m| m.ipc()).collect()
+        self.windows
+            .iter()
+            .map(|w| if self.count == 0 { 0.0 } else { self.count as f64 / w.last_cycle as f64 })
+            .collect()
     }
 }
 
 impl TraceSink for IlpAnalyzer {
     fn retire(&mut self, inst: &DynInst) {
-        for m in &mut self.models {
-            m.observe(inst);
-        }
-    }
-
-    fn retire_block(&mut self, block: &[DynInst]) {
-        // Loop inversion: the models are independent, so running one model
-        // over the whole block keeps its `reg_ready`/ring state hot in
-        // cache instead of cycling all models through it per instruction.
-        // Each model sees the same instruction sequence either way.
-        for m in &mut self.models {
-            for inst in block {
-                m.observe(inst);
+        let [a, b, c] = inst.srcs.map(|s| s.map_or(NEVER_WRITTEN, |r| r.unified()));
+        let d = inst.dst.map_or(NEVER_READ, |r| r.unified());
+        for w in &mut self.windows {
+            // The window constraint: the instruction `size` places earlier
+            // has completed.
+            let start = w.ring[w.slot].max(w.ready[a]).max(w.ready[b]).max(w.ready[c]);
+            let complete = start + 1;
+            w.ready[d] = complete;
+            w.ring[w.slot] = complete;
+            w.slot += 1;
+            if w.slot == w.ring.len() {
+                w.slot = 0;
             }
+            w.last_cycle = w.last_cycle.max(complete);
         }
+        self.count += 1;
     }
 }
-
 
 /// The simpler ILP approximation some workload studies use instead of
 /// windowed scheduling: split the stream into consecutive windows of `w`

@@ -1,7 +1,7 @@
 //! Branch-predictability characterization via Prediction by Partial
 //! Matching (metrics 44–47).
 
-use tinyisa::{DynInst, TraceSink};
+use tinyisa::{DynInst, FlatTable, TraceSink};
 
 /// Default maximum PPM context order (history bits). The ablation benchmark
 /// varies this; the characterization uses the default.
@@ -49,67 +49,13 @@ impl std::fmt::Display for PpmVariant {
 
 /// The key of a context: the table's branch id (0 for the shared tables of
 /// GAg/PAg) in bits 33 and up, then a marker bit `1 << order` above the low
-/// `order` history bits. The marker keeps the orders apart and makes every
-/// key nonzero.
+/// `order` history bits. The marker keeps the orders apart.
 fn context_key(table: u64, order: usize, hist: u64) -> u64 {
     (table << 33) | (1 << order) | (hist & ((1 << order) - 1))
 }
 
 /// Slots a table starts with (a power of two).
 const INITIAL_SLOTS: usize = 1 << 10;
-
-/// A flat map from nonzero `u64` keys: open addressing with linear probing,
-/// power-of-two capacity, load at most ½, and Fibonacci hashing (the top
-/// bits of `key × 2^64/φ` pick a key's home slot). Key 0 marks a free slot.
-#[derive(Debug, Clone)]
-struct FlatTable<V> {
-    slots: Vec<(u64, V)>,
-    len: usize,
-    /// `64 - log2(slots.len())`.
-    shift: u32,
-}
-
-impl<V: Copy + Default> FlatTable<V> {
-    fn with_slots(n: usize) -> Self {
-        FlatTable { slots: vec![(0, V::default()); n], len: 0, shift: 64 - n.trailing_zeros() }
-    }
-
-    /// The value under `key`, inserted as `V::default()` if absent.
-    fn get_or_insert(&mut self, key: u64) -> &mut V {
-        debug_assert_ne!(key, 0, "key 0 marks a free slot");
-        if 2 * (self.len + 1) > self.slots.len() {
-            self.grow();
-        }
-        let i = self.find(key);
-        if self.slots[i].0 == 0 {
-            self.slots[i].0 = key;
-            self.len += 1;
-        }
-        &mut self.slots[i].1
-    }
-
-    /// The slot holding `key`, or the free slot where it belongs.
-    fn find(&self, key: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
-        while self.slots[i].0 != key && self.slots[i].0 != 0 {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    // Out of line and not recursive, so `get_or_insert` inlines into the
-    // per-order loop of `observe`.
-    #[cold]
-    fn grow(&mut self) {
-        let doubled = Self { len: self.len, ..Self::with_slots(2 * self.slots.len()) };
-        let old = std::mem::replace(self, doubled);
-        for slot in old.slots.into_iter().filter(|&(k, _)| k != 0) {
-            let i = self.find(slot.0);
-            self.slots[i] = slot;
-        }
-    }
-}
 
 /// A theoretical Prediction-by-Partial-Matching branch predictor
 /// (Chen, Coffey & Mudge).
@@ -129,8 +75,6 @@ pub struct PpmPredictor {
     local_hist: Vec<u64>,
     /// Branch id + 1 by pc, 0 until the branch is first seen.
     ids: FlatTable<u32>,
-    /// Branch id + 1 of pc 0, which cannot be a key of `ids`.
-    pc0_id: u32,
     /// `[not-taken, taken]` counts by context key.
     counts: FlatTable<[u32; 2]>,
     correct: u64,
@@ -156,7 +100,6 @@ impl PpmPredictor {
             global_hist: 0,
             local_hist: Vec::new(),
             ids: FlatTable::with_slots(INITIAL_SLOTS),
-            pc0_id: 0,
             counts: FlatTable::with_slots(INITIAL_SLOTS),
             correct: 0,
             total: 0,
@@ -187,7 +130,7 @@ impl PpmPredictor {
     /// The dense id of the branch at `pc`, handing out the next one (and a
     /// history) on first sight.
     fn branch_id(&mut self, pc: u64) -> usize {
-        let slot = if pc == 0 { &mut self.pc0_id } else { self.ids.get_or_insert(pc) };
+        let slot = self.ids.get_or_insert(pc);
         if *slot == 0 {
             // An id shifts into bits 33 and up of a context key.
             assert!(self.local_hist.len() < 1 << 31, "more than 2^31 static branches");

@@ -1,7 +1,6 @@
 //! Data-stream-stride characterization (metrics 24–43).
 
-use std::collections::HashMap;
-use tinyisa::{DynInst, TraceSink};
+use tinyisa::{DynInst, FlatTable, TraceSink};
 
 /// The cumulative stride thresholds of Table II: the first bucket is the
 /// probability of a stride of exactly 0; the rest are `P[|stride| <= k]`.
@@ -49,8 +48,8 @@ impl StrideDist {
 pub struct StrideAnalyzer {
     last_global_load: Option<u64>,
     last_global_store: Option<u64>,
-    last_local_load: HashMap<u64, u64>,
-    last_local_store: HashMap<u64, u64>,
+    last_local_load: FlatTable<u64>,
+    last_local_store: FlatTable<u64>,
     local_load: StrideDist,
     global_load: StrideDist,
     local_store: StrideDist,
@@ -185,6 +184,21 @@ mod tests {
         // The intervening store must not perturb the load stride stream.
         assert_eq!(s.global_load_cdf()[1], 1.0);
         assert_eq!(s.global_store_cdf(), [0.0; 5]); // single store, no stride
+    }
+
+    #[test]
+    fn local_strides_at_the_extreme_pcs() {
+        let mut s = StrideAnalyzer::new();
+        for i in 0..10 {
+            s.retire(&access(0, 0x8000 + i * 8, false));
+            s.retire(&access(u64::MAX, 0x90_0000 + i * 8, false));
+            s.retire(&access(0, 0x1_0000, true));
+            s.retire(&access(u64::MAX, 0xa0_0000 + i * 4096, true));
+        }
+        // 9 strides of 8 per load pc; 9 of 0 at pc 0 and 9 of 4096 at
+        // `u64::MAX` among the stores.
+        assert_eq!(s.local_load_cdf(), [0.0, 1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(s.local_store_cdf(), [0.5, 0.5, 0.5, 0.5, 1.0]);
     }
 
     #[test]

@@ -1,10 +1,38 @@
 //! Working-set-size characterization (metrics 20–23).
 
-use std::collections::HashSet;
-use tinyisa::{DynInst, TraceSink};
+use tinyisa::{DynInst, FlatTable, TraceSink};
 
 const BLOCK_SHIFT: u64 = 5; // 32-byte blocks
 const PAGE_SHIFT: u64 = 12; // 4 KiB pages
+
+/// The distinct block or page ids of one stream.
+#[derive(Debug, Clone)]
+struct IdSet {
+    ids: FlatTable<()>,
+    /// The id inserted last, skipped when it repeats: sequential code and
+    /// data touch the same block and page many times in a row. `u64::MAX`
+    /// is no id, because ids are addresses shifted right.
+    prev: u64,
+}
+
+impl Default for IdSet {
+    fn default() -> Self {
+        IdSet { ids: FlatTable::default(), prev: u64::MAX }
+    }
+}
+
+impl IdSet {
+    fn insert(&mut self, id: u64) {
+        if id != self.prev {
+            self.ids.get_or_insert(id);
+            self.prev = id;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+}
 
 /// Counts unique 32-byte blocks and 4 KiB pages touched by the instruction
 /// and data streams (metrics 20–23 of Table II).
@@ -13,13 +41,10 @@ const PAGE_SHIFT: u64 = 12; // 4 KiB pages
 /// (pages).
 #[derive(Debug, Default, Clone)]
 pub struct WorkingSet {
-    d_blocks: HashSet<u64>,
-    d_pages: HashSet<u64>,
-    i_blocks: HashSet<u64>,
-    i_pages: HashSet<u64>,
-    /// Batch-path scratch: candidate ids for the current block, deduped
-    /// before they are hashed into the sets.
-    scratch: Vec<u64>,
+    d_blocks: IdSet,
+    d_pages: IdSet,
+    i_blocks: IdSet,
+    i_pages: IdSet,
 }
 
 impl WorkingSet {
@@ -66,19 +91,6 @@ fn last_byte(addr: u64, size: u64) -> u64 {
     addr.saturating_add(size.max(1) - 1)
 }
 
-/// Dedup `scratch` (sort + dedup) and insert the distinct ids into `set`.
-/// Sequential code repeats the same blocks and pages heavily, so paying
-/// one sort over a small block-local vector is cheaper than hashing every
-/// occurrence.
-fn flush_ids(scratch: &mut Vec<u64>, set: &mut HashSet<u64>) {
-    scratch.sort_unstable();
-    scratch.dedup();
-    for &id in scratch.iter() {
-        set.insert(id);
-    }
-    scratch.clear();
-}
-
 impl TraceSink for WorkingSet {
     fn retire(&mut self, inst: &DynInst) {
         self.i_blocks.insert(inst.pc >> BLOCK_SHIFT);
@@ -92,44 +104,6 @@ impl TraceSink for WorkingSet {
                 self.d_pages.insert(p);
             }
         }
-    }
-
-    fn retire_block(&mut self, block: &[DynInst]) {
-        // Dedup-before-hash: collect ids into scratch, dropping adjacent
-        // duplicates on the way in (instruction streams are runs of nearby
-        // pcs), then sort+dedup and hash each distinct id once. Membership
-        // of the sets is a pure union, so ordering does not matter.
-        let mut scratch = std::mem::take(&mut self.scratch);
-
-        for (shift, set) in
-            [(BLOCK_SHIFT, &mut self.i_blocks), (PAGE_SHIFT, &mut self.i_pages)]
-        {
-            for inst in block {
-                let id = inst.pc >> shift;
-                if scratch.last() != Some(&id) {
-                    scratch.push(id);
-                }
-            }
-            flush_ids(&mut scratch, set);
-        }
-
-        for (shift, set) in
-            [(BLOCK_SHIFT, &mut self.d_blocks), (PAGE_SHIFT, &mut self.d_pages)]
-        {
-            for inst in block {
-                if let Some(m) = inst.mem {
-                    let last = last_byte(m.addr, m.size);
-                    for id in (m.addr >> shift)..=(last >> shift) {
-                        if scratch.last() != Some(&id) {
-                            scratch.push(id);
-                        }
-                    }
-                }
-            }
-            flush_ids(&mut scratch, set);
-        }
-
-        self.scratch = scratch;
     }
 }
 
@@ -213,6 +187,16 @@ mod tests {
         let mut w = WorkingSet::new();
         w.retire(&mem_inst(0x1000, 0x8000, 0));
         assert_eq!(w.d_stream_blocks(), 1);
+    }
+
+    #[test]
+    fn access_at_address_zero_counts_block_and_page_zero() {
+        let mut w = WorkingSet::new();
+        w.retire(&mem_inst(0, 0, 8));
+        assert_eq!(w.counts(), [1.0; 4]);
+        w.retire(&mem_inst(0x20, 0x20, 8));
+        w.retire(&mem_inst(0, 0, 8));
+        assert_eq!(w.counts(), [2.0, 1.0, 2.0, 1.0], "block 0 counts once");
     }
 
     #[test]

@@ -72,10 +72,13 @@ fn per_inst_unbundles_blocks() {
     assert_eq!(sink.0.retired, 6);
 }
 
+/// Replays a recorded trace into a sink.
+type Delivery = fn(&Trace, &mut dyn TraceSink);
+
 /// The registry of trace-driven delivery tiers. Each entry replays a
 /// recorded trace into a sink; the first is the per-instruction reference
 /// everything else is compared against. A new delivery is one line here.
-const DELIVERIES: &[(&str, fn(&Trace, &mut dyn TraceSink))] = &[
+const DELIVERIES: &[(&str, Delivery)] = &[
     ("per-inst", |t, s| t.replay(s)),
     ("blocks-1", |t, s| t.replay_blocks(s, 1)),
     ("blocks-7", |t, s| t.replay_blocks(s, 7)),
@@ -96,7 +99,7 @@ fn assert_bits_eq(reference: &MicaVector, got: &MicaVector, ctx: &str) {
     }
 }
 
-fn suite_vector_of(trace: &Trace, deliver: fn(&Trace, &mut dyn TraceSink)) -> MicaVector {
+fn suite_vector_of(trace: &Trace, deliver: Delivery) -> MicaVector {
     let mut suite = CharacterizationSuite::new();
     deliver(trace, &mut suite);
     suite.finish()

@@ -147,7 +147,7 @@ fn corrupted_caches_reject_cleanly_and_rewrite_atomically() {
     let outcome = mica_experiments::profile::load_or_profile_all(&path, 1e-9).unwrap();
     assert!(outcome.quarantined.is_empty());
     assert!(
-        snap("profile.cache.miss.parse") >= parse_before + 1,
+        snap("profile.cache.miss.parse") > parse_before,
         "zero-byte cache counts as a parse miss"
     );
     assert!(!mica_fault::io::tmp_path(&path).exists(), "no temp file left after rewrite");

@@ -41,6 +41,7 @@
 
 mod asm;
 mod disasm;
+mod flat;
 mod inst;
 mod mem;
 mod trace;
@@ -48,6 +49,7 @@ mod vm;
 
 pub use asm::{Asm, AsmError, Label, Program};
 pub use disasm::disassemble_op;
+pub use flat::FlatTable;
 pub use inst::{
     CtrlInfo, DynInst, FCmpOp, Flow, InstClass, MemAccess, MemWidth, Op, RegRef, StaticMemRef,
 };

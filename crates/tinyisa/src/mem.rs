@@ -1,6 +1,6 @@
 //! Sparse paged byte-addressable memory.
 
-use std::collections::HashMap;
+use crate::flat::FlatTable;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -13,7 +13,9 @@ const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// loads does not consume host memory.
 #[derive(Debug, Default, Clone)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Page number → index of its frame.
+    pages: FlatTable<usize>,
+    frames: Vec<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl Memory {
@@ -24,17 +26,24 @@ impl Memory {
 
     /// Number of resident (written) pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.frames.len()
     }
 
     fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(&(addr >> PAGE_SHIFT)).map(|b| &**b)
+        self.pages.get(addr >> PAGE_SHIFT).map(|&i| &*self.frames[i])
     }
 
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+        let page = addr >> PAGE_SHIFT;
+        let i = match self.pages.get(page) {
+            Some(&i) => i,
+            None => {
+                self.pages.insert(page, self.frames.len());
+                self.frames.push(Box::new([0u8; PAGE_SIZE]));
+                self.frames.len() - 1
+            }
+        };
+        &mut self.frames[i]
     }
 
     /// Read one byte.
@@ -161,6 +170,18 @@ mod tests {
         let mut m = Memory::new();
         m.write_bytes(0x3000, b"hello world");
         assert_eq!(m.read_bytes(0x3000, 11), b"hello world");
+    }
+
+    #[test]
+    fn page_zero_round_trips() {
+        let mut m = Memory::new();
+        m.write_le(0x10, 8, 0x0123_4567_89ab_cdef);
+        assert_eq!(m.read_le(0x10, 8), 0x0123_4567_89ab_cdef);
+        assert_eq!(m.read_u8(0x1000), 0, "page 1 stays unwritten");
+        assert_eq!(m.resident_pages(), 1);
+        m.write_u8(0x1000, 1);
+        assert_eq!(m.read_le(0x10, 8), 0x0123_4567_89ab_cdef);
+        assert_eq!(m.resident_pages(), 2);
     }
 
     #[test]

@@ -80,6 +80,9 @@ pub struct Cache {
     stats: CacheStats,
     clock: u64,
     prefetch: bool,
+    /// The line touched last. It is resident and the newest in its set, so
+    /// an access to it hits and leaves the LRU order as it is.
+    last_line: Option<u64>,
 }
 
 impl Cache {
@@ -103,6 +106,7 @@ impl Cache {
             stats: CacheStats::default(),
             clock: 0,
             prefetch: false,
+            last_line: None,
         }
     }
 
@@ -127,18 +131,23 @@ impl Cache {
     /// enabled — the next sequential line is filled too.
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
-        let hit = self.touch(addr >> self.set_shift, true);
+        let line = addr >> self.set_shift;
+        if self.last_line == Some(line) {
+            return true;
+        }
+        let hit = self.touch(line);
         if !hit {
             self.stats.misses += 1;
             if self.prefetch {
-                self.touch((addr >> self.set_shift) + 1, true);
+                self.touch(line + 1);
             }
         }
         hit
     }
 
-    /// Probe or fill one line address; returns `true` on hit.
-    fn touch(&mut self, line_addr: u64, fill: bool) -> bool {
+    /// Probe one line address, filling it on a miss; returns `true` on hit.
+    fn touch(&mut self, line_addr: u64) -> bool {
+        self.last_line = Some(line_addr);
         self.clock += 1;
         let set = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_mask.count_ones();
@@ -149,13 +158,11 @@ impl Cache {
                 return true;
             }
         }
-        if fill {
-            let victim = ways
-                .iter_mut()
-                .min_by_key(|w| if w.valid { w.stamp } else { 0 })
-                .expect("assoc >= 1");
-            *victim = Line { tag, valid: true, stamp: self.clock };
-        }
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|w| if w.valid { w.stamp } else { 0 })
+            .expect("assoc >= 1");
+        *victim = Line { tag, valid: true, stamp: self.clock };
         false
     }
 }

@@ -295,8 +295,10 @@ pub struct Ev67Model {
     predictor: TournamentPredictor,
     mispredict_penalty: u64,
     reg_ready: [u64; 64],
-    /// Completion cycles of the last `window` instructions (ring buffer).
+    /// Completion cycles of the last `window` instructions, 0 before the
+    /// ring fills; `slot` holds the oldest.
     ring: Vec<u64>,
+    slot: usize,
     /// Issue-bandwidth bookkeeping: `(cycle, instructions issued)` in slot
     /// `cycle % ISSUE_RING`.
     issued: Vec<(u64, u32)>,
@@ -345,6 +347,7 @@ impl Ev67Model {
             mispredict_penalty: cfg.mispredict_penalty,
             reg_ready: [0; 64],
             ring: vec![0; cfg.window],
+            slot: 0,
             issued: vec![(0, 0); ISSUE_RING],
             fetch_ready: 0,
             retired: 0,
@@ -401,11 +404,7 @@ impl TraceSink for Ev67Model {
             self.fetch_ready += penalty;
         }
 
-        let window = self.ring.len() as u64;
-        let slot = (self.retired % window) as usize;
-        let window_ready = if self.retired >= window { self.ring[slot] } else { 0 };
-
-        let mut ready = window_ready.max(self.fetch_ready);
+        let mut ready = self.ring[self.slot].max(self.fetch_ready);
         for s in inst.sources() {
             ready = ready.max(self.reg_ready[s.unified()]);
         }
@@ -434,7 +433,11 @@ impl TraceSink for Ev67Model {
             }
         }
 
-        self.ring[slot] = complete;
+        self.ring[self.slot] = complete;
+        self.slot += 1;
+        if self.slot == self.ring.len() {
+            self.slot = 0;
+        }
         self.retired += 1;
         self.last_cycle = self.last_cycle.max(complete);
     }

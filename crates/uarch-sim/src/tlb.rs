@@ -13,6 +13,9 @@ pub struct Tlb {
     page_shift: u32,
     stats: CacheStats,
     clock: u64,
+    /// The page accessed last. It is resident and the newest entry, so an
+    /// access to it hits and leaves the LRU order as it is.
+    last_vpn: Option<u64>,
 }
 
 impl Tlb {
@@ -30,6 +33,7 @@ impl Tlb {
             page_shift: page_size.trailing_zeros(),
             stats: CacheStats::default(),
             clock: 0,
+            last_vpn: None,
         }
     }
 
@@ -46,9 +50,13 @@ impl Tlb {
     /// Look up the page containing `addr`; returns `true` on hit and fills
     /// on miss (LRU eviction).
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         self.stats.accesses += 1;
         let vpn = addr >> self.page_shift;
+        if self.last_vpn == Some(vpn) {
+            return true;
+        }
+        self.last_vpn = Some(vpn);
+        self.clock += 1;
         if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == vpn) {
             e.1 = self.clock;
             return true;
