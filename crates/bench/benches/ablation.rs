@@ -1,8 +1,8 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! PPM context order, ILP window sizes, GA hyperparameters and k-means
-//! seeding. These measure the *cost* of each variant; the companion
-//! numbers (accuracy/fitness attained) are printed once per run so the
-//! quality side of the trade-off is visible in the bench log.
+//! Ablation benchmarks for the design choices called out in DESIGN.md §5:
+//! PPM context order, ILP window sizes, the ILP model, GA hyperparameters
+//! and the k-means K. These measure the *cost* of each variant; the
+//! companion numbers (accuracy, IPC gap, ρ attained) are printed once per
+//! run so the quality side of the trade-off is visible in the bench log.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mica_core::{IlpAnalyzer, IlpCriticalPath, PpmPredictor, PpmVariant};

@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mica_core::{
-    CharacterizationSuite, ExtendedSuite, IlpAnalyzer, InstructionMix, PpmPredictor, PpmVariant,
-    RegTraffic, ReuseDistance, StrideAnalyzer, WorkingSet,
+    CharacterizationSuite, IlpAnalyzer, InstructionMix, PpmPredictor, PpmVariant, RegTraffic,
+    StrideAnalyzer, WorkingSet,
 };
 use mica_workloads::benchmark_table;
 use std::hint::black_box;
@@ -61,14 +61,8 @@ fn bench_analyzers(c: &mut Criterion) {
     g.bench_function("ppm_gag", |b| {
         b.iter(|| black_box(run_with("qsort", PpmPredictor::new(PpmVariant::GAg)).accuracy()))
     });
-    g.bench_function("reuse_distance", |b| {
-        b.iter(|| black_box(run_with("qsort", ReuseDistance::new()).cdf()))
-    });
     g.bench_function("full_suite_47_metrics", |b| {
         b.iter(|| black_box(run_with("qsort", CharacterizationSuite::new()).finish()))
-    });
-    g.bench_function("extended_suite_57_metrics", |b| {
-        b.iter(|| black_box(run_with("qsort", ExtendedSuite::new()).finish_all()))
     });
     g.finish();
 }

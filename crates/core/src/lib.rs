@@ -49,28 +49,19 @@
 //! # }
 //! ```
 
-mod extended;
 mod ilp;
 mod mix;
-mod phase;
 mod ppm;
 mod regtraffic;
-mod reuse;
 mod strides;
 mod suite;
 mod vector;
 mod working_set;
 
-pub use extended::{
-    BranchBehavior, ExtendedSuite, EXTENDED_METRIC_NAMES, EXTENDED_REUSE_BUCKETS,
-    NUM_EXTENDED_METRICS,
-};
 pub use ilp::{IlpAnalyzer, IlpCriticalPath};
 pub use mix::InstructionMix;
-pub use phase::PhaseProfiler;
 pub use ppm::{PpmPredictor, PpmVariant};
 pub use regtraffic::{RegTraffic, DEP_DIST_BUCKETS};
-pub use reuse::{ReuseDistance, REUSE_BUCKETS};
 pub use strides::{StrideAnalyzer, STRIDE_BUCKETS};
 pub use suite::CharacterizationSuite;
 pub use vector::{Category, MetricId, MetricInfo, MicaVector, METRICS, NUM_METRICS};

@@ -10,14 +10,12 @@
 //! 1. all 122 zoo kernels, live per-instruction (through [`PerInst`]) vs
 //!    live blocks vs recorded-trace replays at several block sizes;
 //! 2. randomized instruction streams (including adversarial addresses at
-//!    the top of the address space) through the same delivery matrix,
-//!    covering [`CharacterizationSuite`], [`ExtendedSuite`] and
-//!    [`PhaseProfiler`].
+//!    the top of the address space) through the same delivery matrix.
 //!
 //! A new delivery registers in [`DELIVERIES`]; every test below runs the
 //! whole registry.
 
-use mica_core::{CharacterizationSuite, ExtendedSuite, MicaVector, PhaseProfiler};
+use mica_core::{CharacterizationSuite, MicaVector};
 use mica_workloads::benchmark_table;
 use tinyisa::{CtrlInfo, DynInst, InstClass, MemAccess, RegRef, Trace, TraceRecorder, TraceSink};
 
@@ -141,45 +139,6 @@ fn all_zoo_kernels_are_bit_identical_across_deliveries() {
     }
 }
 
-#[test]
-fn extended_and_phase_profiles_survive_batching() {
-    // A cross-section of the zoo: one kernel per suite is plenty — the
-    // full matrix above already covers the 47-metric suite everywhere.
-    let mut seen = std::collections::HashSet::new();
-    for spec in benchmark_table() {
-        if !seen.insert(spec.suite.to_string()) {
-            continue;
-        }
-        let name = spec.name();
-        let mut rec = TraceRecorder::new();
-        let mut vm = spec.build_vm().expect("kernel assembles");
-        vm.run(&mut rec, BUDGET).expect("kernel runs");
-        let trace = rec.into_trace();
-
-        let mut ext_ref = ExtendedSuite::new();
-        trace.replay(&mut ext_ref);
-        let mut phase_ref = PhaseProfiler::new(977);
-        trace.replay(&mut phase_ref);
-        let ref_phases = phase_ref.into_phases();
-
-        for (tier, deliver) in &DELIVERIES[1..] {
-            let mut ext = ExtendedSuite::new();
-            deliver(&trace, &mut ext);
-            for (i, (r, g)) in ext_ref.finish_all().iter().zip(ext.finish_all()).enumerate() {
-                assert_eq!(r.to_bits(), g.to_bits(), "{name}: {tier}: extended metric {i}");
-            }
-
-            let mut phase = PhaseProfiler::new(977);
-            deliver(&trace, &mut phase);
-            let phases = phase.into_phases();
-            assert_eq!(ref_phases.len(), phases.len(), "{name}: {tier}: phase count");
-            for (p, (r, g)) in ref_phases.iter().zip(&phases).enumerate() {
-                assert_bits_eq(r, g, &format!("{name}: {tier}: phase {p}"));
-            }
-        }
-    }
-}
-
 /// Build a pseudo-random but fully deterministic instruction stream from a
 /// seed: a few dozen static PCs, loads/stores with strided and random
 /// addresses (including the top of the address space, where the working
@@ -268,35 +227,10 @@ proptest::proptest! {
             assert_bits_eq(&reference, &got, &format!("seed {seed}, len {len}, {tier}"));
         }
 
-        // And at the sampled (odd, unaligned) block size, for all suites.
+        // And at the sampled (odd, unaligned) block size.
         let mut suite = CharacterizationSuite::new();
         trace.replay_blocks(&mut suite, block);
         assert_bits_eq(&reference, &suite.finish(), &format!("seed {seed}, blocks-{block}"));
-
-        let mut ext_ref = ExtendedSuite::new();
-        trace.replay(&mut ext_ref);
-        let mut ext = ExtendedSuite::new();
-        trace.replay_blocks(&mut ext, block);
-        for (i, (r, g)) in ext_ref.finish_all().iter().zip(ext.finish_all()).enumerate() {
-            proptest::prop_assert_eq!(
-                r.to_bits(),
-                g.to_bits(),
-                "seed {}, blocks-{}: extended metric {}",
-                seed,
-                block,
-                i
-            );
-        }
-
-        let mut phase_ref = PhaseProfiler::new(53);
-        trace.replay(&mut phase_ref);
-        let mut phase = PhaseProfiler::new(53);
-        trace.replay_blocks(&mut phase, block);
-        let (a, b) = (phase_ref.into_phases(), phase.into_phases());
-        proptest::prop_assert_eq!(a.len(), b.len());
-        for (p, (r, g)) in a.iter().zip(&b).enumerate() {
-            assert_bits_eq(r, g, &format!("seed {seed}, blocks-{block}: phase {p}"));
-        }
     }
 }
 

@@ -16,13 +16,12 @@
 //!   `panic:kernel=NAME` panics that kernel's profiling run (it is
 //!   quarantined and the other 121 benchmarks complete),
 //!   `io:SITE[@N]`/`torn:SITE[@N]` fail or tear the first N artifact
-//!   writes at a named site;
-//! - `MICA_RETRIES` — extra attempts for failed artifact writes
-//!   (default 3, fixed 1/2/4/… ms backoff).
+//!   writes at a named site.
 //!
 //! All artifacts (profile cache, CSVs, SVGs, run summaries) are written
 //! atomically — temp file then rename — so a crash mid-write never leaves
-//! a torn file.
+//! a torn file. A failed write gets three more attempts, on an exponential
+//! backoff with site-seeded jitter capped at 32 ms.
 //!
 //! Observability (`MICA_LOG`, `MICA_TRACE`, `MICA_EVENTS`) is provided by
 //! [`mica_obs`]; every binary drives a [`runner::Runner`] that times its

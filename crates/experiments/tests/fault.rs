@@ -22,7 +22,6 @@ fn init() {
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
     std::env::remove_var("MICA_EVENTS");
-    std::env::remove_var("MICA_RETRIES");
 }
 
 fn counter_map() -> BTreeMap<String, u64> {
@@ -90,7 +89,7 @@ fn injected_cache_write_faults_are_survived_by_the_retry_budget() {
         records: vec![rec; benchmark_table().len()],
     };
 
-    // Two write errors against the default budget of three retries: the
+    // Two write errors against the budget of three retries: the
     // save must survive, bump the retry/survival counters, and leave a
     // complete cache with no temp file.
     let before = counter_map();

@@ -10,13 +10,12 @@
 //!
 //! Rename is atomic on POSIX filesystems, so at every instant the
 //! destination holds either the complete old content or the complete new
-//! content — never a prefix. [`atomic_write_retry`] adds bounded retry
-//! with an exponential 1, 2, 4, … ms schedule plus **deterministic
-//! jitter** seeded from the retry site name (no wall-clock randomness,
-//! so faulting runs reproduce, but two sites retrying the same artifact
-//! directory no longer thunder in lockstep), capped at `MICA_RETRY_CAP_MS`
-//! (default 32): `MICA_RETRIES` (default 3) extra attempts after the
-//! first.
+//! content — never a prefix. [`atomic_write_retry`] adds three extra
+//! attempts after the first, spaced by an exponential backoff with
+//! **deterministic jitter** seeded from the retry site name (no
+//! wall-clock randomness, so faulting runs reproduce, but two sites
+//! retrying the same artifact directory no longer thunder in lockstep),
+//! capped at 32 ms.
 //!
 //! Both helpers consult the installed [`crate::plan`] first, keyed by the
 //! caller-supplied `site` name, so CI can deterministically inject write
@@ -29,35 +28,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Extra attempts after the first failed write: `MICA_RETRIES` if set to a
-/// non-negative integer, else 3.
-pub fn retries() -> u32 {
-    match std::env::var("MICA_RETRIES") {
-        Err(_) => 3,
-        Ok(v) => match v.trim().parse::<u32>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("warning: ignoring invalid MICA_RETRIES={v:?}; using 3");
-                3
-            }
-        },
-    }
-}
+/// Extra attempts after the first failed write.
+const RETRIES: u32 = 3;
 
-/// Backoff cap in milliseconds: `MICA_RETRY_CAP_MS` if set to a positive
-/// integer, else 32.
-pub fn backoff_cap_ms() -> u64 {
-    match std::env::var("MICA_RETRY_CAP_MS") {
-        Err(_) => 32,
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("warning: ignoring invalid MICA_RETRY_CAP_MS={v:?}; using 32");
-                32
-            }
-        },
-    }
-}
+/// Cap on one backoff, in milliseconds.
+const BACKOFF_CAP_MS: u64 = 32;
 
 /// FNV-1a hash of a site name — the seed for deterministic backoff jitter.
 fn site_seed(site: &str) -> u64 {
@@ -72,7 +47,7 @@ fn site_seed(site: &str) -> u64 {
 /// Backoff before retry attempt `attempt` (1-based) at `site`: the
 /// exponential base 1, 2, 4, … ms plus a jitter in `[0, base)` derived
 /// from the site name and the attempt number (splitmix64 of the FNV
-/// seed), the sum capped at [`backoff_cap_ms`]. No wall-clock randomness
+/// seed), the sum capped at 32 ms. No wall-clock randomness
 /// enters the schedule, so a given `(site, attempt)` pair always waits the
 /// same amount — runs reproduce — while distinct sites desynchronize.
 pub fn backoff_ms(site: &str, attempt: u32) -> u64 {
@@ -83,7 +58,7 @@ pub fn backoff_ms(site: &str, attempt: u32) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
-    (base + x % base).min(backoff_cap_ms())
+    (base + x % base).min(BACKOFF_CAP_MS)
 }
 
 /// The sibling temp path the atomic protocol stages into:
@@ -181,14 +156,14 @@ pub fn atomic_write_with_retries(
     }
 }
 
-/// [`atomic_write_with_retries`] with the environment's [`retries`]
-/// budget — the form the pipeline's artifact writers use.
+/// [`atomic_write_with_retries`] with three extra attempts — the form the
+/// pipeline's artifact writers use.
 ///
 /// # Errors
 ///
 /// See [`atomic_write_with_retries`].
 pub fn atomic_write_retry(site: &str, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    atomic_write_with_retries(site, path, bytes, retries())
+    atomic_write_with_retries(site, path, bytes, RETRIES)
 }
 
 #[cfg(test)]
@@ -288,7 +263,6 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_per_site() {
-        let _g = LOCK.lock().unwrap();
         let a: Vec<u64> = (1..=8).map(|n| backoff_ms("cache-write", n)).collect();
         let b: Vec<u64> = (1..=8).map(|n| backoff_ms("cache-write", n)).collect();
         assert_eq!(a, b, "same site, same schedule — no wall-clock randomness");
@@ -296,14 +270,32 @@ mod tests {
 
     #[test]
     fn backoff_stays_between_base_and_cap() {
-        let _g = LOCK.lock().unwrap();
-        for site in ["cache-write", "results", "run-summary", "serve-index", "serve-client"] {
-            for attempt in 1..=10u32 {
+        // Every site that retries a write, plus the serve client's.
+        let sites = [
+            "cache-write",
+            "results",
+            "run-summary",
+            "heat",
+            "lint-json",
+            "lint-static",
+            "obs.trace",
+            "obs.events",
+            "tinyisa.trace",
+            "prof.baseline",
+            "prof-json",
+            "prof-svg",
+            "serve-index",
+            "serve-access",
+            "serve-drain",
+            "serve-client",
+        ];
+        for site in sites {
+            for attempt in 1..=12u32 {
                 let base = 1u64 << attempt.saturating_sub(1).min(5);
                 let ms = backoff_ms(site, attempt);
                 assert!(ms >= base.min(32), "{site} attempt {attempt}: {ms} below base {base}");
                 assert!(ms < (2 * base).max(33), "{site} attempt {attempt}: {ms} past jitter range");
-                assert!(ms <= 32, "{site} attempt {attempt}: {ms} above the default cap");
+                assert!(ms <= 32, "{site} attempt {attempt}: {ms} above the 32 ms cap");
             }
         }
         // Attempt 1 has base 1 and an empty jitter range: exactly 1 ms.
@@ -312,24 +304,12 @@ mod tests {
 
     #[test]
     fn backoff_jitter_separates_sites() {
-        let _g = LOCK.lock().unwrap();
         // With a 16 ms base and jitter in [0, 16), five distinct sites
         // colliding on the identical schedule would mean the seed is dead.
         let sites = ["cache-write", "results", "run-summary", "serve-index", "trace"];
         let at5: Vec<u64> = sites.iter().map(|s| backoff_ms(s, 5)).collect();
         let distinct: std::collections::BTreeSet<u64> = at5.iter().copied().collect();
         assert!(distinct.len() > 1, "all sites share one schedule: {at5:?}");
-    }
-
-    #[test]
-    fn backoff_cap_is_configurable() {
-        let _g = LOCK.lock().unwrap();
-        assert_eq!(backoff_cap_ms(), 32);
-        std::env::set_var("MICA_RETRY_CAP_MS", "4");
-        assert!((1..=8).all(|n| backoff_ms("cache-write", n) <= 4));
-        std::env::set_var("MICA_RETRY_CAP_MS", "bogus");
-        assert_eq!(backoff_cap_ms(), 32);
-        std::env::remove_var("MICA_RETRY_CAP_MS");
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! workspace builds on:
 //!
 //! - [`io`] — write-to-temp-then-rename **atomic writes** plus bounded
-//!   **deterministic retry** with an exponential, site-jittered backoff
-//!   schedule (`MICA_RETRIES` extra attempts, default 3; cap
-//!   `MICA_RETRY_CAP_MS`, default 32). Adopted by the profile cache, every
-//!   results artifact, the run summaries, the observability sinks and the
-//!   trace dumps: an interrupted write leaves either the old file or the
-//!   new file on disk, never a partial one.
+//!   **deterministic retry**: three extra attempts on an exponential
+//!   backoff with site-seeded jitter, capped at 32 ms. Adopted by the
+//!   profile cache, every results artifact, the run summaries, the
+//!   observability sinks and the trace dumps: an interrupted write leaves
+//!   either the old file or the new file on disk, never a partial one.
 //! - [`plan`] — an env-driven **fault plan** (`MICA_FAULTS`) describing
 //!   faults to inject deterministically: kernel panics, server-request
 //!   panics, write errors, torn writes and latency at named sites. CI uses
@@ -63,5 +62,5 @@ pub mod io;
 pub mod metrics;
 pub mod plan;
 
-pub use io::{atomic_write, atomic_write_retry, atomic_write_with_retries, retries, tmp_path};
+pub use io::{atomic_write, atomic_write_retry, atomic_write_with_retries, tmp_path};
 pub use plan::{FaultPlan, IoFaultKind, PlanParseError};

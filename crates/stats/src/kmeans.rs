@@ -277,6 +277,29 @@ mod tests {
         assert!((2..=5).contains(&r.k()), "chose k = {}", r.k());
     }
 
+    /// A blob at 0 and two close blobs at 9.4 and 10.6, 10 points each in
+    /// one dimension. Splitting off the far blob buys most of the BIC gain:
+    /// K = 2 scores about 0.85 of the way from the worst K to the best, so
+    /// an 80% threshold stops there and the paper's 90% goes on to K = 3.
+    fn near_pair() -> DataSet {
+        let mut rows = Vec::new();
+        for center in [0.0, 9.4, 10.6] {
+            for i in 0..10 {
+                rows.push(vec![center + (i as f64 - 4.5) * 0.02]);
+            }
+        }
+        DataSet::from_rows(rows)
+    }
+
+    #[test]
+    fn choose_k_uses_the_ninety_percent_threshold() {
+        let ds = near_pair();
+        let bic: Vec<f64> = (1..=3).map(|k| kmeans(&ds, k, 5 ^ k as u64).bic).collect();
+        let k2 = (bic[1] - bic[0]) / (bic[2] - bic[0]);
+        assert!(bic[0] < bic[1] && (0.8..0.9).contains(&k2), "normalized BIC of K = 2: {k2}");
+        assert_eq!(choose_k_by_bic(&ds, 3, 5).k(), 3);
+    }
+
     #[test]
     fn deterministic_for_seed() {
         let ds = blobs();

@@ -87,7 +87,17 @@ proptest! {
     #[test]
     fn bic_choice_is_within_range(ds in random_dataset()) {
         let r = choose_k_by_bic(&ds, 8, 7);
-        prop_assert!(r.k() >= 1 && r.k() <= ds.rows().min(8));
+        let k_max = ds.rows().min(8);
+        prop_assert!(r.k() >= 1 && r.k() <= k_max);
+        // Fig. 6's rule: the first K whose BIC reaches min + 0.9·(max − min),
+        // or the first K at the maximum when the curve is flat.
+        let bic: Vec<f64> = (1..=k_max).map(|k| kmeans(&ds, k, 7 ^ k as u64).bic).collect();
+        let max = bic.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let min = bic.iter().copied().fold(f64::INFINITY, f64::min);
+        let threshold = if max - min < 1e-12 { max } else { min + 0.9 * (max - min) };
+        let first = bic.iter().position(|&b| b >= threshold).expect("the maximum clears it");
+        prop_assert_eq!(r.k(), first + 1);
+        prop_assert_eq!(r.bic.to_bits(), bic[first].to_bits());
     }
 
     #[test]
