@@ -11,6 +11,13 @@
 //! VM runs the qsort kernel live into a counting sink; the ILP, working
 //! set, strides, each PPM predictor and the EV56/EV67 models replay its
 //! recorded trace.
+//!
+//! `key_subset` times the analyzers that Table IV's eight picks need (ILP at
+//! window 256, register traffic, working set, strides and a PAs predictor)
+//! against the full suite over the same recorded traces: the measurement
+//! behind the paper's claim that measuring the key characteristics is
+//! cheaper than measuring all 47. `tests/methodology.rs` checks that the
+//! same five reproduce the suite's columns bit for bit.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mica_core::{
@@ -158,6 +165,47 @@ fn bench_layer_replay(c: &mut Criterion) {
     g.finish();
 }
 
+/// The full suite against the five analyzers of the key characteristics,
+/// both fed the trace in `BATCH_CAPACITY` blocks.
+fn bench_key_subset(c: &mut Criterion) {
+    let mut g = c.benchmark_group("key_subset");
+    for program in PROGRAMS {
+        let trace = trace_of(program);
+        g.throughput(Throughput::Elements(trace.len() as u64));
+        replay_layer(
+            &mut g,
+            &format!("suite_{program}"),
+            &trace,
+            CharacterizationSuite::new,
+            |s| s.finish(),
+        );
+        g.bench_function(format!("key8_{program}"), |b| {
+            b.iter(|| {
+                let mut ilp = IlpAnalyzer::with_windows(&[256]);
+                let mut reg = RegTraffic::new();
+                let mut wss = WorkingSet::new();
+                let mut strides = StrideAnalyzer::new();
+                let mut pas = PpmPredictor::new(PpmVariant::PAs);
+                for block in trace.events().chunks(BATCH_CAPACITY) {
+                    ilp.retire_block(block);
+                    reg.retire_block(block);
+                    wss.retire_block(block);
+                    strides.retire_block(block);
+                    pas.retire_block(block);
+                }
+                black_box((
+                    ilp.ipcs(),
+                    reg.dependency_distance_cdf(),
+                    wss.counts(),
+                    strides.all(),
+                    pas.accuracy(),
+                ))
+            })
+        });
+    }
+    g.finish();
+}
+
 /// The full profile hot path (tandem MICA + HPC record), exactly as
 /// `profile_all` dispatches it.
 fn bench_profile_hot_path(c: &mut Criterion) {
@@ -170,5 +218,12 @@ fn bench_profile_hot_path(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(backends, bench_live, bench_replay, bench_layer_replay, bench_profile_hot_path);
+criterion_group!(
+    backends,
+    bench_live,
+    bench_replay,
+    bench_layer_replay,
+    bench_key_subset,
+    bench_profile_hot_path
+);
 criterion_main!(backends);

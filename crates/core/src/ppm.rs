@@ -47,14 +47,21 @@ impl std::fmt::Display for PpmVariant {
     }
 }
 
-/// The key of a context: the table's branch id (0 for the shared tables of
-/// GAg/PAg) in bits 33 and up, then a marker bit `1 << order` above the low
-/// `order` history bits. The marker keeps the orders apart.
-fn context_key(table: u64, order: usize, hist: u64) -> u64 {
-    (table << 33) | (1 << order) | (hist & ((1 << order) - 1))
+/// The slot of a context within its table: a marker bit `1 << order` above
+/// the low `order` history bits. The marker keeps the orders apart, so the
+/// orders `0..=top` fill a block of `2 << top` slots.
+fn context_slot(order: usize, hist: u64) -> u64 {
+    (1 << order) | (hist & ((1 << order) - 1))
 }
 
-/// Slots a table starts with (a power of two).
+/// The key of a context above [`DEFAULT_MAX_ORDER`]: the table's branch id
+/// (0 for the shared tables of GAg/PAg) in bits 33 and up, then the
+/// context's slot.
+fn context_key(table: u64, order: usize, hist: u64) -> u64 {
+    (table << 33) | context_slot(order, hist)
+}
+
+/// Slots a hashed table starts with (a power of two).
 const INITIAL_SLOTS: usize = 1 << 10;
 
 /// A theoretical Prediction-by-Partial-Matching branch predictor
@@ -75,7 +82,14 @@ pub struct PpmPredictor {
     local_hist: Vec<u64>,
     /// Branch id + 1 by pc, 0 until the branch is first seen.
     ids: FlatTable<u32>,
-    /// `[not-taken, taken]` counts by context key.
+    /// `[not-taken, taken]` counts of the orders up to
+    /// [`DEFAULT_MAX_ORDER`], by [`context_slot`] within one block per
+    /// table; a table's block starts at `table × block_len`.
+    direct: Vec<[u32; 2]>,
+    /// `[not-taken, taken]` counts of the orders above
+    /// [`DEFAULT_MAX_ORDER`], by context key. A block up to order `k` takes
+    /// `16 << k` bytes, 64 GiB at order 32, while a trace reaches few of
+    /// its contexts.
     counts: FlatTable<[u32; 2]>,
     correct: u64,
     total: u64,
@@ -94,16 +108,31 @@ impl PpmPredictor {
     /// Panics if `max_order > 32`.
     pub fn with_max_order(variant: PpmVariant, max_order: usize) -> Self {
         assert!(max_order <= 32, "PPM order above 32 is not supported");
-        PpmPredictor {
+        let mut p = PpmPredictor {
             variant,
             max_order,
             global_hist: 0,
             local_hist: Vec::new(),
             ids: FlatTable::with_slots(INITIAL_SLOTS),
+            direct: Vec::new(),
             counts: FlatTable::with_slots(INITIAL_SLOTS),
             correct: 0,
             total: 0,
+        };
+        if !variant.per_branch_tables() {
+            p.direct.resize(p.block_len(), [0; 2]);
         }
+        p
+    }
+
+    /// The highest order counted in the direct-indexed blocks.
+    fn direct_order(&self) -> usize {
+        self.max_order.min(DEFAULT_MAX_ORDER)
+    }
+
+    /// Slots in one table's direct-indexed block.
+    fn block_len(&self) -> usize {
+        2 << self.direct_order()
     }
 
     /// The configured variant.
@@ -127,15 +156,17 @@ impl PpmPredictor {
         }
     }
 
-    /// The dense id of the branch at `pc`, handing out the next one (and a
-    /// history) on first sight.
+    /// The dense id of the branch at `pc`, handing out the next one (with a
+    /// history, and a block for per-branch tables) on first sight.
     fn branch_id(&mut self, pc: u64) -> usize {
+        let block_len = if self.variant.per_branch_tables() { self.block_len() } else { 0 };
         let slot = self.ids.get_or_insert(pc);
         if *slot == 0 {
             // An id shifts into bits 33 and up of a context key.
             assert!(self.local_hist.len() < 1 << 31, "more than 2^31 static branches");
             self.local_hist.push(0);
             *slot = self.local_hist.len() as u32;
+            self.direct.resize(self.direct.len() + block_len, [0; 2]);
         }
         *slot as usize - 1
     }
@@ -153,13 +184,21 @@ impl PpmPredictor {
         // of the longest-match escape. Each probe then counts this outcome
         // in a context no later probe reads.
         let mut prediction = true; // static default for a never-seen branch
-        for order in 0..=self.max_order {
-            let counts = self.counts.get_or_insert(context_key(table, order, hist));
+        let mut probe = |counts: &mut [u32; 2]| {
             let [nt, t] = *counts;
             if nt | t != 0 {
                 prediction = t >= nt;
             }
             counts[taken as usize] = counts[taken as usize].saturating_add(1);
+        };
+        let top = self.direct_order();
+        let block_len = self.block_len();
+        let block = &mut self.direct[table as usize * block_len..][..block_len];
+        for order in 0..=top {
+            probe(&mut block[context_slot(order, hist) as usize]);
+        }
+        for order in top + 1..=self.max_order {
+            probe(self.counts.get_or_insert(context_key(table, order, hist)));
         }
 
         let correct = prediction == taken;
@@ -332,11 +371,34 @@ mod tests {
         // Both counts at u32::MAX sum past 2^32: the seen-before test must
         // not add them.
         let mut p = PpmPredictor::new(PpmVariant::GAg);
-        let key = context_key(0, 0, 0);
+        let slot = context_slot(0, 0) as usize;
+        p.direct[slot] = [u32::MAX, u32::MAX];
+        assert!(p.observe(0x100, true), "ties predict taken");
+        assert_eq!(p.direct[slot], [u32::MAX, u32::MAX]);
+        assert_eq!(p.total(), 1);
+
+        // The same in the hashed tier: a fresh predictor's order-9 context.
+        let mut p = PpmPredictor::with_max_order(PpmVariant::GAg, 9);
+        let key = context_key(0, 9, 0);
         *p.counts.get_or_insert(key) = [u32::MAX, u32::MAX];
         assert!(p.observe(0x100, true), "ties predict taken");
         assert_eq!(*p.counts.get_or_insert(key), [u32::MAX, u32::MAX]);
         assert_eq!(p.total(), 1);
+    }
+
+    #[test]
+    fn shared_tables_hold_one_block_and_separate_tables_one_per_branch() {
+        let pcs = [0x100, 0x200, 0x100, 0x300, 0x200, u64::MAX, 0];
+        for order in [0, 1, 8, 9, 32] {
+            for v in PpmVariant::ALL {
+                let mut p = PpmPredictor::with_max_order(v, order);
+                for (i, &pc) in pcs.iter().enumerate() {
+                    p.observe(pc, i % 2 == 0);
+                }
+                let blocks = if v.per_branch_tables() { 5 } else { 1 };
+                assert_eq!(p.direct.len(), blocks << (order.min(8) + 1), "{v} order {order}");
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,9 @@ fn main() {
         ga.rho
     );
     println!(
-        "speedup implication: measuring 8 instead of 47 characteristics is the\n\
-         paper's ~3x profiling-time reduction."
+        "measuring cost: Table IV's 8 picks need five of the six analyzers. Over\n\
+         the same traces that saves about 1.8x of analyzer time (1.6x counting\n\
+         the VM), short of the paper's ~3x: ILP at one window costs most of four,\n\
+         and register traffic, working set and strides run whole (EXPERIMENTS.md)."
     );
 }

@@ -1,7 +1,11 @@
 //! Reduced-scale versions of every experiment in the paper, as integration
 //! tests: each one checks the *shape* of the corresponding table/figure.
 
-use mica_suite::mica::NUM_METRICS;
+use mica_suite::isa::{TraceRecorder, BATCH_CAPACITY};
+use mica_suite::mica::{
+    Category, IlpAnalyzer, PpmPredictor, PpmVariant, RegTraffic, StrideAnalyzer, WorkingSet,
+    NUM_METRICS,
+};
 use mica_suite::prelude::*;
 use mica_suite::stats::{
     auc, choose_k_by_bic, classify_pairs, pairwise_distances, roc_curve, select_features_k, Pca,
@@ -89,6 +93,73 @@ fn ga_subset_is_reusable_across_runs() {
     let ds = DataSet::from_rows(rows);
     let cfg = GaConfig { generations: 40, ..GaConfig::default() };
     assert_eq!(select_features_k(&ds, 6, cfg).selected, select_features_k(&ds, 6, cfg).selected);
+}
+
+#[test]
+fn key_characteristics_need_five_analyzers_and_match_the_suite() {
+    // Table IV's picks, as the committed artifact lists them.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/table4.csv");
+    let csv = std::fs::read_to_string(path).expect("committed table4.csv");
+    let picks: Vec<&str> =
+        csv.lines().skip(1).map(|l| l.split(',').nth(1).expect("a metric column")).collect();
+    assert_eq!(
+        picks,
+        ["ilp_256", "dep_le_8", "dep_le_64", "d_wss_blk", "lls_64", "gls_8", "gss_64", "ppm_pas"]
+    );
+
+    // The columns the five analyzers fill, in Table II order: ILP at window
+    // 256, all of register traffic, working sets and strides, and PAs.
+    let measured: Vec<usize> = (0..NUM_METRICS)
+        .filter(|&i| {
+            let m = &METRICS[i];
+            matches!(
+                m.category,
+                Category::RegisterTraffic | Category::WorkingSet | Category::DataStreamStrides
+            ) || m.short == "ilp_256"
+                || m.short == "ppm_pas"
+        })
+        .collect();
+    for pick in &picks {
+        assert!(measured.iter().any(|&i| METRICS[i].short == *pick), "{pick} is not measured");
+    }
+
+    // The repository benchmark's sample at the budget floor.
+    for spec in benchmark_table().iter().step_by(8) {
+        let full = characterize(spec, 10_000).expect("runs");
+        let mut rec = TraceRecorder::new();
+        spec.build_vm().expect("builds").run(&mut rec, 10_000).expect("runs");
+        let mut ilp = IlpAnalyzer::with_windows(&[256]);
+        let mut reg = RegTraffic::new();
+        let mut wss = WorkingSet::new();
+        let mut strides = StrideAnalyzer::new();
+        let mut pas = PpmPredictor::new(PpmVariant::PAs);
+        for block in rec.into_trace().events().chunks(BATCH_CAPACITY) {
+            ilp.retire_block(block);
+            reg.retire_block(block);
+            wss.retire_block(block);
+            strides.retire_block(block);
+            pas.retire_block(block);
+        }
+        let subset: Vec<f64> = ilp
+            .ipcs()
+            .into_iter()
+            .chain([reg.avg_input_operands(), reg.avg_degree_of_use()])
+            .chain(reg.dependency_distance_cdf())
+            .chain(wss.counts())
+            .chain(strides.all())
+            .chain([pas.accuracy()])
+            .collect();
+        assert_eq!(subset.len(), measured.len());
+        for (&i, v) in measured.iter().zip(&subset) {
+            assert_eq!(
+                v.to_bits(),
+                full.values()[i].to_bits(),
+                "{}: {}",
+                spec.name(),
+                METRICS[i].short
+            );
+        }
+    }
 }
 
 #[test]
