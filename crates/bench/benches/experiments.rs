@@ -12,12 +12,14 @@
 //! - `fig6/*` — BIC-driven k-means clustering and kiviat rendering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mica_experiments::analysis::{max_normalize_columns, minmax_normalize_columns};
+use mica_experiments::analysis::{
+    hpc_dataset, max_normalize_columns, mica_dataset, minmax_normalize_columns,
+};
 use mica_experiments::profile::profile_benchmark;
 use mica_experiments::results::ProfileSet;
 use mica_stats::{
     auc, choose_k_by_bic, classify_pairs, elimination_order, pairwise_distances, pearson, plot,
-    roc_curve, select_features_k, zscore_normalize, DataSet, GaConfig,
+    roc_curve, select_features_k, zscore_normalize, GaConfig,
 };
 use mica_workloads::benchmark_table;
 use std::hint::black_box;
@@ -32,16 +34,9 @@ fn mini_set() -> ProfileSet {
     ProfileSet { scale: 0.0, fingerprint: 0, records }
 }
 
-fn datasets(set: &ProfileSet) -> (DataSet, DataSet) {
-    (
-        DataSet::from_rows(set.records.iter().map(|r| r.mica.values().to_vec()).collect()),
-        DataSet::from_rows(set.records.iter().map(|r| r.hpc.counter_vector()).collect()),
-    )
-}
-
 fn bench_experiments(c: &mut Criterion) {
     let set = mini_set();
-    let (mica, hpc) = datasets(&set);
+    let (mica, hpc) = (mica_dataset(&set), hpc_dataset(&set));
     let zm = zscore_normalize(&mica);
     let zh = zscore_normalize(&hpc);
     let dm = pairwise_distances(&zm);

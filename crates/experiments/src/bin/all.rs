@@ -1,30 +1,8 @@
-//! Run every experiment in sequence: profiling (cached), then Table I,
-//! Figure 1, Table III, Figures 2/3, Figure 4, Figure 5, Table IV and
-//! Figure 6. Equivalent to running each binary individually.
+//! Every experiment in one process: the eight table and figure commands
+//! over one load of the profile cache, with one `run-all.json`.
 
-use mica_experiments::runner::Runner;
-use std::process::Command;
+use mica_experiments::commands::{all, run};
 
 fn main() {
-    let mut run = Runner::new("all");
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("bin dir").to_path_buf();
-    // Children inherit the environment, so a single MICA_TRACE would have
-    // each child overwrite the previous trace; give every child its own
-    // file derived from the parent's setting (out.json -> out.table1.json).
-    let trace = std::env::var_os("MICA_TRACE").map(std::path::PathBuf::from);
-    for bin in ["table1", "fig1", "table3", "fig2_fig3", "fig4", "fig5", "table4", "fig6"] {
-        println!("\n================ {bin} ================\n");
-        run.stage(bin, || {
-            let mut cmd = Command::new(dir.join(bin));
-            if let Some(base) = &trace {
-                let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-                cmd.env("MICA_TRACE", base.with_file_name(format!("{stem}.{bin}.json")));
-            }
-            let status = cmd.status().unwrap_or_else(|e| panic!("cannot launch {bin}: {e}"));
-            assert!(status.success(), "{bin} failed");
-        });
-    }
-    run.finish();
-    println!("\nall experiments completed; artifacts are in the results directory");
+    run("all", all);
 }

@@ -1,50 +1,7 @@
-//! Figure 1: scatter of pairwise benchmark distance in the hardware-
-//! performance-counter space vs the microarchitecture-independent space,
-//! with their correlation coefficient (paper: 0.46).
+//! Figure 1: HPC-space vs MICA-space distance of every benchmark tuple.
 
-use mica_experiments::analysis::workload_distances;
-use mica_experiments::results::{write_csv, write_text};
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
-use mica_stats::{pearson, plot};
+use mica_experiments::commands::{fig1, run};
 
 fn main() {
-    let mut run = Runner::new("fig1");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-    let (mica, hpc) = run.stage("distances", || workload_distances(&set));
-
-    let r = pearson(mica.values(), hpc.values());
-    println!("Figure 1 — HPC-space distance vs MICA-space distance");
-    println!("benchmark tuples: {}", mica.len());
-    println!("correlation coefficient: {r:.3}  (paper: 0.46)");
-    println!("max distance, MICA space: {:.3}", mica.max());
-    println!("max distance, HPC space:  {:.3}", hpc.max());
-
-    run.stage("write", || {
-        let rows: Vec<String> = mica
-            .values()
-            .iter()
-            .zip(hpc.values())
-            .map(|(m, h)| format!("{m:.6},{h:.6}"))
-            .collect();
-        write_csv(&results_dir().join("fig1.csv"), "mica_distance,hpc_distance", &rows)
-            .expect("csv writes");
-
-        let points: Vec<(f64, f64)> =
-            mica.values().iter().zip(hpc.values()).map(|(&m, &h)| (m, h)).collect();
-        let svg = plot::svg_scatter(
-            &format!("Fig. 1 — distance per benchmark tuple (r = {r:.3})"),
-            "distance in microarchitecture-independent space",
-            "distance in hardware performance counter space",
-            &points,
-        );
-        write_text(&results_dir().join("fig1.svg"), &svg).expect("svg writes");
-    });
-    mica_obs::info!("wrote {} and fig1.svg", results_dir().join("fig1.csv").display());
-    run.finish();
+    run("fig1", fig1);
 }

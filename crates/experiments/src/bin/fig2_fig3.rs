@@ -1,147 +1,7 @@
-//! Figures 2 and 3: the bzip2-vs-blast case study. The two benchmarks look
-//! similar in the hardware-performance-counter characterization (Fig. 2)
-//! while their microarchitecture-independent characteristics differ
-//! markedly (Fig. 3) — most strikingly working-set sizes, global-history
-//! branch predictability and global store strides.
+//! Figures 2 and 3: the bzip2-vs-blast case study.
 
-use mica_core::METRICS;
-use mica_experiments::analysis::{max_normalize_columns, mica_dataset};
-use mica_experiments::results::{write_csv, write_text};
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
-use mica_stats::{plot, DataSet};
-use uarch_sim::HPC_EXTENDED_NAMES;
+use mica_experiments::commands::{fig2_fig3, run};
 
 fn main() {
-    let mut run = Runner::new("fig2_fig3");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-
-    // The case study needs two specific benchmarks; if either was
-    // quarantined this run, skip the study instead of crashing.
-    let bzip2_idx =
-        set.records.iter().position(|r| r.program == "bzip2" && r.input == "graphic");
-    let blast_idx = set.records.iter().position(|r| r.program == "blast");
-    let (Some(bzip2_idx), Some(blast_idx)) = (bzip2_idx, blast_idx) else {
-        println!(
-            "fig2_fig3: bzip2/graphic or blast missing from this run (quarantined?); \
-             skipping the case study"
-        );
-        run.finish();
-        return;
-    };
-
-    // --- Figure 2: HPC characterization (instruction mix + counters) ---
-    let hpc_dist2 = run.stage("fig2", || {
-        let hpc_ext =
-            DataSet::from_rows(set.records.iter().map(|r| r.hpc.extended_vector()).collect());
-        let hpc_norm = max_normalize_columns(&hpc_ext);
-        println!("Figure 2 — hardware performance counter characteristics (normalized to max)");
-        println!("{:<30} {:>8} {:>8} {:>8}", "metric", "bzip2", "blast", "|diff|");
-        let mut hpc_rows = Vec::new();
-        let mut hpc_dist2 = 0.0;
-        for (c, name) in HPC_EXTENDED_NAMES.iter().enumerate() {
-            let (b, l) = (hpc_norm.get(bzip2_idx, c), hpc_norm.get(blast_idx, c));
-            println!("{name:<30} {b:>8.3} {l:>8.3} {:>8.3}", (b - l).abs());
-            hpc_rows.push(format!("{name},{b:.4},{l:.4}"));
-            hpc_dist2 += (b - l) * (b - l);
-        }
-        write_csv(&results_dir().join("fig2.csv"), "metric,bzip2_graphic,blast_protein", &hpc_rows)
-            .expect("csv writes");
-        let fig2 = plot::svg_grouped_bars(
-            "Fig. 2 — bzip2 vs blast: HPC characteristics",
-            &HPC_EXTENDED_NAMES.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-            &[
-                (
-                    "bzip2".into(),
-                    (0..hpc_norm.cols()).map(|c| hpc_norm.get(bzip2_idx, c)).collect(),
-                ),
-                (
-                    "blast".into(),
-                    (0..hpc_norm.cols()).map(|c| hpc_norm.get(blast_idx, c)).collect(),
-                ),
-            ],
-        );
-        write_text(&results_dir().join("fig2.svg"), &fig2).expect("svg writes");
-        hpc_dist2
-    });
-
-    // --- Figure 3: the 47 microarchitecture-independent characteristics ---
-    let (mica_norm, mica_dist2) = run.stage("fig3", || {
-        let mica_norm = max_normalize_columns(&mica_dataset(&set));
-        println!("\nFigure 3 — microarchitecture-independent characteristics (normalized to max)");
-        println!("{:<42} {:>8} {:>8} {:>8}", "characteristic", "bzip2", "blast", "|diff|");
-        let mut mica_rows = Vec::new();
-        let mut mica_dist2 = 0.0;
-        for (c, info) in METRICS.iter().enumerate() {
-            let (b, l) = (mica_norm.get(bzip2_idx, c), mica_norm.get(blast_idx, c));
-            println!("{:<42} {b:>8.3} {l:>8.3} {:>8.3}", info.name, (b - l).abs());
-            mica_rows.push(format!("{},{b:.4},{l:.4}", info.short));
-            mica_dist2 += (b - l) * (b - l);
-        }
-        write_csv(&results_dir().join("fig3.csv"), "metric,bzip2_graphic,blast_protein", &mica_rows)
-            .expect("csv writes");
-        let fig3 = plot::svg_grouped_bars(
-            "Fig. 3 — bzip2 vs blast: microarchitecture-independent characteristics",
-            &METRICS.iter().map(|m| m.short.to_string()).collect::<Vec<_>>(),
-            &[
-                ("bzip2".into(), (0..47).map(|c| mica_norm.get(bzip2_idx, c)).collect()),
-                ("blast".into(), (0..47).map(|c| mica_norm.get(blast_idx, c)).collect()),
-            ],
-        );
-        write_text(&results_dir().join("fig3.svg"), &fig3).expect("svg writes");
-        (mica_norm, mica_dist2)
-    });
-
-    println!(
-        "\nnormalized RMS difference — HPC space: {:.3}, uarch-independent space: {:.3}",
-        (hpc_dist2 / HPC_EXTENDED_NAMES.len() as f64).sqrt(),
-        (mica_dist2 / 47.0).sqrt()
-    );
-    println!("(the paper's pitfall: the first is small while the second is large)");
-
-    // The paper picked bzip2-vs-blast because it was a striking false
-    // positive in *their* data. Our workloads are reproductions, so also
-    // report the most striking false-positive pair measured here: smallest
-    // HPC distance among pairs whose MICA distance is large.
-    let (mica_d, hpc_d) =
-        run.stage("distances", || mica_experiments::analysis::workload_distances(&set));
-    let hpc_threshold = 0.2 * hpc_d.max();
-    let best = mica_d
-        .iter_pairs()
-        .filter(|&(i, j, _)| hpc_d.get(i, j) <= hpc_threshold)
-        .max_by(|a, b| a.2.partial_cmp(&b.2).expect("finite distances"));
-    if let Some((i, j, md)) = best {
-        println!(
-            "\nmost striking false positive in this reproduction:\n  {} vs {}\n  \
-             HPC distance {:.2} (threshold {:.2}), uarch-independent distance {:.2} (max {:.2})",
-            set.records[i].name,
-            set.records[j].name,
-            hpc_d.get(i, j),
-            hpc_threshold,
-            md,
-            mica_d.max()
-        );
-        let mut rows = Vec::new();
-        println!("  most divergent inherent characteristics:");
-        let mut diffs: Vec<(usize, f64)> = (0..47)
-            .map(|c| (c, (mica_norm.get(i, c) - mica_norm.get(j, c)).abs()))
-            .collect();
-        diffs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        for &(c, d) in diffs.iter().take(6) {
-            println!("    {:<42} |diff| = {d:.3}", METRICS[c].name);
-            rows.push(format!("{},{d:.4}", METRICS[c].short));
-        }
-        write_csv(
-            &results_dir().join("fig3_false_positive.csv"),
-            "metric,normalized_abs_diff",
-            &rows,
-        )
-        .expect("csv writes");
-    }
-    run.finish();
+    run("fig2_fig3", fig2_fig3);
 }

@@ -1,78 +1,7 @@
-//! Figure 4: ROC curves for the all-characteristics space, correlation
-//! elimination (17 and 12 and 7 metrics retained) and the GA-selected
-//! 8-metric space. Paper AUCs: all = 0.72, GA = 0.69, CE@17 = 0.67,
-//! CE@12/7 = 0.64.
+//! Figure 4: ROC curves of the full, correlation-eliminated and GA spaces.
 
-use mica_experiments::analysis::{hpc_dataset, mica_dataset};
-use mica_experiments::results::{write_csv, write_text};
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
-use mica_stats::{
-    auc, correlation_elimination, pairwise_distances, plot, roc_curve, select_features_k,
-    zscore_normalize, DataSet, GaConfig,
-};
-
-fn reduced_distances(z: &DataSet, keep: &[usize]) -> Vec<f64> {
-    pairwise_distances(&z.select_columns(keep)).values().to_vec()
-}
+use mica_experiments::commands::{fig4, run};
 
 fn main() {
-    let mut run = Runner::new("fig4");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-    let mica = mica_dataset(&set);
-    let z = zscore_normalize(&mica);
-    let hpc = pairwise_distances(&zscore_normalize(&hpc_dataset(&set)));
-
-    let ga = run.stage("ga", || select_features_k(&mica, 8, GaConfig::default()));
-    println!("GA-selected 8 metrics: {:?} (rho = {:.3})", ga.selected, ga.rho);
-
-    let spaces: Vec<(String, Vec<f64>, f64)> = run.stage("spaces", || vec![
-        ("all 47 characteristics".to_string(), pairwise_distances(&z).values().to_vec(), 0.72),
-        ("GA, 8 metrics".to_string(), reduced_distances(&z, &ga.selected), 0.69),
-        ("CE, 17 metrics".to_string(), reduced_distances(&z, &correlation_elimination(&mica, 17)), 0.67),
-        ("CE, 12 metrics".to_string(), reduced_distances(&z, &correlation_elimination(&mica, 12)), 0.64),
-        ("CE, 7 metrics".to_string(), reduced_distances(&z, &correlation_elimination(&mica, 7)), 0.64),
-    ]);
-
-    println!("\nFigure 4 — ROC analysis (HPC threshold fixed at 20% of max)");
-    println!("{:<26} {:>10} {:>10}", "space", "paper AUC", "AUC");
-    run.stage("roc", || {
-        let mut series = Vec::new();
-        let mut rows = Vec::new();
-        for (name, dists, paper_auc) in &spaces {
-            let curve = roc_curve(hpc.values(), dists, 0.2, 200);
-            let a = auc(&curve);
-            println!("{name:<26} {paper_auc:>10.2} {a:>10.3}");
-            for p in &curve {
-                rows.push(format!(
-                    "{name},{:.4},{:.4},{:.4}",
-                    p.mica_frac, p.one_minus_specificity, p.sensitivity
-                ));
-            }
-            series.push((
-                format!("{name} (AUC {a:.2})"),
-                curve.iter().map(|p| (p.one_minus_specificity, p.sensitivity)).collect::<Vec<_>>(),
-            ));
-        }
-        write_csv(
-            &results_dir().join("fig4.csv"),
-            "space,mica_threshold_frac,one_minus_specificity,sensitivity",
-            &rows,
-        )
-        .expect("csv writes");
-        let svg = plot::svg_lines(
-            "Fig. 4 — ROC curves",
-            "1 - specificity",
-            "sensitivity",
-            &series,
-        );
-        write_text(&results_dir().join("fig4.svg"), &svg).expect("svg writes");
-    });
-    mica_obs::info!("wrote fig4.csv and fig4.svg");
-    run.finish();
+    run("fig4", fig4);
 }

@@ -1,81 +1,7 @@
-//! Figure 5: distance correlation (vs the full 47-metric space) as
-//! correlation elimination removes metrics, with the GA's 8-metric point
-//! for comparison. Paper: GA reaches 0.876 with 8 metrics while CE already
-//! drops to 0.823 with 17.
+//! Figure 5: distance correlation as metrics are removed, with the GA point.
 
-use mica_experiments::analysis::mica_dataset;
-use mica_experiments::results::{write_csv, write_text};
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
-use mica_stats::{
-    elimination_order, pairwise_distances, pearson, plot, select_features_k, zscore_normalize,
-    GaConfig,
-};
+use mica_experiments::commands::{fig5, run};
 
 fn main() {
-    let mut run = Runner::new("fig5");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-    let mica = mica_dataset(&set);
-    let z = zscore_normalize(&mica);
-    let full = pairwise_distances(&z);
-
-    // Walk the elimination order once and evaluate every retained-count.
-    let ce_curve = run.stage("elimination", || {
-        let order = elimination_order(&mica);
-        let mut retained: Vec<usize> = (0..mica.cols()).collect();
-        let mut ce_curve = Vec::new();
-        for victim in &order {
-            retained.retain(|c| c != victim);
-            if retained.is_empty() {
-                break;
-            }
-            let reduced = pairwise_distances(&z.select_columns(&retained));
-            ce_curve.push((retained.len(), pearson(full.values(), reduced.values())));
-        }
-        ce_curve
-    });
-
-    let ga = run.stage("ga", || select_features_k(&mica, 8, GaConfig::default()));
-
-    println!("Figure 5 — distance correlation vs number of retained metrics");
-    println!("{:>8} {:>12}", "metrics", "CE rho");
-    let mut rows = Vec::new();
-    for &(n, rho) in &ce_curve {
-        println!("{n:>8} {rho:>12.3}");
-        rows.push(format!("correlation_elimination,{n},{rho:.4}"));
-    }
-    println!("\nGA point: {} metrics, rho = {:.3}  (paper: 8 metrics, 0.876)", 8, ga.rho);
-    let ce_at = |n: usize| ce_curve.iter().find(|&&(c, _)| c == n).map(|&(_, r)| r);
-    if let (Some(ce8), Some(ce17)) = (ce_at(8), ce_at(17)) {
-        println!("CE at 8 metrics: {ce8:.3}; CE at 17 metrics: {ce17:.3} (paper: 0.823)");
-        println!(
-            "GA beats CE at the same size: {}",
-            if ga.rho > ce8 { "yes (as in the paper)" } else { "NO (unexpected)" }
-        );
-    }
-    rows.push(format!("genetic_algorithm,8,{:.4}", ga.rho));
-    write_csv(&results_dir().join("fig5.csv"), "method,retained_metrics,rho", &rows)
-        .expect("csv writes");
-
-    let series = vec![
-        (
-            "correlation elimination".to_string(),
-            ce_curve.iter().map(|&(n, r)| (n as f64, r)).collect::<Vec<_>>(),
-        ),
-        ("GA (8 metrics)".to_string(), vec![(8.0, ga.rho), (8.0, ga.rho)]),
-    ];
-    let svg = plot::svg_lines(
-        "Fig. 5 — distance correlation vs retained metrics",
-        "number of retained metrics",
-        "correlation with full-space distances",
-        &series,
-    );
-    write_text(&results_dir().join("fig5.svg"), &svg).expect("svg writes");
-    mica_obs::info!("wrote fig5.csv and fig5.svg");
-    run.finish();
+    run("fig5", fig5);
 }

@@ -1,108 +1,7 @@
-//! Figure 6: cluster the 122 benchmarks in the 8-dimensional GA-selected
-//! space with k-means (K chosen by the BIC 90%-of-max rule; the paper lands
-//! at 15 clusters) and emit kiviat diagrams per benchmark, grouped by
-//! cluster.
+//! Figure 6: k-means clusters in the GA space, with a kiviat per benchmark.
 
-use mica_experiments::analysis::{metric_short_names, minmax_normalize_columns, mica_dataset};
-use mica_experiments::results::{write_csv, write_text};
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
-use mica_stats::{
-    choose_k_by_bic, hierarchical_cluster, pairwise_distances, plot, select_features_k,
-    silhouette, zscore_normalize, GaConfig,
-};
+use mica_experiments::commands::{fig6, run};
 
 fn main() {
-    let mut run = Runner::new("fig6");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-    let mica = mica_dataset(&set);
-
-    let ga = run.stage("ga", || select_features_k(&mica, 8, GaConfig::default()));
-    println!("clustering in the GA-selected 8-metric space: {:?}", ga.selected);
-
-    let z = zscore_normalize(&mica).select_columns(&ga.selected);
-    let clustering = run.stage("cluster", || choose_k_by_bic(&z, 70, 0x4d49_4341));
-    println!(
-        "BIC selects K = {} clusters (paper: 15; BIC rule = first K within 90% of max)",
-        clustering.k()
-    );
-
-    // Kiviat axes use min-max-normalized raw metric values.
-    let kiviat = minmax_normalize_columns(&mica.select_columns(&ga.selected));
-    let axis_names = metric_short_names(&ga.selected);
-
-    let mut rows = Vec::new();
-    let members = clustering.members();
-    for (cid, member_rows) in members.iter().enumerate() {
-        if member_rows.is_empty() {
-            continue;
-        }
-        println!("\ncluster {:>2} ({} benchmarks):", cid + 1, member_rows.len());
-        let mut suites: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        for &r in member_rows {
-            let rec = &set.records[r];
-            println!("    {}", rec.name);
-            suites.insert(rec.suite.as_str());
-            rows.push(format!("{},{}", cid + 1, rec.name));
-            let svg = plot::svg_kiviat(
-                &rec.name,
-                &axis_names,
-                &(0..kiviat.cols()).map(|c| kiviat.get(r, c)).collect::<Vec<_>>(),
-            );
-            let fname = format!(
-                "fig6/cluster{:02}/{}.svg",
-                cid + 1,
-                rec.name.replace(['/', ' ', '(', ')'], "_")
-            );
-            write_text(&results_dir().join(fname), &svg).expect("svg writes");
-        }
-        if member_rows.len() == 1 {
-            println!("    (singleton — isolated inherent behavior)");
-        }
-        println!("    suites: {}", suites.into_iter().collect::<Vec<_>>().join(", "));
-    }
-
-    // Headline observations matching the paper's discussion.
-    let singletons = members.iter().filter(|m| m.len() == 1).count();
-    println!("\nsingleton clusters: {singletons} (paper observes several, e.g. blast, mcf, adpcm)");
-    let spec_only = members
-        .iter()
-        .filter(|m| {
-            !m.is_empty() && m.iter().all(|&r| set.records[r].suite == "SPEC2000")
-        })
-        .count();
-    println!("clusters containing only SPEC CPU2000 benchmarks: {spec_only}");
-    let bio_no_spec = members
-        .iter()
-        .filter(|m| {
-            m.iter().any(|&r| set.records[r].suite == "BioInfoMark")
-                && !m.iter().any(|&r| set.records[r].suite == "SPEC2000")
-        })
-        .count();
-    println!("clusters with BioInfoMark benchmarks but no SPEC CPU2000: {bio_no_spec}");
-
-    // Cross-check the partition quality against the dendrogram method used
-    // by the prior work: same K, average-linkage cut, silhouette scores.
-    let (km_sil, hier_sil) = run.stage("silhouette", || {
-        let d = pairwise_distances(&z);
-        let km_sil = silhouette(&d, &clustering.labels);
-        let hier_labels = hierarchical_cluster(&d).cut(clustering.k());
-        (km_sil, silhouette(&d, &hier_labels))
-    });
-    println!(
-        "\nsilhouette at K = {}: k-means {:.3}, average-linkage {:.3}",
-        clustering.k(),
-        km_sil,
-        hier_sil
-    );
-
-    write_csv(&results_dir().join("fig6_clusters.csv"), "cluster,benchmark", &rows)
-        .expect("csv writes");
-    mica_obs::info!("wrote fig6_clusters.csv and per-benchmark kiviat SVGs under fig6/");
-    run.finish();
+    run("fig6", fig6);
 }

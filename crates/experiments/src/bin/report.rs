@@ -1,98 +1,8 @@
-//! Generate a single self-contained markdown report of the whole
-//! reproduction (`results/REPORT.md`), plus the raw 122 x 47 data set as
-//! CSV (`results/mica_dataset.csv`) for downstream analysis outside this
-//! repo.
+//! `REPORT.md`, one markdown report of the reproduction, and
+//! `mica_dataset.csv`, the raw 122 x 47 data set.
 
-use mica_core::METRICS;
-use mica_experiments::analysis::{mica_dataset, workload_distances};
-use mica_experiments::results::write_text;
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
-use mica_stats::{
-    auc, choose_k_by_bic, classify_pairs, correlation_elimination, pairwise_distances, pearson,
-    roc_curve, select_features_k, zscore_normalize, GaConfig,
-};
-use std::fmt::Write as _;
+use mica_experiments::commands::{report, run};
 
 fn main() {
-    let mut run = Runner::new("report");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-    let mica = mica_dataset(&set);
-    let z = zscore_normalize(&mica);
-    let (dm, dh) = run.stage("distances", || workload_distances(&set));
-
-    // Raw data export.
-    let headers: Vec<String> = METRICS.iter().map(|m| m.short.to_string()).collect();
-    write_text(&results_dir().join("mica_dataset.csv"), &mica.to_csv(&headers))
-        .expect("csv writes");
-
-    let mut md = String::new();
-    let _ = writeln!(md, "# MICA reproduction report\n");
-    let _ = writeln!(
-        md,
-        "{} benchmarks profiled at scale {} ({} total instructions).\n",
-        set.records.len(),
-        set.scale,
-        set.records.iter().map(|r| r.executed_instructions).sum::<u64>()
-    );
-
-    // Figure 1 / Table III.
-    let r = pearson(dm.values(), dh.values());
-    let c = classify_pairs(dh.values(), dm.values(), 0.2, 0.2);
-    let _ = writeln!(md, "## Pitfall (Fig. 1 / Table III)\n");
-    let _ = writeln!(md, "| quantity | paper | measured |\n|---|---|---|");
-    let _ = writeln!(md, "| distance correlation | 0.46 | {r:.3} |");
-    let _ = writeln!(md, "| false negatives | 0.2% | {:.1}% |", 100.0 * c.false_negative);
-    let _ = writeln!(md, "| false positives | 41.1% | {:.1}% |", 100.0 * c.false_positive);
-
-    // Feature selection (Figs. 4-5, Table IV).
-    let ga = run.stage("ga", || select_features_k(&mica, 8, GaConfig::default()));
-    let ce8 = correlation_elimination(&mica, 8);
-    let d_ga = pairwise_distances(&z.select_columns(&ga.selected));
-    let d_ce = pairwise_distances(&z.select_columns(&ce8));
-    let rho_ce = pearson(dm.values(), d_ce.values());
-    let auc_all = auc(&roc_curve(dh.values(), dm.values(), 0.2, 200));
-    let auc_ga = auc(&roc_curve(dh.values(), d_ga.values(), 0.2, 200));
-    let _ = writeln!(md, "\n## Key-metric selection (Figs. 4-5, Table IV)\n");
-    let _ = writeln!(md, "| quantity | paper | measured |\n|---|---|---|");
-    let _ = writeln!(md, "| GA rho at 8 metrics | 0.876 | {:.3} |", ga.rho);
-    let _ = writeln!(md, "| CE rho at 8 metrics | (lower) | {rho_ce:.3} |");
-    let _ = writeln!(md, "| AUC all 47 | 0.72 | {auc_all:.3} |");
-    let _ = writeln!(md, "| AUC GA 8 | 0.69 | {auc_ga:.3} |");
-    let _ = writeln!(md, "\nGA-selected characteristics:\n");
-    for &m in &ga.selected {
-        let _ = writeln!(md, "- {} ({})", METRICS[m].name, METRICS[m].category);
-    }
-
-    // Clustering (Fig. 6).
-    let sel = z.select_columns(&ga.selected);
-    let clustering = run.stage("cluster", || choose_k_by_bic(&sel, 70, 0x4d49_4341));
-    let singletons = clustering.members().iter().filter(|m| m.len() == 1).count();
-    let _ = writeln!(md, "\n## Clustering (Fig. 6)\n");
-    let _ = writeln!(md, "- K selected by BIC: {} (paper: 15)", clustering.k());
-    let _ = writeln!(md, "- singleton clusters: {singletons}");
-    for (cid, members) in clustering.members().iter().enumerate() {
-        if members.is_empty() {
-            continue;
-        }
-        let names: Vec<&str> =
-            members.iter().map(|&i| set.records[i].name.as_str()).collect();
-        let _ = writeln!(md, "- cluster {:02}: {}", cid + 1, names.join(", "));
-    }
-
-    let _ = writeln!(
-        md,
-        "\nSee EXPERIMENTS.md for the shape-level comparison and DESIGN.md for the\n\
-         substitutions this reproduction makes.\n"
-    );
-
-    let path = results_dir().join("REPORT.md");
-    write_text(&path, &md).expect("report writes");
-    mica_obs::info!("wrote {} and mica_dataset.csv", path.display());
-    run.finish();
+    run("report", report);
 }

@@ -1,45 +1,7 @@
-//! Table I: the 122 benchmarks with their inputs and dynamic instruction
-//! counts — the paper's counts alongside this reproduction's scaled runs.
+//! Table I: the benchmarks, their inputs and instruction counts.
 
-use mica_experiments::results::write_csv;
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
+use mica_experiments::commands::{run, table1};
 
 fn main() {
-    let mut run = Runner::new("table1");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-
-    println!("Table I — benchmarks, inputs and dynamic instruction counts");
-    println!(
-        "{:<20} {:<12} {:<22} {:>14} {:>14}",
-        "suite", "program", "input", "paper I-cnt (M)", "executed (insts)"
-    );
-    let mut rows = Vec::new();
-    let mut current_suite = String::new();
-    for r in &set.records {
-        if r.suite != current_suite {
-            println!("--- {} ---", r.suite);
-            current_suite = r.suite.clone();
-        }
-        println!(
-            "{:<20} {:<12} {:<22} {:>14} {:>14}",
-            r.suite, r.program, r.input, r.paper_icount_millions, r.executed_instructions
-        );
-        rows.push(format!(
-            "{},{},{},{},{}",
-            r.suite, r.program, r.input, r.paper_icount_millions, r.executed_instructions
-        ));
-    }
-    let csv = results_dir().join("table1.csv");
-    run.stage("write", || {
-        write_csv(&csv, "suite,program,input,paper_icount_millions,executed_instructions", &rows)
-            .expect("csv writes");
-    });
-    mica_obs::info!("{} benchmarks -> {}", set.records.len(), csv.display());
-    run.finish();
+    run("table1", table1);
 }

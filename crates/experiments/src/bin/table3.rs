@@ -1,64 +1,7 @@
-//! Table III: classification of benchmark tuples into true/false
-//! positives/negatives, with both thresholds at 20% of the maximum distance
-//! (paper: FN 0.2%, TN 1.8%, TP 56.9%, FP 41.1%).
+//! Table III: benchmark tuples classified by both distances.
 
-use mica_experiments::analysis::workload_distances;
-use mica_experiments::results::write_csv;
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
-use mica_stats::classify_pairs;
+use mica_experiments::commands::{run, table3};
 
 fn main() {
-    let mut run = Runner::new("table3");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-    let (mica, hpc) = run.stage("distances", || workload_distances(&set));
-    let c = classify_pairs(hpc.values(), mica.values(), 0.2, 0.2);
-
-    println!("Table III — classifying benchmark tuples (thresholds: 20% of max distance)");
-    println!("{:<58} {:>9} {:>9}", "", "paper", "measured");
-    println!(
-        "{:<58} {:>8.1}% {:>8.1}%",
-        "false negative (HPC large, uarch-indep small)",
-        0.2,
-        100.0 * c.false_negative
-    );
-    println!(
-        "{:<58} {:>8.1}% {:>8.1}%",
-        "true positive  (HPC large, uarch-indep large)",
-        56.9,
-        100.0 * c.true_positive
-    );
-    println!(
-        "{:<58} {:>8.1}% {:>8.1}%",
-        "true negative  (HPC small, uarch-indep small)",
-        1.8,
-        100.0 * c.true_negative
-    );
-    println!(
-        "{:<58} {:>8.1}% {:>8.1}%",
-        "false positive (HPC small, uarch-indep large)",
-        41.1,
-        100.0 * c.false_positive
-    );
-    println!("\nsensitivity: {:.3}   specificity: {:.3}", c.sensitivity(), c.specificity());
-
-    run.stage("write", || {
-        write_csv(
-            &results_dir().join("table3.csv"),
-            "category,paper_pct,measured_pct",
-            &[
-                format!("false_negative,0.2,{:.2}", 100.0 * c.false_negative),
-                format!("true_positive,56.9,{:.2}", 100.0 * c.true_positive),
-                format!("true_negative,1.8,{:.2}", 100.0 * c.true_negative),
-                format!("false_positive,41.1,{:.2}", 100.0 * c.false_positive),
-            ],
-        )
-        .expect("csv writes");
-    });
-    run.finish();
+    run("table3", table3);
 }

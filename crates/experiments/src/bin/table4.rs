@@ -1,72 +1,7 @@
-//! Table IV: the key microarchitecture-independent characteristics selected
-//! by the genetic algorithm. The paper retains 8; this binary reports both
-//! the unconstrained GA (paper fitness `rho * (1 - n/N)`) and the GA
-//! constrained to exactly 8 metrics.
+//! Table IV: the key characteristics the genetic algorithm selects.
 
-use mica_core::METRICS;
-use mica_experiments::analysis::mica_dataset;
-use mica_experiments::results::write_csv;
-use mica_experiments::runner::Runner;
-use mica_experiments::{profile::load_or_profile_all, results_dir, scale};
-use mica_stats::{select_features, select_features_k, GaConfig};
-
-const PAPER_TABLE_IV: [&str; 8] = [
-    "percentage loads",
-    "avg. number of input operands",
-    "prob. register dependence <= 8",
-    "prob. local load stride <= 64",
-    "prob. global load stride <= 512",
-    "prob. local store stride <= 4096",
-    "D-stream at the 4KB-page level",
-    "ILP, 256-entry window",
-];
+use mica_experiments::commands::{run, table4};
 
 fn main() {
-    let mut run = Runner::new("table4");
-    let outcome =
-        run.stage("profiles", || load_or_profile_all(&results_dir().join("profiles.json"), scale()))
-            .expect("profiling succeeds");
-    outcome.announce();
-    run.quarantine(&outcome.quarantined);
-    let set = outcome.set;
-    let mica = mica_dataset(&set);
-
-    let free = run.stage("ga_free", || select_features(&mica, GaConfig::default()));
-    let fixed = run.stage("ga_fixed", || select_features_k(&mica, 8, GaConfig::default()));
-
-    println!("Table IV — characteristics selected by the genetic algorithm\n");
-    println!(
-        "Unconstrained GA (fitness rho*(1-n/N)): {} metrics, fitness {:.3}, rho {:.3}, {} generations",
-        free.selected.len(),
-        free.fitness,
-        free.rho,
-        free.generations_run
-    );
-    for &c in &free.selected {
-        println!("  {:>2}. {}", METRICS[c].number, METRICS[c].name);
-    }
-
-    println!("\nGA constrained to 8 metrics (as the paper's Table IV): rho {:.3}", fixed.rho);
-    let mut rows = Vec::new();
-    for (i, &c) in fixed.selected.iter().enumerate() {
-        println!("  {:>2}. {:<45} [{}]", METRICS[c].number, METRICS[c].name, METRICS[c].category);
-        rows.push(format!("{},{},{}", i + 1, METRICS[c].short, METRICS[c].category));
-    }
-
-    // Category coverage comparison against the paper's selection.
-    let categories: std::collections::BTreeSet<String> =
-        fixed.selected.iter().map(|&c| METRICS[c].category.to_string()).collect();
-    println!("\ncategories covered: {}", categories.len());
-    println!("paper's Table IV selection for reference:");
-    for (i, name) in PAPER_TABLE_IV.iter().enumerate() {
-        println!("  {:>2}. {name}", i + 1);
-    }
-    println!(
-        "\n(The exact metrics may differ — our workloads are reproductions, not the\n\
-         original binaries — but the subset should similarly span several categories.)"
-    );
-
-    write_csv(&results_dir().join("table4.csv"), "rank,metric,category", &rows)
-        .expect("csv writes");
-    run.finish();
+    run("table4", table4);
 }

@@ -3,9 +3,12 @@
 //! The expensive step — running all 122 benchmarks through both the
 //! microarchitecture-independent characterization and the simulated
 //! hardware-performance-counter profiling — is done once by
-//! [`profile::load_or_profile_all`] and cached as JSON; each experiment
-//! binary (`table1`, `fig1`, `table3`, `fig2_fig3`, `fig4`, `fig5`,
-//! `table4`, `fig6`) then reads the cache and prints/plots its result.
+//! [`profile::load_or_profile_all`] and cached as JSON. Each table and
+//! figure is then a function of [`commands`] over the loaded profiles,
+//! and its binary (`table1`, `fig1`, `table3`, `fig2_fig3`, `fig4`,
+//! `fig5`, `table4`, `fig6`, `report`) runs it on the cache. `all` runs
+//! the eight table and figure commands in one process: it loads the cache
+//! once and runs the GA they share once.
 //!
 //! Environment knobs:
 //!
@@ -40,6 +43,7 @@
 //! `results/heat/` — without changing a byte of `profiles.json`.
 
 pub mod analysis;
+pub mod commands;
 pub mod lint;
 pub mod profile;
 pub mod query;

@@ -126,11 +126,12 @@ fn report_path(bin: &str) -> PathBuf {
 pub struct Runner {
     bin: &'static str,
     started: Instant,
+    run_span: obs::Span,
     /// Keeps the run's [`obs::TraceContext`] installed for the run's
     /// lifetime, so every stage and pool span shares one trace id.
-    /// Dropped after `run_span` (LIFO) in [`finish`](Runner::finish).
+    /// Dropped after `run_span` (LIFO), in [`finish`](Runner::finish) or,
+    /// for a runner never finished, by field order.
     ctx_guard: obs::ContextGuard,
-    run_span: obs::Span,
     stages: Vec<StageSummary>,
     quarantined: Vec<Quarantine>,
 }

@@ -1,8 +1,10 @@
-//! End-to-end tests of the experiment binaries' budget-scale handling:
-//! `sensitivity` validates `MICA_SCALE` like `profile` does and quarantines
-//! a failing kernel instead of dying, and an unparseable `MICA_SCALE` is an
-//! error rather than a silent scale of 1.
+//! End-to-end tests of the experiment binaries: `sensitivity` validates
+//! `MICA_SCALE` like `profile` does and quarantines a failing kernel
+//! instead of dying, an unparseable `MICA_SCALE` is an error rather than a
+//! silent scale of 1, and `all` loads the cache and runs the GA once.
 
+use mica_experiments::runner::RunSummary;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -70,4 +72,43 @@ fn an_unparseable_scale_is_an_error_not_scale_one() {
     assert!(!out.status.success(), "MICA_SCALE=1e-9x must fail; stderr:\n{stderr}");
     assert!(stderr.contains("MICA_SCALE=\"1e-9x\" is not a number"), "{stderr}");
     assert!(!dir.join("table1.csv").exists());
+}
+
+/// Run the binary `name` at `exe` at scale 1 on a copy of the committed
+/// cache; return its run summary.
+fn run_on_committed_cache(name: &str, exe: &str) -> RunSummary {
+    let dir = temp_dir(name);
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/profiles.json");
+    std::fs::copy(committed, dir.join("profiles.json")).expect("committed cache copies");
+    let out = run(exe, &dir, "1", &[]);
+    assert!(out.status.success(), "{name}: stderr:\n{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(dir.join(format!("run-{name}.json"))).expect("run summary");
+    serde_json::from_str(&text).expect("run summary parses")
+}
+
+fn counters(summary: &RunSummary) -> BTreeMap<&str, u64> {
+    summary.counters.iter().map(|c| (c.name.as_str(), c.value)).collect()
+}
+
+#[test]
+fn all_loads_the_cache_once_and_runs_the_k8_ga_once() {
+    let all = run_on_committed_cache("all", env!("CARGO_BIN_EXE_all"));
+    let table4 = run_on_committed_cache("table4", env!("CARGO_BIN_EXE_table4"));
+
+    let stages: Vec<&str> = all.stages.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(stages[0], "profiles", "{stages:?}");
+    assert_eq!(stages.iter().filter(|&&s| s == "profiles").count(), 1, "{stages:?}");
+    let (all, table4) = (counters(&all), counters(&table4));
+    assert_eq!(all["profile.cache.hit"], 1);
+    let misses: Vec<_> = all.iter().filter(|(k, _)| k.starts_with("profile.cache.miss.")).collect();
+    assert!(!misses.is_empty() && misses.iter().all(|(_, &v)| v == 0), "{misses:?}");
+
+    // Table IV runs the free GA and the k = 8 one; so does `all`, whose
+    // Figs. 4-6 read the k = 8 selection it already made. Breeding is
+    // serial and a run scores each genome once, so the counts repeat
+    // exactly.
+    for counter in ["ga.generations", "ga.genomes_scored"] {
+        assert!(table4[counter] > 0, "{counter}");
+        assert_eq!(all[counter], table4[counter], "{counter}");
+    }
 }

@@ -169,12 +169,7 @@ pub fn atomic_write_retry(site: &str, path: &Path, bytes: &[u8]) -> io::Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultPlan;
-    use std::sync::Mutex;
-
-    /// Plan mutations are process-global; serialize the tests that touch
-    /// them.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::plan::{FaultPlan, TEST_LOCK};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mica_fault_{name}_{}", std::process::id()));
@@ -205,7 +200,7 @@ mod tests {
 
     #[test]
     fn injected_error_fails_without_touching_destination() {
-        let _g = LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap();
         let dir = tmp_dir("injected");
         let path = dir.join("out.txt");
         fs::write(&path, b"old").unwrap();
@@ -219,7 +214,7 @@ mod tests {
 
     #[test]
     fn torn_write_leaves_old_or_new_never_partial() {
-        let _g = LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap();
         let dir = tmp_dir("torn");
         let path = dir.join("out.json");
         let old = b"{\"version\":\"old\"}".to_vec();
@@ -244,7 +239,7 @@ mod tests {
 
     #[test]
     fn retry_survives_a_bounded_fault_budget() {
-        let _g = LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap();
         let dir = tmp_dir("retry");
         let path = dir.join("out.txt");
         plan::install(FaultPlan::parse("io:test.retry@2").unwrap());
@@ -280,7 +275,6 @@ mod tests {
             "lint-static",
             "obs.trace",
             "obs.events",
-            "tinyisa.trace",
             "prof.baseline",
             "prof-json",
             "prof-svg",

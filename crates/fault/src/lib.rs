@@ -9,9 +9,9 @@
 //! - [`io`] — write-to-temp-then-rename **atomic writes** plus bounded
 //!   **deterministic retry**: three extra attempts on an exponential
 //!   backoff with site-seeded jitter, capped at 32 ms. Adopted by the
-//!   profile cache, every results artifact, the run summaries, the
-//!   observability sinks and the trace dumps: an interrupted write leaves
-//!   either the old file or the new file on disk, never a partial one.
+//!   profile cache, every results artifact, the run summaries and the
+//!   observability sinks: an interrupted write leaves either the old file
+//!   or the new file on disk, never a partial one.
 //! - [`plan`] — an env-driven **fault plan** (`MICA_FAULTS`) describing
 //!   faults to inject deterministically: kernel panics, server-request
 //!   panics, write errors, torn writes and latency at named sites. CI uses
@@ -53,10 +53,10 @@
 //! Known sites: `cache-write` (the profile cache / `profiles.json`),
 //! `results` (CSV/SVG/markdown artifacts), `run-summary`
 //! (`run-<bin>.json`), `obs.trace` (`MICA_TRACE`), `obs.events`
-//! (`MICA_EVENTS`), `tinyisa.trace` (binary trace dumps), `serve-index`
-//! (the server's sharded profile index), `serve-drain` (the server's
-//! drain summary), `serve.request` (request execution, `slow:` only) and
-//! `respond` (the server's response writes, `io:`/`slow:`).
+//! (`MICA_EVENTS`), `serve-index` (the server's sharded profile index),
+//! `serve-drain` (the server's drain summary), `serve.request` (request
+//! execution, `slow:` only) and `respond` (the server's response writes,
+//! `io:`/`slow:`).
 
 pub mod io;
 pub mod metrics;

@@ -375,13 +375,15 @@ pub fn io_fault(site: &str) -> Option<IoFaultKind> {
     None
 }
 
+/// Serializes every unit test, in any module of this crate, that installs
+/// or clears the process-wide plan: a test holds it from its `install`
+/// until its last check of what the plan did.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Plan mutations are process-global; serialize the tests that touch
-    /// them.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn grammar_parses_every_directive_kind() {
@@ -456,7 +458,7 @@ mod tests {
 
     #[test]
     fn kernel_panic_matches_by_exact_name_every_time() {
-        let _g = LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap();
         install(FaultPlan::parse("panic:kernel=adpcm").unwrap());
         assert!(should_panic_kernel("adpcm"));
         assert!(should_panic_kernel("adpcm"), "kernel directives fire every time");
@@ -468,7 +470,7 @@ mod tests {
 
     #[test]
     fn request_panic_fires_on_the_nth_request_only() {
-        let _g = LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap();
         install(FaultPlan::parse("panic:request=3").unwrap());
         let fired: Vec<bool> = (0..5).map(|_| should_panic_request()).collect();
         assert_eq!(fired, vec![false, false, true, false, false]);
@@ -482,7 +484,7 @@ mod tests {
 
     #[test]
     fn slow_occurrences_are_consumed_and_sited() {
-        let _g = LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap();
         install(FaultPlan::parse("slow:a=7@2").unwrap());
         assert_eq!(slow_fault("a"), Some(7));
         assert_eq!(slow_fault("b"), None, "other sites never slow");
@@ -493,7 +495,7 @@ mod tests {
 
     #[test]
     fn io_occurrences_are_consumed_in_order() {
-        let _g = LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap();
         install(FaultPlan::parse("io:a@2,torn:a").unwrap());
         // First two attempts consume the `io:a@2` budget, the third falls
         // through to `torn:a`, the fourth finds nothing left.

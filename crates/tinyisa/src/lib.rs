@@ -54,7 +54,7 @@ pub use inst::{
     CtrlInfo, DynInst, FCmpOp, Flow, InstClass, MemAccess, MemWidth, Op, RegRef, StaticMemRef,
 };
 pub use mem::Memory;
-pub use trace::{Trace, TraceError, TraceRecorder};
+pub use trace::{Trace, TraceRecorder};
 pub use vm::{CountingSink, RunExit, TraceSink, Vm, VmError, BATCH_CAPACITY, BATCH_WATERMARK};
 
 /// An integer (general-purpose) architectural register, `x0`..`x31`.

@@ -118,7 +118,7 @@ fn assert_bits_eq(live: &[f64], replayed: &[f64], ctx: &str) {
 
 #[test]
 fn recorded_trace_replays_to_identical_characterization() {
-    use mica_suite::isa::{Trace, TraceRecorder};
+    use mica_suite::isa::TraceRecorder;
     // The representatives of `full_pipeline_for_representative_benchmarks`.
     for program in ["blast", "csu", "rtr", "epic", "qsort", "mcf"] {
         let s = spec(program);
@@ -128,18 +128,18 @@ fn recorded_trace_replays_to_identical_characterization() {
 
         // Record once, replay one `retire` per instruction into a fresh
         // suite — the "instrument once, analyze many" workflow and the
-        // per-instruction oracle; also exercise the binary codec.
+        // per-instruction oracle.
         let mut vm = s.build_vm().unwrap();
         let mut rec = TraceRecorder::new();
         vm.run(&mut rec, 30_000).unwrap();
-        let decoded = Trace::from_bytes(&rec.into_trace().to_bytes()).unwrap();
+        let trace = rec.into_trace();
 
         let mut suite = CharacterizationSuite::new();
-        decoded.replay(&mut suite);
+        trace.replay(&mut suite);
         assert_bits_eq(live.values(), suite.finish().values(), program);
 
         let mut hpc = HpcSimulator::new();
-        decoded.replay(&mut hpc);
+        trace.replay(&mut hpc);
         let via_trace = hpc.finish();
         let direct = profile_hpc(&s, 30_000).unwrap();
         assert_eq!(via_trace.instructions, direct.instructions, "{program}");
