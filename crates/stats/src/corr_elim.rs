@@ -7,14 +7,17 @@ use crate::distance::pearson;
 /// in `remaining` (excluding itself).
 pub fn mean_abs_correlation(ds: &DataSet, c: usize, remaining: &[usize]) -> f64 {
     let col_c = ds.column(c);
-    let others: Vec<&usize> = remaining.iter().filter(|&&o| o != c).collect();
+    mean_over_others(c, remaining, |o| pearson(&col_c, &ds.column(o)).abs())
+}
+
+/// The mean of `abs_corr(o)` over the columns `o` of `remaining` other
+/// than `c`, summed in `remaining` order (0.0 when there are none).
+fn mean_over_others(c: usize, remaining: &[usize], abs_corr: impl Fn(usize) -> f64) -> f64 {
+    let others: Vec<usize> = remaining.iter().copied().filter(|&o| o != c).collect();
     if others.is_empty() {
         return 0.0;
     }
-    let sum: f64 = others
-        .iter()
-        .map(|&&o| pearson(&col_c, &ds.column(o)).abs())
-        .sum();
+    let sum: f64 = others.iter().map(|&o| abs_corr(o)).sum();
     sum / others.len() as f64
 }
 
@@ -22,15 +25,20 @@ pub fn mean_abs_correlation(ds: &DataSet, c: usize, remaining: &[usize]) -> f64 
 /// element is the column removed first (the one with the highest average
 /// correlation with all others), and so on, down to a single survivor.
 ///
-/// Ties are broken toward the lower column index for determinism.
+/// Ties are broken toward the lower column index for determinism. Each
+/// column pair's correlation is computed once, so every mean equals
+/// [`mean_abs_correlation`]'s bit for bit.
 pub fn elimination_order(ds: &DataSet) -> Vec<usize> {
+    let cols: Vec<Vec<f64>> = (0..ds.cols()).map(|c| ds.column(c)).collect();
+    let abs_corr: Vec<Vec<f64>> =
+        cols.iter().map(|a| cols.iter().map(|b| pearson(a, b).abs()).collect()).collect();
     let mut remaining: Vec<usize> = (0..ds.cols()).collect();
     let mut order = Vec::with_capacity(ds.cols().saturating_sub(1));
     while remaining.len() > 1 {
         let victim = remaining
             .iter()
             .copied()
-            .map(|c| (c, mean_abs_correlation(ds, c, &remaining)))
+            .map(|c| (c, mean_over_others(c, &remaining, |o| abs_corr[c][o])))
             .max_by(|(ca, sa), (cb, sb)| {
                 sa.partial_cmp(sb).unwrap().then(cb.cmp(ca))
             })
@@ -109,6 +117,35 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_target_rejected() {
         let _ = correlation_elimination(&redundant_set(), 0);
+    }
+
+    /// 122 x 47 seeded uniform values: the shape of the MICA dataset.
+    fn random_122x47() -> DataSet {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4d49_4341);
+        DataSet::from_rows((0..122).map(|_| (0..47).map(|_| rng.gen()).collect()).collect())
+    }
+
+    #[test]
+    fn order_matches_one_built_from_mean_abs_correlation() {
+        for ds in [redundant_set(), random_122x47()] {
+            let mut remaining: Vec<usize> = (0..ds.cols()).collect();
+            let mut want = Vec::new();
+            while remaining.len() > 1 {
+                let means: Vec<(usize, f64)> = remaining
+                    .iter()
+                    .map(|&c| (c, mean_abs_correlation(&ds, c, &remaining)))
+                    .collect();
+                let victim = means
+                    .iter()
+                    .max_by(|(ca, sa), (cb, sb)| sa.partial_cmp(sb).unwrap().then(cb.cmp(ca)))
+                    .unwrap()
+                    .0;
+                remaining.retain(|&c| c != victim);
+                want.push(victim);
+            }
+            assert_eq!(elimination_order(&ds), want);
+        }
     }
 
     #[test]

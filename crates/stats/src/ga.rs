@@ -7,7 +7,7 @@
 //! that preserve the workload-space geometry while being small.
 
 use crate::dataset::DataSet;
-use crate::distance::{pairwise_distances, pearson};
+use crate::distance::pairwise_distances;
 use crate::zscore_normalize;
 use mica_obs as obs;
 use rand::rngs::StdRng;
@@ -72,16 +72,31 @@ pub struct GaResult {
     pub history: Vec<f64>,
 }
 
-/// The GA engine. Precomputes per-column pairwise squared differences so a
-/// genome evaluation is one weighted sum per benchmark pair.
+/// Genomes scored together by one call of the fitness kernel.
+const LANES: usize = 4;
+
+/// Benchmark pairs whose subspace distances the kernel sums together, in
+/// registers.
+const BLOCK: usize = 8;
+
+/// The GA engine. Keeps the z-scored columns and Pearson's full-space
+/// terms, so scoring a genome costs its subspace distances and two passes
+/// over them.
 #[derive(Debug)]
 pub struct GeneticSelector {
     config: GaConfig,
     num_cols: usize,
-    /// Full-space pairwise distances.
-    full: Vec<f64>,
-    /// `col_sq[c][p]` = squared difference of column `c` for pair `p`.
-    col_sq: Vec<Vec<f64>>,
+    /// Benchmarks (rows of the data set).
+    rows: usize,
+    /// The z-scored data set, column-major, each column followed by
+    /// `BLOCK - 1` zeros: column `c` is `z[c * stride..(c + 1) * stride]`
+    /// with `stride = rows + BLOCK - 1`, so `BLOCK` values from any row on
+    /// are in bounds.
+    z: Vec<f64>,
+    /// Full-space pairwise distances minus their mean: Pearson's `x - mean`.
+    full_dev: Vec<f64>,
+    /// The sum of the squares of `full_dev`: Pearson's full-space variance.
+    full_var: f64,
     /// If set, genomes are constrained to exactly this many bits and the
     /// fitness is plain `rho`.
     fixed_size: Option<usize>,
@@ -98,21 +113,23 @@ impl GeneticSelector {
         assert!(ds.cols() <= 64, "genomes are 64-bit masks");
         assert!(ds.rows() >= 2, "need at least two benchmarks");
         let z = zscore_normalize(ds);
-        let full = pairwise_distances(&z).values().to_vec();
-        let pairs = full.len();
-        let mut col_sq = vec![vec![0.0; pairs]; z.cols()];
-        let n = z.rows();
-        let mut p = 0;
-        for i in 0..n {
-            for j in i + 1..n {
-                for (c, sq) in col_sq.iter_mut().enumerate() {
-                    let d = z.get(i, c) - z.get(j, c);
-                    sq[p] = d * d;
-                }
-                p += 1;
-            }
+        let full = pairwise_distances(&z);
+        let full = full.values();
+        // The full-space half of `pearson`, evaluated exactly as it does.
+        let mean = full.iter().sum::<f64>() / full.len() as f64;
+        let full_dev: Vec<f64> = full.iter().map(|x| x - mean).collect();
+        let full_var = full_dev.iter().fold(0.0, |v, dx| v + dx * dx);
+        GeneticSelector {
+            config,
+            num_cols: z.cols(),
+            rows: z.rows(),
+            z: (0..z.cols())
+                .flat_map(|c| z.column(c).into_iter().chain([0.0; BLOCK - 1]))
+                .collect(),
+            full_dev,
+            full_var,
+            fixed_size: None,
         }
-        GeneticSelector { config, num_cols: z.cols(), full, col_sq, fixed_size: None }
     }
 
     /// Constrain genomes to exactly `k` selected metrics (fitness becomes
@@ -128,36 +145,96 @@ impl GeneticSelector {
         self
     }
 
-    /// Distance correlation `rho` for a genome.
-    fn rho(&self, genome: u64) -> f64 {
-        let pairs = self.full.len();
-        let mut sub = vec![0.0; pairs];
-        for c in 0..self.num_cols {
-            if genome >> c & 1 == 1 {
-                let sq = &self.col_sq[c];
-                for (s, q) in sub.iter_mut().zip(sq) {
-                    *s += q;
+    /// Pairwise distances over the columns `genome` selects, in the
+    /// condensed order, into lane `lane` of `out`. Each pair's squared
+    /// differences are summed in ascending column order and square-rooted:
+    /// the expression [`pairwise_distances`] evaluates on the selected
+    /// columns, so every distance is bit-identical to it.
+    fn subspace_distances(&self, genome: u64, lane: usize, out: &mut [[f64; LANES]]) {
+        let n = self.rows;
+        let stride = n + BLOCK - 1;
+        let cols: Vec<&[f64]> = (0..self.num_cols)
+            .filter(|&c| genome >> c & 1 == 1)
+            .map(|c| &self.z[c * stride..(c + 1) * stride])
+            .collect();
+        let mut out = out.iter_mut();
+        for i in 0..n {
+            for j in (i + 1..n).step_by(BLOCK) {
+                // The pairs (i, j..j + BLOCK). Past the last row, the
+                // padding feeds sums that no pair keeps.
+                let mut sums = [0.0; BLOCK];
+                for col in &cols {
+                    let zi = col[i];
+                    let zj: &[f64; BLOCK] = col[j..j + BLOCK].try_into().expect("padded column");
+                    for (s, zj) in sums.iter_mut().zip(zj) {
+                        let d = zi - zj;
+                        *s += d * d;
+                    }
+                }
+                let dist = sums.map(f64::sqrt);
+                for (d, o) in dist[..(n - j).min(BLOCK)].iter().zip(out.by_ref()) {
+                    o[lane] = *d;
                 }
             }
         }
-        for s in &mut sub {
-            *s = s.sqrt();
+    }
+
+    /// `rho` of one to four genomes, lane by lane. `pearson`'s subspace
+    /// half runs for all four lanes in each pass, so its add chains
+    /// overlap; each lane still adds in `pearson`'s order, so every score
+    /// is bit-identical to it. Lanes past the batch score zero distances,
+    /// which `pearson` maps to 0.0.
+    fn rho_batch(&self, genomes: &[u64]) -> [f64; LANES] {
+        assert!((1..=LANES).contains(&genomes.len()), "one to four genomes");
+        let mut sub = vec![[0.0; LANES]; self.full_dev.len()];
+        for (lane, &g) in genomes.iter().enumerate() {
+            self.subspace_distances(g, lane, &mut sub);
         }
-        pearson(&self.full, &sub)
+        let n = sub.len() as f64;
+        let mut sum = [0.0; LANES];
+        for y in &sub {
+            for (s, y) in sum.iter_mut().zip(y) {
+                *s += y;
+            }
+        }
+        let mean = sum.map(|s| s / n);
+        let (mut cov, mut var) = ([0.0; LANES], [0.0; LANES]);
+        for (y, dx) in sub.iter().zip(&self.full_dev) {
+            for lane in 0..LANES {
+                let dy = y[lane] - mean[lane];
+                cov[lane] += dx * dy;
+                var[lane] += dy * dy;
+            }
+        }
+        std::array::from_fn(|lane| {
+            if self.full_var <= 0.0 || var[lane] <= 0.0 {
+                0.0
+            } else {
+                cov[lane] / (self.full_var.sqrt() * var[lane].sqrt())
+            }
+        })
+    }
+
+    /// Fitness of one to four genomes, lane by lane; see
+    /// [`fitness`](Self::fitness). Lanes past the batch score 0.0.
+    fn fitness_batch(&self, genomes: &[u64]) -> [f64; LANES] {
+        let rho = self.rho_batch(genomes);
+        std::array::from_fn(|lane| match (genomes.get(lane), self.fixed_size) {
+            (Some(g), None) => rho[lane] * (1.0 - g.count_ones() as f64 / self.num_cols as f64),
+            _ => rho[lane],
+        })
+    }
+
+    /// Distance correlation `rho` for a genome.
+    fn rho(&self, genome: u64) -> f64 {
+        self.rho_batch(&[genome])[0]
     }
 
     /// Fitness of a genome: `rho * (1 - n/N)` (or plain `rho` when the
-    /// subset size is fixed). Empty genomes score 0.
+    /// subset size is fixed). Empty genomes score 0: their distances are
+    /// all zero, which `pearson` maps to 0.0.
     pub fn fitness(&self, genome: u64) -> f64 {
-        let n = genome.count_ones() as f64;
-        if n == 0.0 {
-            return 0.0;
-        }
-        let rho = self.rho(genome);
-        match self.fixed_size {
-            Some(_) => rho,
-            None => rho * (1.0 - n / self.num_cols as f64),
-        }
+        self.fitness_batch(&[genome])[0]
     }
 
     fn random_genome(&self, rng: &mut StdRng) -> u64 {
@@ -233,12 +310,13 @@ impl GeneticSelector {
         unseen.sort_unstable();
         unseen.dedup();
         GENOMES_SCORED.add(unseen.len() as u64);
+        let batches: Vec<&[u64]> = unseen.chunks(LANES).collect();
         let fitness = if parallel {
-            mica_par::par_map(&unseen, |&g| self.fitness(g))
+            mica_par::par_map(&batches, |b| self.fitness_batch(b))
         } else {
-            unseen.iter().map(|&g| self.fitness(g)).collect()
+            batches.iter().map(|b| self.fitness_batch(b)).collect()
         };
-        scores.extend(unseen.into_iter().zip(fitness));
+        scores.extend(unseen.iter().copied().zip(fitness.into_iter().flatten()));
         genomes.into_iter().map(|g| (g, scores[&g])).collect()
     }
 
@@ -341,6 +419,7 @@ pub fn select_features_k(ds: &DataSet, k: usize, config: GaConfig) -> GaResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pearson;
 
     /// 20 rows x 6 cols: cols 0..3 are noisy copies of one latent factor,
     /// col 4 is a second factor, col 5 is a third.
@@ -555,6 +634,82 @@ mod tests {
     #[test]
     fn remembered_scores_match_reference_k8_on_random_set() {
         check_against_reference(&random_122x47(), Some(8), short());
+    }
+
+    /// `fitness` for the free GA (`fixed` false) or a fixed size, and
+    /// `fitness_batch` filled with one, two, three and four genomes in
+    /// turn, must equal the paper's fitness built from the production
+    /// functions bit for bit: `pearson` between the full-space distances
+    /// and those over the genome's columns, times `1 - n/N` when the size
+    /// is free. Returns each genome's fitness for the free GA.
+    fn check_kernel(ds: &DataSet, genomes: &[u64]) -> Vec<f64> {
+        let z = zscore_normalize(ds);
+        let full = pairwise_distances(&z);
+        let rho: Vec<f64> = genomes
+            .iter()
+            .map(|&g| {
+                let cols: Vec<usize> = (0..z.cols()).filter(|&c| g >> c & 1 == 1).collect();
+                pearson(full.values(), pairwise_distances(&z.select_columns(&cols)).values())
+            })
+            .collect();
+        let free: Vec<f64> = genomes
+            .iter()
+            .zip(&rho)
+            .map(|(g, r)| r * (1.0 - g.count_ones() as f64 / z.cols() as f64))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (fixed, want) in [(false, &free), (true, &rho)] {
+            let mut sel = GeneticSelector::new(ds, GaConfig::default());
+            if fixed {
+                sel = sel.with_fixed_size(1);
+            }
+            let single: Vec<f64> = genomes.iter().map(|&g| sel.fitness(g)).collect();
+            assert_eq!(bits(&single), bits(want), "fixed = {fixed}: fitness");
+            let mut batched = Vec::new();
+            let mut rest = genomes;
+            for fill in (1..=LANES).cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, tail) = rest.split_at(fill.min(rest.len()));
+                batched.extend_from_slice(&sel.fitness_batch(batch)[..batch.len()]);
+                rest = tail;
+            }
+            assert_eq!(bits(&batched), bits(want), "fixed = {fixed}: fitness_batch");
+        }
+        free
+    }
+
+    #[test]
+    fn kernel_matches_pearson_at_every_genome_size() {
+        let ds = random_122x47();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut genomes = Vec::new();
+        for size in 1..=ds.cols() {
+            for _ in 0..4 {
+                let mut g = 0u64;
+                while (g.count_ones() as usize) < size {
+                    g |= 1 << rng.gen_range(0..ds.cols());
+                }
+                genomes.push(g);
+            }
+        }
+        check_kernel(&ds, &genomes);
+    }
+
+    #[test]
+    fn kernel_matches_pearson_on_small_and_degenerate_sets() {
+        // Every genome of the structured set with a constant seventh
+        // column. That column alone gives all-zero distances: zero
+        // variance, which scores 0.0.
+        let rows = (0..20).map(|r| [structured().row(r), &[7.0]].concat()).collect();
+        let ds = DataSet::from_rows(rows);
+        let fitness = check_kernel(&ds, &(1..1 << 7).collect::<Vec<_>>());
+        assert_eq!(fitness[(1 << 6) - 1].to_bits(), 0.0f64.to_bits());
+        // Two rows: a single pair, so the full space has zero variance.
+        let pair = DataSet::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 0.0, -1.0]]);
+        let fitness = check_kernel(&pair, &(1..1 << 3).collect::<Vec<_>>());
+        assert!(fitness.iter().all(|f| f.to_bits() == 0.0f64.to_bits()), "{fitness:?}");
     }
 
     #[test]

@@ -147,22 +147,25 @@ proptest! {
         let d = pairwise_distances(&ds);
         let n = ds.rows();
         // Naive dense distance matrix, computed independently.
-        let mut dense = vec![vec![0.0f64; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                let s: f64 = (0..ds.cols())
-                    .map(|c| (ds.get(i, c) - ds.get(j, c)).powi(2))
-                    .sum();
-                dense[i][j] = s.sqrt();
-            }
-        }
+        let dense: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        let s: f64 = (0..ds.cols())
+                            .map(|c| (ds.get(i, c) - ds.get(j, c)).powi(2))
+                            .sum();
+                        s.sqrt()
+                    })
+                    .collect()
+            })
+            .collect();
         prop_assert_eq!(d.num_items(), n);
         prop_assert_eq!(d.len(), n * (n - 1) / 2);
-        for i in 0..n {
-            for j in 0..n {
+        for (i, row) in dense.iter().enumerate() {
+            for (j, &want) in row.iter().enumerate() {
                 if i != j {
-                    prop_assert!((d.get(i, j) - dense[i][j]).abs() < 1e-9,
-                        "get({i},{j}) = {} vs dense {}", d.get(i, j), dense[i][j]);
+                    prop_assert!((d.get(i, j) - want).abs() < 1e-9,
+                        "get({i},{j}) = {} vs dense {}", d.get(i, j), want);
                 }
             }
         }

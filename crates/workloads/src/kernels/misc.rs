@@ -785,7 +785,8 @@ pub(crate) fn huffman_decode(
     // Host side: build a Huffman tree over a skewed symbol distribution,
     // encode a random message, and lay the tree out in memory
     // (node: left u32 index, right u32 index, symbol u32, is_leaf u32).
-    let mut g = DataGen::new(seed);
+    // The program needs only the tree's root, so the encoding waits for a
+    // full build.
     let nsym = symbols.clamp(2, 256) as usize;
     // Zipf-ish frequencies.
     let freqs: Vec<u64> = (0..nsym).map(|i| 1_000_000 / (i as u64 + 1) + 1).collect();
@@ -813,42 +814,6 @@ pub(crate) fn huffman_decode(
         heap.push(nodes.len() as u32 - 1);
     }
     let root = heap[0];
-    // Codes per symbol.
-    let mut codes: Vec<(u64, u32)> = vec![(0, 0); nsym];
-    fn assign(nodes: &[Node], n: u32, code: u64, len: u32, codes: &mut [(u64, u32)]) {
-        let node = &nodes[n as usize];
-        if node.leaf {
-            codes[node.symbol as usize] = (code, len.max(1));
-        } else {
-            assign(nodes, node.left, code << 1, len + 1, codes);
-            assign(nodes, node.right, code << 1 | 1, len + 1, codes);
-        }
-    }
-    assign(&nodes, root, 0, 0, &mut codes);
-    // Encode a message until the bitstream fills `stream_bytes`.
-    let mut bits: Vec<u8> = Vec::new();
-    while bits.len() < (stream_bytes * 8) as usize {
-        // Sample a symbol proportional to frequency (approximately).
-        let mut pick = g.below(freqs.iter().sum::<u64>());
-        let mut sym = 0usize;
-        for (i, &f) in freqs.iter().enumerate() {
-            if pick < f {
-                sym = i;
-                break;
-            }
-            pick -= f;
-        }
-        let (code, len) = codes[sym];
-        for b in (0..len).rev() {
-            bits.push((code >> b & 1) as u8);
-        }
-    }
-    bits.truncate((stream_bytes * 8) as usize);
-    let mut packed = vec![0u8; stream_bytes as usize];
-    for (i, &b) in bits.iter().enumerate() {
-        packed[i / 8] |= b << (i % 8);
-    }
-
     let mut asm = Asm::new();
     asm.li(S0, DATA_BASE as i64); // tree nodes (16 B each)
     asm.li(S1, DATA2_BASE as i64); // bitstream
@@ -901,6 +866,42 @@ pub(crate) fn huffman_decode(
     let mut vm = Vm::new(asm.assemble()?);
     if build == Build::Program {
         return Ok(vm);
+    }
+    let mut g = DataGen::new(seed);
+    // Codes per symbol.
+    let mut codes: Vec<(u64, u32)> = vec![(0, 0); nsym];
+    fn assign(nodes: &[Node], n: u32, code: u64, len: u32, codes: &mut [(u64, u32)]) {
+        let node = &nodes[n as usize];
+        if node.leaf {
+            codes[node.symbol as usize] = (code, len.max(1));
+        } else {
+            assign(nodes, node.left, code << 1, len + 1, codes);
+            assign(nodes, node.right, code << 1 | 1, len + 1, codes);
+        }
+    }
+    assign(&nodes, root, 0, 0, &mut codes);
+    // Encode a message until the bitstream fills `stream_bytes`.
+    let mut bits: Vec<u8> = Vec::new();
+    while bits.len() < (stream_bytes * 8) as usize {
+        // Sample a symbol proportional to frequency (approximately).
+        let mut pick = g.below(freqs.iter().sum::<u64>());
+        let mut sym = 0usize;
+        for (i, &f) in freqs.iter().enumerate() {
+            if pick < f {
+                sym = i;
+                break;
+            }
+            pick -= f;
+        }
+        let (code, len) = codes[sym];
+        for b in (0..len).rev() {
+            bits.push((code >> b & 1) as u8);
+        }
+    }
+    bits.truncate((stream_bytes * 8) as usize);
+    let mut packed = vec![0u8; stream_bytes as usize];
+    for (i, &b) in bits.iter().enumerate() {
+        packed[i / 8] |= b << (i % 8);
     }
     for (i, n) in nodes.iter().enumerate() {
         let base = DATA_BASE + i as u64 * 16;
