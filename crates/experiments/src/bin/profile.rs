@@ -46,6 +46,7 @@ fn main() {
     });
     outcome.announce();
     run.quarantine(&outcome.quarantined);
+    run.set_table_fingerprint(outcome.table_fingerprint);
     if !outcome.heat.is_empty() {
         run.stage("heat", || save_heat(&outcome.heat));
     }

@@ -75,7 +75,7 @@ pub type Command = fn(&mut Runner, &Analysis);
 /// results directory as the run's `profiles` stage, profiling every
 /// benchmark when the cache is unusable; announce any quarantined
 /// benchmark; run `command` into the results directory; and write
-/// `run-<bin>.json`.
+/// `run-<bin>.json` with the table fingerprint the load computed.
 pub fn run(bin: &'static str, command: Command) {
     let mut run = Runner::new(bin);
     let dir = results_dir();
@@ -84,6 +84,7 @@ pub fn run(bin: &'static str, command: Command) {
         .expect("profiling succeeds");
     outcome.announce();
     run.quarantine(&outcome.quarantined);
+    run.set_table_fingerprint(outcome.table_fingerprint);
     command(&mut run, &Analysis::new(outcome.set, dir));
     run.finish();
 }

@@ -350,7 +350,13 @@ pub fn characterize_vm_sliced<F: FnMut() -> bool>(
 /// fingerprint differs was produced by a different benchmark table or a
 /// different characterization layout and must not be reused.
 pub fn profile_fingerprint() -> u64 {
-    table_fingerprint() ^ (NUM_METRICS as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    profile_fingerprint_of(table_fingerprint())
+}
+
+/// [`profile_fingerprint`] of a table whose [`table_fingerprint`] is
+/// `table`.
+fn profile_fingerprint_of(table: u64) -> u64 {
+    table ^ (NUM_METRICS as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 fn finish_set(
@@ -391,12 +397,16 @@ pub struct ProfileOutcome {
     /// [`PmuConfig`] (`MICA_PMU=1`) — and on cache hits, which store only
     /// the [`ProfileSet`].
     pub heat: Vec<KernelHeat>,
+    /// The [`table_fingerprint`] the cache was checked, or the table
+    /// profiled, against: computed once, for the run summary to reuse.
+    pub table_fingerprint: u64,
 }
 
 impl ProfileOutcome {
-    /// An outcome with nothing quarantined (cache hits).
-    pub fn clean(set: ProfileSet) -> ProfileOutcome {
-        ProfileOutcome { set, quarantined: Vec::new(), heat: Vec::new() }
+    /// An outcome with nothing quarantined (cache hits), checked against
+    /// `table_fingerprint`.
+    pub fn clean(set: ProfileSet, table_fingerprint: u64) -> ProfileOutcome {
+        ProfileOutcome { set, quarantined: Vec::new(), heat: Vec::new(), table_fingerprint }
     }
 
     /// Print the `QUARANTINED (n=..)` annotation on stdout (and a warn
@@ -436,7 +446,12 @@ type ItemOutcome = Result<Result<(BenchRecord, Option<KernelHeat>), ProfileError
 
 /// Fold per-item results into surviving records plus the quarantine list,
 /// both in Table I order (so the report is scheduling-independent).
-fn finish_outcome(scale: f64, table: &[BenchmarkSpec], results: Vec<ItemOutcome>) -> ProfileOutcome {
+fn finish_outcome(
+    scale: f64,
+    table: &[BenchmarkSpec],
+    results: Vec<ItemOutcome>,
+    table_fingerprint: u64,
+) -> ProfileOutcome {
     let mut records = Vec::with_capacity(results.len());
     let mut quarantined = Vec::new();
     let mut heat = Vec::new();
@@ -457,9 +472,10 @@ fn finish_outcome(scale: f64, table: &[BenchmarkSpec], results: Vec<ItemOutcome>
     }
     QUARANTINED.add(quarantined.len() as u64);
     ProfileOutcome {
-        set: ProfileSet { scale, fingerprint: profile_fingerprint(), records },
+        set: ProfileSet { scale, fingerprint: profile_fingerprint_of(table_fingerprint), records },
         quarantined,
         heat,
+        table_fingerprint,
     }
 }
 
@@ -495,6 +511,12 @@ pub fn profile_all_configured(
     pmu: Option<PmuConfig>,
 ) -> Result<ProfileOutcome, ProfileError> {
     validate_scale(scale)?;
+    Ok(profile_table(scale, pmu, table_fingerprint()))
+}
+
+/// [`profile_all_configured`] at a validated `scale`, for a table whose
+/// [`table_fingerprint`] the caller has computed.
+fn profile_table(scale: f64, pmu: Option<PmuConfig>, table_fingerprint: u64) -> ProfileOutcome {
     let table = benchmark_table();
     let total = table.len();
     let mut all_span = obs::span("profile", "profile_all");
@@ -512,7 +534,7 @@ pub fn profile_all_configured(
         obs::info!("[{done:3}/{total}] {} ({budget} insts)", spec.name());
         rec
     });
-    Ok(finish_outcome(scale, &table, results))
+    finish_outcome(scale, &table, results, table_fingerprint)
 }
 
 /// Profile one benchmark under a per-kernel span (the span lands on the
@@ -649,6 +671,11 @@ impl fmt::Display for CacheMiss {
 ///
 /// The precise [`CacheMiss`] explaining why the cache cannot be used.
 pub fn check_cache(path: &Path, scale: f64) -> Result<ProfileSet, CacheMiss> {
+    check_cache_against(path, scale, table_fingerprint())
+}
+
+/// [`check_cache`] for a table whose [`table_fingerprint`] is `table`.
+fn check_cache_against(path: &Path, scale: f64, table: u64) -> Result<ProfileSet, CacheMiss> {
     let json = match std::fs::read_to_string(path) {
         Ok(json) => json,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(CacheMiss::Absent),
@@ -659,7 +686,7 @@ pub fn check_cache(path: &Path, scale: f64) -> Result<ProfileSet, CacheMiss> {
     if (set.scale - scale).abs() >= 1e-12 {
         return Err(CacheMiss::Scale { cached: set.scale, requested: scale });
     }
-    let current = profile_fingerprint();
+    let current = profile_fingerprint_of(table);
     if set.fingerprint != current {
         return Err(CacheMiss::Fingerprint { cached: set.fingerprint, current });
     }
@@ -672,7 +699,8 @@ pub fn check_cache(path: &Path, scale: f64) -> Result<ProfileSet, CacheMiss> {
 
 /// Load cached profiles from `path` if they exist at the requested scale
 /// and carry the current [`profile_fingerprint`]; otherwise profile
-/// everything and cache the result.
+/// everything and cache the result. Either way the table fingerprint is
+/// computed once and handed on in [`ProfileOutcome::table_fingerprint`].
 ///
 /// A cache hit is by construction complete, so its outcome has an empty
 /// quarantine. A re-profile with quarantined benchmarks still writes its
@@ -687,11 +715,12 @@ pub fn check_cache(path: &Path, scale: f64) -> Result<ProfileSet, CacheMiss> {
 /// the run.
 pub fn load_or_profile_all(path: &Path, scale: f64) -> Result<ProfileOutcome, ProfileError> {
     validate_scale(scale)?;
-    match check_cache(path, scale) {
+    let table = table_fingerprint();
+    match check_cache_against(path, scale, table) {
         Ok(set) => {
             CACHE_HIT.incr();
             obs::info!("loaded {} cached profiles from {}", set.records.len(), path.display());
-            return Ok(ProfileOutcome::clean(set));
+            return Ok(ProfileOutcome::clean(set, table));
         }
         Err(miss) => {
             miss.counter().incr();
@@ -703,7 +732,7 @@ pub fn load_or_profile_all(path: &Path, scale: f64) -> Result<ProfileOutcome, Pr
             );
         }
     }
-    let outcome = profile_all(scale)?;
+    let outcome = profile_table(scale, PmuConfig::from_env(), table);
     if let Err(e) = outcome.set.save(path) {
         obs::warn!("could not write profile cache {}: {e}", path.display());
     }

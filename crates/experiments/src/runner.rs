@@ -134,6 +134,7 @@ pub struct Runner {
     ctx_guard: obs::ContextGuard,
     stages: Vec<StageSummary>,
     quarantined: Vec<Quarantine>,
+    table_fingerprint: Option<u64>,
 }
 
 impl Runner {
@@ -160,6 +161,7 @@ impl Runner {
             run_span,
             stages: Vec::new(),
             quarantined: Vec::new(),
+            table_fingerprint: None,
         }
     }
 
@@ -167,6 +169,15 @@ impl Runner {
     /// carries the list alongside the counters.
     pub fn quarantine(&mut self, quarantined: &[Quarantine]) {
         self.quarantined.extend_from_slice(quarantined);
+    }
+
+    /// Record the table fingerprint this run's profiles were checked or
+    /// profiled against ([`ProfileOutcome::table_fingerprint`]), so that
+    /// [`finish`](Runner::finish) does not compute it a second time.
+    ///
+    /// [`ProfileOutcome::table_fingerprint`]: crate::profile::ProfileOutcome::table_fingerprint
+    pub fn set_table_fingerprint(&mut self, fingerprint: u64) {
+        self.table_fingerprint = Some(fingerprint);
     }
 
     /// Run `f` as the named stage: timed, wrapped in a `stage` span, and
@@ -184,15 +195,18 @@ impl Runner {
     /// Close the run: write `run-<bin>.json` under the results directory,
     /// flush every sink, and return the summary. A summary that cannot be
     /// written is warned about, never fatal — the run's real outputs are
-    /// the tables and figures.
+    /// the tables and figures. A run that recorded no table fingerprint
+    /// computes it here.
     pub fn finish(self) -> RunSummary {
-        let Runner { bin, started, ctx_guard, mut run_span, stages, quarantined } = self;
+        let table_fingerprint =
+            self.table_fingerprint.unwrap_or_else(mica_workloads::table_fingerprint);
+        let Runner { bin, started, ctx_guard, mut run_span, stages, quarantined, .. } = self;
         let summary = RunSummary {
             bin: bin.to_string(),
             scale: crate::scale(),
             threads: mica_par::num_threads() as u64,
             pmu_period: mica_pmu::PmuConfig::from_env().map(|c| c.period),
-            table_fingerprint: mica_workloads::table_fingerprint(),
+            table_fingerprint,
             wall_s: started.elapsed().as_secs_f64(),
             stages,
             counters: obs::counters()

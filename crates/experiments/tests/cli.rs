@@ -1,7 +1,9 @@
 //! End-to-end tests of the experiment binaries: `sensitivity` validates
 //! `MICA_SCALE` like `profile` does and quarantines a failing kernel
 //! instead of dying, an unparseable `MICA_SCALE` is an error rather than a
-//! silent scale of 1, and `all` loads the cache and runs the GA once.
+//! silent scale of 1, `all` loads the cache and runs the GA once, and a
+//! cache-hit run summary records the table fingerprint its cache check
+//! computed.
 
 use mica_experiments::runner::RunSummary;
 use std::collections::BTreeMap;
@@ -94,6 +96,11 @@ fn counters(summary: &RunSummary) -> BTreeMap<&str, u64> {
 fn all_loads_the_cache_once_and_runs_the_k8_ga_once() {
     let all = run_on_committed_cache("all", env!("CARGO_BIN_EXE_all"));
     let table4 = run_on_committed_cache("table4", env!("CARGO_BIN_EXE_table4"));
+
+    // Each run hands the fingerprint its cache check computed to its run
+    // summary.
+    assert_eq!(table4.table_fingerprint, mica_workloads::table_fingerprint());
+    assert_eq!(all.table_fingerprint, table4.table_fingerprint);
 
     let stages: Vec<&str> = all.stages.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(stages[0], "profiles", "{stages:?}");

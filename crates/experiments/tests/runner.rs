@@ -105,6 +105,9 @@ fn quarantine_list_round_trips_through_the_summary() {
         },
         Quarantine { name: "SPEC2000/bzip2/graphic".to_string(), reason: "io error".to_string() },
     ]);
+    // A run that loaded profiles records the table fingerprint their check
+    // computed, and the summary carries it instead of computing its own.
+    run.set_table_fingerprint(0xfeed);
     let returned = run.finish();
 
     let text = std::fs::read_to_string(dir.join("run-qbin.json")).expect("run summary exists");
@@ -114,6 +117,7 @@ fn quarantine_list_round_trips_through_the_summary() {
     assert_eq!(parsed.quarantined[0].name, "MiBench/CRC32/pcm");
     assert!(parsed.quarantined[0].reason.contains("MICA_FAULTS"));
     assert_eq!(parsed.quarantined[1].name, "SPEC2000/bzip2/graphic");
+    assert_eq!(parsed.table_fingerprint, 0xfeed);
 
     std::fs::remove_dir_all(dir).ok();
 }

@@ -215,7 +215,7 @@ pub fn assemble(text: &str) -> Result<Program, AsmTextError> {
                 .get(name)
                 .ok_or_else(|| err(line, format!("unknown label `{name}`")))?,
             Target::Pc(pc) => {
-                if pc < base || (pc - base) % 4 != 0 {
+                if pc < base || !(pc - base).is_multiple_of(4) {
                     return Err(err(line, format!("target {pc:#x} is not an instruction pc")));
                 }
                 ((pc - base) / 4) as usize

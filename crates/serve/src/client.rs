@@ -29,7 +29,7 @@ pub enum ClientError {
     Transport(String),
     /// Every attempt was rejected with backpressure; the last rejection
     /// is enclosed.
-    Exhausted(Response),
+    Exhausted(Box<Response>),
 }
 
 impl std::fmt::Display for ClientError {
@@ -90,7 +90,7 @@ pub fn query(addr: &str, req: &Request, retries: u32) -> Result<Response, Client
                     req.id,
                     resp.status
                 );
-                last_err = Some(ClientError::Exhausted(resp));
+                last_err = Some(ClientError::Exhausted(Box::new(resp)));
                 std::thread::sleep(Duration::from_millis(backoff));
             }
             Ok(resp) => return Ok(resp),

@@ -105,6 +105,7 @@ pub struct Engine {
     scale: f64,
     index: Mutex<BTreeMap<String, IndexEntry>>,
     index_dir: PathBuf,
+    table_fingerprint: u64,
 }
 
 impl Engine {
@@ -148,7 +149,14 @@ impl Engine {
             scale,
             index: Mutex::new(index),
             index_dir,
+            table_fingerprint: outcome.table_fingerprint,
         })
+    }
+
+    /// The table fingerprint the boot checked the profile cache against
+    /// (provenance and the run summary reuse it).
+    pub fn table_fingerprint(&self) -> u64 {
+        self.table_fingerprint
     }
 
     /// The warm reference set (tests compare response vectors against it).
@@ -219,7 +227,7 @@ impl Engine {
         let (name, vector, executed, cached) = match self.resolve(req, deadline_at, cancel, cfg) {
             Ok(Some(parts)) => parts,
             Ok(None) => return Outcome::deadline(0, "expired before execution"),
-            Err(outcome) => return outcome,
+            Err(outcome) => return *outcome,
         };
 
         let projection = match self.space.project(&vector) {
@@ -257,7 +265,7 @@ impl Engine {
         deadline_at: Instant,
         cancel: &AtomicBool,
         cfg: &ServeConfig,
-    ) -> Result<Option<(String, Vec<f64>, u64, bool)>, Outcome> {
+    ) -> Result<Option<(String, Vec<f64>, u64, bool)>, Box<Outcome>> {
         match req.kind {
             RequestKind::Table => {
                 let name = req.name.as_deref().ok_or_else(|| {
@@ -315,7 +323,9 @@ impl Engine {
             }
             // The server answers ops on the reader thread; one slipping
             // through to the engine is a dispatch bug, answered loudly.
-            RequestKind::Ops => Err(Outcome::fail("ops requests are not executable submissions")),
+            RequestKind::Ops => {
+                Err(Box::new(Outcome::fail("ops requests are not executable submissions")))
+            }
         }
     }
 
@@ -332,16 +342,16 @@ impl Engine {
         cfg: &ServeConfig,
         key: String,
         name: String,
-    ) -> Result<Option<(String, Vec<f64>, u64, bool)>, Outcome> {
+    ) -> Result<Option<(String, Vec<f64>, u64, bool)>, Box<Outcome>> {
         let allowance = fuel_allowance(deadline_at, cfg);
         let budget = requested.unwrap_or(allowance).max(1);
         if budget > allowance {
             // The deadline cannot pay for this budget; refuse up front
             // instead of running a truncated (incomparable) simulation.
-            return Err(Outcome::deadline(
+            return Err(Box::new(Outcome::deadline(
                 0,
                 &format!("budget {budget} exceeds the deadline's fuel allowance {allowance}"),
-            ));
+            )));
         }
         SIMULATED.incr();
         let run = characterize_vm_sliced(vm, budget, cfg.slice, || cancel.load(Ordering::Relaxed))
@@ -349,7 +359,7 @@ impl Engine {
         match run {
             SlicedRun::Cancelled { executed } => {
                 INSTS.add(executed);
-                Err(Outcome::deadline(executed, "cancelled by watchdog"))
+                Err(Box::new(Outcome::deadline(executed, "cancelled by watchdog")))
             }
             SlicedRun::Done { mica, executed } => {
                 INSTS.add(executed);
@@ -495,7 +505,7 @@ mod tests {
         let cfg = ServeConfig { fuel_per_ms: 1_000, ..ServeConfig::default() };
         let far = Instant::now() + std::time::Duration::from_millis(100);
         let a = fuel_allowance(far, &cfg);
-        assert!(a >= 90_000 && a <= 100_000, "allowance {a}");
+        assert!((90_000..=100_000).contains(&a), "allowance {a}");
         // An expired deadline still allows the minimum 1 instruction.
         assert_eq!(fuel_allowance(Instant::now(), &cfg), 1);
     }

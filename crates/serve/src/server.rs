@@ -775,7 +775,7 @@ fn build_provenance(engine: &Engine) -> Provenance {
     env.sort_by(|a, b| a.name.cmp(&b.name));
     Provenance {
         server: format!("{} {}", env!("CARGO_PKG_NAME"), env!("CARGO_PKG_VERSION")),
-        table_fingerprint: mica_workloads::table_fingerprint(),
+        table_fingerprint: engine.table_fingerprint(),
         profile_fingerprint: engine.profiles().fingerprint,
         scale: engine.profiles().scale,
         threads: mica_par::num_threads() as u64,
@@ -847,8 +847,7 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<DrainSummary> {
 
 fn boot_shared(cfg: ServeConfig) -> std::io::Result<Arc<Shared>> {
     register_counters();
-    let engine = Engine::boot()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e.to_string()))?;
+    let engine = Engine::boot().map_err(|e| std::io::Error::other(e.to_string()))?;
     let provenance = build_provenance(&engine);
     Ok(Arc::new(Shared {
         cfg,
@@ -871,6 +870,7 @@ fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<DrainSumma
     // service threads claim theirs when they start).
     obs::set_service_thread(TRACK_ACCEPT, "mica-serve-accept");
     let mut runner = Runner::new("serve");
+    runner.set_table_fingerprint(shared.engine.table_fingerprint());
     listener.set_nonblocking(true)?;
     obs::info!(
         "mica-serve listening on {} (queue {}, watermark {})",

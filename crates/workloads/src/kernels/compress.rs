@@ -115,36 +115,67 @@ pub(crate) fn lz_compress(
     Ok(vm)
 }
 
-/// LZ77 decompression of a host-compressed token stream: short branchy
-/// loop of copies — the gzip/zip "decode" sides.
-pub(crate) fn lz_decompress(
-    bytes: u64,
-    entropy: u64,
-    seed: u64,
-    build: Build,
-) -> Result<Vm, AsmError> {
-    // Host-side: generate data, LZ-compress it into (tag, payload) tokens.
-    // Tag byte 0 = literal (1 byte follows), 1 = match (u16 offset, u8 len).
+/// The `bytes`-long input `lz_decompress` compresses.
+fn lz_input(bytes: u64, entropy: u64, seed: u64) -> Vec<u8> {
     let mut g = DataGen::new(seed);
     let mut scratch = Memory::new();
     fill_input(&mut g, &mut scratch, 0, bytes, entropy);
-    let data = scratch.read_bytes(0, bytes as usize);
-    let mut tokens: Vec<u8> = Vec::new();
-    let mut pos = 0usize;
+    scratch.read_bytes(0, bytes as usize)
+}
+
+/// LZ-compress `data` into the token stream `lz_decompress` decodes: tag
+/// byte 0 is a literal (1 byte follows), 1 a match (u16 offset, u8 len).
+///
+/// A match's candidates are every 67th position from the start of the
+/// 4096 bytes before `pos`, up to 9 bytes before it. The longest match of
+/// at least 4 bytes (and at most 255) wins, the lowest candidate on a
+/// tie; a position with no such match is a literal. The candidates share
+/// one residue mod 67, so a hash chain keyed on the next 4 bytes and that
+/// residue walks only candidates that can match, newest first, and
+/// replacing the best on `>=` keeps the lowest of equal length.
+fn lz_tokens(data: &[u8]) -> Vec<u8> {
+    const NONE: u32 = u32::MAX;
+    let chain = |p: usize, residue: usize| {
+        let next4 = u32::from_le_bytes([data[p], data[p + 1], data[p + 2], data[p + 3]]);
+        let key = u64::from(next4) | ((residue as u64) << 32);
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48) as usize
+    };
+    // `head[h]`: the newest indexed position on chain `h`; `prev[p]`: the
+    // one before `p` on its chain.
+    let mut head = vec![NONE; 1 << 16];
+    let mut prev = vec![NONE; data.len()];
+    let mut indexed = 0;
+    let mut tokens = Vec::new();
+    let mut pos = 0;
     while pos < data.len() {
-        // Look back up to 4096 for a match of >= 4.
-        let start = pos.saturating_sub(4096);
-        let mut best = (0usize, 0usize);
-        let mut cand = start;
-        while cand + 8 < pos {
-            let mut l = 0;
-            while l < 255 && pos + l < data.len() && data[cand + l] == data[pos + l] {
-                l += 1;
+        let mut best = (0, 0);
+        if pos + 4 <= data.len() {
+            // Index every position at least 9 bytes back.
+            while indexed + 8 < pos {
+                let h = chain(indexed, indexed % 67);
+                prev[indexed] = head[h];
+                head[h] = indexed as u32;
+                indexed += 1;
             }
-            if l > best.1 {
-                best = (pos - cand, l);
+            let start = pos.saturating_sub(4096);
+            let residue = start % 67;
+            let mut cand = head[chain(pos, residue)];
+            while cand != NONE && cand as usize >= start {
+                let c = cand as usize;
+                if c % 67 == residue {
+                    let len = data[c..]
+                        .iter()
+                        .zip(&data[pos..])
+                        .take(255)
+                        .take_while(|(a, b)| a == b)
+                        .count();
+                    // A hash collision can chain a shorter match.
+                    if len >= 4 && len >= best.1 {
+                        best = (pos - c, len);
+                    }
+                }
+                cand = prev[c];
             }
-            cand += 67; // sparse probing keeps host-side cost linear
         }
         if best.1 >= 4 {
             tokens.push(1);
@@ -157,7 +188,20 @@ pub(crate) fn lz_decompress(
             pos += 1;
         }
     }
+    tokens
+}
 
+/// LZ77 decompression of a host-compressed token stream: short branchy
+/// loop of copies — the gzip/zip "decode" sides.
+pub(crate) fn lz_decompress(
+    bytes: u64,
+    entropy: u64,
+    seed: u64,
+    build: Build,
+) -> Result<Vm, AsmError> {
+    // The program embeds the token count, so even a program-only build
+    // compresses its input.
+    let tokens = lz_tokens(&lz_input(bytes, entropy, seed));
     let token_len = tokens.len() as u64;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // token stream
@@ -339,6 +383,96 @@ mod tests {
             low.stores,
             high.stores
         );
+    }
+
+    /// The sparse-probe matcher `lz_tokens` replaced: it probes every
+    /// candidate in ascending order and keeps the first of maximal length.
+    fn lz_tokens_probing(data: &[u8]) -> Vec<u8> {
+        let mut tokens: Vec<u8> = Vec::new();
+        let mut pos = 0usize;
+        while pos < data.len() {
+            // Look back up to 4096 for a match of >= 4.
+            let start = pos.saturating_sub(4096);
+            let mut best = (0usize, 0usize);
+            let mut cand = start;
+            while cand + 8 < pos {
+                let mut l = 0;
+                while l < 255 && pos + l < data.len() && data[cand + l] == data[pos + l] {
+                    l += 1;
+                }
+                if l > best.1 {
+                    best = (pos - cand, l);
+                }
+                cand += 67;
+            }
+            if best.1 >= 4 {
+                tokens.push(1);
+                tokens.extend_from_slice(&(best.0 as u16).to_le_bytes());
+                tokens.push(best.1 as u8);
+                pos += best.1;
+            } else {
+                tokens.push(0);
+                tokens.push(data[pos]);
+                pos += 1;
+            }
+        }
+        tokens
+    }
+
+    fn assert_same_tokens(data: &[u8], what: &str) {
+        assert!(super::lz_tokens(data) == lz_tokens_probing(data), "token streams differ: {what}");
+    }
+
+    #[test]
+    fn matcher_matches_probing_on_the_table_input() {
+        let spec = crate::benchmark_table()
+            .into_iter()
+            .find(|b| b.name() == "CommBench/zip/decode")
+            .expect("table has zip/decode");
+        let crate::Kernel::LzDecompress { bytes, entropy } = spec.kernel else {
+            panic!("zip/decode is an LZ decompressor");
+        };
+        let data = super::lz_input(bytes, entropy, spec.seed());
+        let tokens = super::lz_tokens(&data);
+        assert!(tokens == lz_tokens_probing(&data), "token streams differ on zip/decode");
+        assert!(tokens.iter().step_by(2).any(|&tag| tag == 1), "zip/decode's input has matches");
+    }
+
+    #[test]
+    fn matcher_matches_probing_across_entropies() {
+        // The low entropies give long chains and many candidates of equal
+        // length, so they pin the tie rule.
+        for entropy in [0, 5, 10, 60, 95] {
+            for seed in [1, 2, 3] {
+                for bytes in [100, 4099, 12_345] {
+                    let what = format!("entropy {entropy}, seed {seed}, {bytes} B");
+                    assert_same_tokens(&super::lz_input(bytes, entropy, seed), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matcher_matches_probing_on_short_inputs_and_tails() {
+        for bytes in 0..=16 {
+            for entropy in [0, 95] {
+                let data = super::lz_input(bytes, entropy, 4);
+                assert_same_tokens(&data, &format!("{bytes} B at entropy {entropy}"));
+            }
+            // A run of one byte matches every candidate, so it pins the
+            // nearest one a match may use, 9 bytes back.
+            assert_same_tokens(&vec![b'a'; bytes as usize], &format!("{bytes} B of one byte"));
+        }
+        // Inputs whose last 1-3 bytes cannot start a match: a tail of bytes
+        // the input has not used, or of bytes it has.
+        let body = super::lz_input(3000, 5, 5);
+        for tail in 1..=3 {
+            for fill in [b'0', b'a'] {
+                let mut data = body.clone();
+                data.extend((0..tail).map(|i| fill + i));
+                assert_same_tokens(&data, &format!("{tail}-byte tail from {}", fill as char));
+            }
+        }
     }
 
     #[test]

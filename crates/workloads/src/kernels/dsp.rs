@@ -539,72 +539,6 @@ pub(crate) fn basicmath(values: u64, seed: u64, build: Build) -> Result<Vm, AsmE
     Ok(vm)
 }
 
-#[cfg(test)]
-mod tests {
-    use crate::kernels::test_support::{mix_of, run_fuel};
-    use crate::kernels::Build;
-
-    #[test]
-    fn fft_runs_and_is_fp_heavy() {
-        let vm = super::fft(8, 1, Build::Full).unwrap();
-        let mix = mix_of(vm, 60_000);
-        assert!(mix.fp > 0.15, "fp fraction {}", mix.fp);
-        assert!(mix.loads > 0.1);
-    }
-
-    #[test]
-    fn fir_runs_with_unit_stride_loads() {
-        let vm = super::fir(32, 2048, 2, Build::Full).unwrap();
-        let mix = mix_of(vm, 50_000);
-        assert!(mix.fp > 0.15);
-        assert!(mix.loads > 0.15, "loads {}", mix.loads);
-    }
-
-    #[test]
-    fn adpcm_is_branchy_integer_code() {
-        let vm = super::adpcm(4096, false, 3, Build::Full).unwrap();
-        let mix = mix_of(vm, 50_000);
-        assert!(mix.control > 0.15, "control {}", mix.control);
-        assert!(mix.fp == 0.0);
-    }
-
-    #[test]
-    fn adpcm_decode_variant_differs() {
-        let enc = mix_of(super::adpcm(4096, false, 3, Build::Full).unwrap(), 50_000);
-        let dec = mix_of(super::adpcm(4096, true, 3, Build::Full).unwrap(), 50_000);
-        assert!((enc.stores - dec.stores).abs() < 0.05, "same order of stores");
-    }
-
-    #[test]
-    fn dct_runs_and_mixes_fp_and_int() {
-        let vm = super::dct8x8(16, 8, 4, Build::Full).unwrap();
-        let mix = mix_of(vm, 80_000);
-        assert!(mix.fp > 0.1, "fp {}", mix.fp);
-    }
-
-    #[test]
-    fn wavelet_forward_and_inverse_run() {
-        run_fuel(super::wavelet(4096, 6, false, 5, Build::Full).unwrap(), 30_000);
-        run_fuel(super::wavelet(4096, 6, true, 5, Build::Full).unwrap(), 30_000);
-    }
-
-    #[test]
-    fn basicmath_has_divides() {
-        let vm = super::basicmath(512, 6, Build::Full).unwrap();
-        let mix = mix_of(vm, 40_000);
-        assert!(mix.int_mul > 0.001, "rem/div present: {}", mix.int_mul);
-        assert!(mix.fp > 0.2);
-    }
-
-    #[test]
-    fn mdct_is_a_dense_fp_dot_product() {
-        let mix = mix_of(super::mdct(8, 64, 7, Build::Full).unwrap(), 60_000);
-        assert!(mix.fp > 0.15, "fp {}", mix.fp);
-        assert!(mix.loads > 0.15, "loads {}", mix.loads);
-    }
-
-}
-
 /// Windowed MDCT: for each output bin, a long dot product against a
 /// precomputed cosine basis over 50%-overlapped frames — the filterbank
 /// core of perceptual audio coders (MiBench lame).
@@ -669,4 +603,69 @@ pub(crate) fn mdct(frames: u64, block: u64, seed: u64, build: Build) -> Result<V
         }
     }
     Ok(vm)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::kernels::test_support::{mix_of, run_fuel};
+    use crate::kernels::Build;
+
+    #[test]
+    fn fft_runs_and_is_fp_heavy() {
+        let vm = super::fft(8, 1, Build::Full).unwrap();
+        let mix = mix_of(vm, 60_000);
+        assert!(mix.fp > 0.15, "fp fraction {}", mix.fp);
+        assert!(mix.loads > 0.1);
+    }
+
+    #[test]
+    fn fir_runs_with_unit_stride_loads() {
+        let vm = super::fir(32, 2048, 2, Build::Full).unwrap();
+        let mix = mix_of(vm, 50_000);
+        assert!(mix.fp > 0.15);
+        assert!(mix.loads > 0.15, "loads {}", mix.loads);
+    }
+
+    #[test]
+    fn adpcm_is_branchy_integer_code() {
+        let vm = super::adpcm(4096, false, 3, Build::Full).unwrap();
+        let mix = mix_of(vm, 50_000);
+        assert!(mix.control > 0.15, "control {}", mix.control);
+        assert!(mix.fp == 0.0);
+    }
+
+    #[test]
+    fn adpcm_decode_variant_differs() {
+        let enc = mix_of(super::adpcm(4096, false, 3, Build::Full).unwrap(), 50_000);
+        let dec = mix_of(super::adpcm(4096, true, 3, Build::Full).unwrap(), 50_000);
+        assert!((enc.stores - dec.stores).abs() < 0.05, "same order of stores");
+    }
+
+    #[test]
+    fn dct_runs_and_mixes_fp_and_int() {
+        let vm = super::dct8x8(16, 8, 4, Build::Full).unwrap();
+        let mix = mix_of(vm, 80_000);
+        assert!(mix.fp > 0.1, "fp {}", mix.fp);
+    }
+
+    #[test]
+    fn wavelet_forward_and_inverse_run() {
+        run_fuel(super::wavelet(4096, 6, false, 5, Build::Full).unwrap(), 30_000);
+        run_fuel(super::wavelet(4096, 6, true, 5, Build::Full).unwrap(), 30_000);
+    }
+
+    #[test]
+    fn basicmath_has_divides() {
+        let vm = super::basicmath(512, 6, Build::Full).unwrap();
+        let mix = mix_of(vm, 40_000);
+        assert!(mix.int_mul > 0.001, "rem/div present: {}", mix.int_mul);
+        assert!(mix.fp > 0.2);
+    }
+
+    #[test]
+    fn mdct_is_a_dense_fp_dot_product() {
+        let mix = mix_of(super::mdct(8, 64, 7, Build::Full).unwrap(), 60_000);
+        assert!(mix.fp > 0.15, "fp {}", mix.fp);
+        assert!(mix.loads > 0.15, "loads {}", mix.loads);
+    }
 }

@@ -298,47 +298,6 @@ pub(crate) fn hash_dict(
     Ok(vm)
 }
 
-#[cfg(test)]
-mod tests {
-    use crate::kernels::test_support::mix_of;
-    use crate::kernels::Build;
-
-    #[test]
-    fn dijkstra_scans_and_branches() {
-        let mix = mix_of(super::dijkstra(96, 1, Build::Full).unwrap(), 80_000);
-        assert!(mix.control > 0.15, "control {}", mix.control);
-        assert!(mix.loads > 0.15);
-    }
-
-    #[test]
-    fn trie_walk_is_dependent_loads() {
-        let mix = mix_of(super::trie_lookup(2048, 4096, 20, 2, Build::Full).unwrap(), 60_000);
-        assert!(mix.loads > 0.1, "loads {}", mix.loads);
-        assert!(mix.control > 0.15);
-    }
-
-    #[test]
-    fn pointer_chase_is_load_bound() {
-        let mix = mix_of(super::pointer_chase(1 << 14, 64, 3, Build::Full).unwrap(), 60_000);
-        assert!(mix.loads > 0.3, "loads {}", mix.loads);
-    }
-
-    #[test]
-    fn hash_dict_probes() {
-        let mix = mix_of(super::hash_dict(4096, 8192, 700, 4, Build::Full).unwrap(), 60_000);
-        assert!(mix.loads > 0.15);
-        assert!(mix.int_mul > 0.02, "hash multiply: {}", mix.int_mul);
-    }
-
-    #[test]
-    fn str_search_is_comparison_heavy() {
-        let mix = mix_of(super::str_search(1 << 16, 8, 12, 20, 9, Build::Full).unwrap(), 60_000);
-        assert!(mix.loads > 0.2, "loads {}", mix.loads);
-        assert!(mix.control > 0.1, "control {}", mix.control);
-    }
-
-}
-
 /// Boyer-Moore-Horspool substring search of many patterns over a large
 /// text: skip-table lookups, backward compare loops, data-dependent
 /// shifts (fasta's word-search phase; grep-class scanning generally).
@@ -434,4 +393,44 @@ pub(crate) fn str_search(
         }
     }
     Ok(vm)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
+
+    #[test]
+    fn dijkstra_scans_and_branches() {
+        let mix = mix_of(super::dijkstra(96, 1, Build::Full).unwrap(), 80_000);
+        assert!(mix.control > 0.15, "control {}", mix.control);
+        assert!(mix.loads > 0.15);
+    }
+
+    #[test]
+    fn trie_walk_is_dependent_loads() {
+        let mix = mix_of(super::trie_lookup(2048, 4096, 20, 2, Build::Full).unwrap(), 60_000);
+        assert!(mix.loads > 0.1, "loads {}", mix.loads);
+        assert!(mix.control > 0.15);
+    }
+
+    #[test]
+    fn pointer_chase_is_load_bound() {
+        let mix = mix_of(super::pointer_chase(1 << 14, 64, 3, Build::Full).unwrap(), 60_000);
+        assert!(mix.loads > 0.3, "loads {}", mix.loads);
+    }
+
+    #[test]
+    fn hash_dict_probes() {
+        let mix = mix_of(super::hash_dict(4096, 8192, 700, 4, Build::Full).unwrap(), 60_000);
+        assert!(mix.loads > 0.15);
+        assert!(mix.int_mul > 0.02, "hash multiply: {}", mix.int_mul);
+    }
+
+    #[test]
+    fn str_search_is_comparison_heavy() {
+        let mix = mix_of(super::str_search(1 << 16, 8, 12, 20, 9, Build::Full).unwrap(), 60_000);
+        assert!(mix.loads > 0.2, "loads {}", mix.loads);
+        assert!(mix.control > 0.1, "control {}", mix.control);
+    }
 }

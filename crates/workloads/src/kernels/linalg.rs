@@ -290,54 +290,6 @@ pub(crate) fn nn_scan(neurons: u64, dims: u64, seed: u64, build: Build) -> Resul
     Ok(vm)
 }
 
-#[cfg(test)]
-mod tests {
-    use crate::kernels::test_support::mix_of;
-    use crate::kernels::Build;
-
-    #[test]
-    fn gemm_is_fp_dominated() {
-        let mix = mix_of(super::gemm(48, 1, Build::Full).unwrap(), 80_000);
-        assert!(mix.fp > 0.12, "fp {}", mix.fp);
-        assert!(mix.loads > 0.12);
-    }
-
-    #[test]
-    fn covariance_streams_and_accumulates() {
-        let mix = mix_of(super::covariance(32, 64, 2, Build::Full).unwrap(), 60_000);
-        assert!(mix.fp > 0.15);
-        assert!(mix.stores > 0.05, "read-modify-write of C: {}", mix.stores);
-    }
-
-    #[test]
-    fn stencil_has_five_loads_per_store() {
-        let mix = mix_of(super::stencil(64, 64, 4, 3, Build::Full).unwrap(), 60_000);
-        assert!(mix.loads > 0.25, "loads {}", mix.loads);
-        assert!(mix.fp > 0.2);
-    }
-
-    #[test]
-    fn spmv_gathers() {
-        let mix = mix_of(super::spmv(2048, 12, 4, Build::Full).unwrap(), 60_000);
-        assert!(mix.loads > 0.2);
-        assert!(mix.fp > 0.1);
-    }
-
-    #[test]
-    fn nn_scan_runs_with_compares() {
-        let mix = mix_of(super::nn_scan(64, 32, 5, Build::Full).unwrap(), 60_000);
-        assert!(mix.fp > 0.2);
-    }
-
-    #[test]
-    fn lu_solve_mixes_fp_with_pivot_branches() {
-        let mix = mix_of(super::lu_solve(48, 6, Build::Full).unwrap(), 80_000);
-        assert!(mix.fp > 0.1, "fp {}", mix.fp);
-        assert!(mix.control > 0.08, "control {}", mix.control);
-    }
-
-}
-
 /// LU decomposition with partial pivoting over an `n x n` double matrix:
 /// dense FP inner loops plus data-dependent pivot-selection branches and
 /// row swaps (galgel-class dense solver behavior).
@@ -464,4 +416,51 @@ pub(crate) fn lu_solve(n: u64, seed: u64, build: Build) -> Result<Vm, AsmError> 
         vm.mem_mut().write_f64(DATA2_BASE + (i * n + i) * 8, 4.0 + g.unit_f64());
     }
     Ok(vm)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
+
+    #[test]
+    fn gemm_is_fp_dominated() {
+        let mix = mix_of(super::gemm(48, 1, Build::Full).unwrap(), 80_000);
+        assert!(mix.fp > 0.12, "fp {}", mix.fp);
+        assert!(mix.loads > 0.12);
+    }
+
+    #[test]
+    fn covariance_streams_and_accumulates() {
+        let mix = mix_of(super::covariance(32, 64, 2, Build::Full).unwrap(), 60_000);
+        assert!(mix.fp > 0.15);
+        assert!(mix.stores > 0.05, "read-modify-write of C: {}", mix.stores);
+    }
+
+    #[test]
+    fn stencil_has_five_loads_per_store() {
+        let mix = mix_of(super::stencil(64, 64, 4, 3, Build::Full).unwrap(), 60_000);
+        assert!(mix.loads > 0.25, "loads {}", mix.loads);
+        assert!(mix.fp > 0.2);
+    }
+
+    #[test]
+    fn spmv_gathers() {
+        let mix = mix_of(super::spmv(2048, 12, 4, Build::Full).unwrap(), 60_000);
+        assert!(mix.loads > 0.2);
+        assert!(mix.fp > 0.1);
+    }
+
+    #[test]
+    fn nn_scan_runs_with_compares() {
+        let mix = mix_of(super::nn_scan(64, 32, 5, Build::Full).unwrap(), 60_000);
+        assert!(mix.fp > 0.2);
+    }
+
+    #[test]
+    fn lu_solve_mixes_fp_with_pivot_branches() {
+        let mix = mix_of(super::lu_solve(48, 6, Build::Full).unwrap(), 80_000);
+        assert!(mix.fp > 0.1, "fp {}", mix.fp);
+        assert!(mix.control > 0.08, "control {}", mix.control);
+    }
 }

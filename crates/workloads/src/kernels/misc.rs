@@ -608,78 +608,6 @@ pub(crate) fn text_layout(
     Ok(vm)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::SchedKind;
-    use crate::kernels::test_support::mix_of;
-    use crate::kernels::Build;
-
-    #[test]
-    fn interp_dispatch_is_branch_heavy() {
-        let mix = mix_of(super::interp(4096, 1, Build::Full).unwrap(), 60_000);
-        assert!(mix.control > 0.2, "control {}", mix.control);
-        assert!(mix.loads > 0.15);
-    }
-
-    #[test]
-    fn bitops_is_alu_with_multiplies() {
-        let mix = mix_of(super::bitops(4096, 2, Build::Full).unwrap(), 60_000);
-        assert!(mix.arith > 0.5, "arith {}", mix.arith);
-    }
-
-    #[test]
-    fn qsort_swaps_records() {
-        let mix = mix_of(super::qsort(4096, 3, Build::Full).unwrap(), 100_000);
-        assert!(mix.control > 0.15);
-        assert!(mix.stores > 0.02);
-    }
-
-    #[test]
-    fn raytrace_uses_fp_and_calls() {
-        let mix = mix_of(super::raytrace(32, 256, 4, Build::Full).unwrap(), 80_000);
-        assert!(mix.fp > 0.3, "fp {}", mix.fp);
-    }
-
-    #[test]
-    fn all_sched_kinds_run() {
-        for kind in [SchedKind::Drr, SchedKind::Frag, SchedKind::Tcp] {
-            let mix = mix_of(super::queue_sched(512, kind, 5, Build::Full).unwrap(), 50_000);
-            assert!(mix.loads > 0.05, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn frag_stores_more_than_tcp() {
-        let sched = |kind| super::queue_sched(512, kind, 5, Build::Full).unwrap();
-        let tcp = mix_of(sched(SchedKind::Tcp), 50_000);
-        let frag = mix_of(sched(SchedKind::Frag), 50_000);
-        assert!(frag.stores > tcp.stores + 0.03, "frag {} vs tcp {}", frag.stores, tcp.stores);
-    }
-
-    #[test]
-    fn text_layout_walks_list() {
-        let mix = mix_of(super::text_layout(2048, 60, 6, Build::Full).unwrap(), 50_000);
-        assert!(mix.loads > 0.12, "loads {}", mix.loads);
-        assert!(mix.control > 0.15);
-    }
-
-    #[test]
-    fn annealing_swaps_and_branches() {
-        let mix = mix_of(super::annealing(4096, 8, 512, 7, Build::Full).unwrap(), 60_000);
-        assert!(mix.control > 0.05, "control {}", mix.control);
-        assert!(mix.loads > 0.05, "loads {}", mix.loads);
-        assert!(mix.stores > 0.005, "some swaps accepted: {}", mix.stores);
-    }
-
-    #[test]
-    fn huffman_decode_walks_the_tree() {
-        let mix = mix_of(super::huffman_decode(64, 8192, 8, Build::Full).unwrap(), 60_000);
-        assert!(mix.loads > 0.15, "tree walking loads: {}", mix.loads);
-        assert!(mix.control > 0.15, "per-bit branches: {}", mix.control);
-    }
-
-}
-
 /// twolf/vpr-class simulated annealing: propose random cell swaps in a
 /// placement array, evaluate a local cost delta against neighbor positions,
 /// accept or reject against a temperature threshold (xorshift RNG kept in
@@ -912,4 +840,75 @@ pub(crate) fn huffman_decode(
     }
     vm.mem_mut().write_bytes(DATA2_BASE, &packed);
     Ok(vm)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SchedKind;
+    use crate::kernels::test_support::mix_of;
+    use crate::kernels::Build;
+
+    #[test]
+    fn interp_dispatch_is_branch_heavy() {
+        let mix = mix_of(super::interp(4096, 1, Build::Full).unwrap(), 60_000);
+        assert!(mix.control > 0.2, "control {}", mix.control);
+        assert!(mix.loads > 0.15);
+    }
+
+    #[test]
+    fn bitops_is_alu_with_multiplies() {
+        let mix = mix_of(super::bitops(4096, 2, Build::Full).unwrap(), 60_000);
+        assert!(mix.arith > 0.5, "arith {}", mix.arith);
+    }
+
+    #[test]
+    fn qsort_swaps_records() {
+        let mix = mix_of(super::qsort(4096, 3, Build::Full).unwrap(), 100_000);
+        assert!(mix.control > 0.15);
+        assert!(mix.stores > 0.02);
+    }
+
+    #[test]
+    fn raytrace_uses_fp_and_calls() {
+        let mix = mix_of(super::raytrace(32, 256, 4, Build::Full).unwrap(), 80_000);
+        assert!(mix.fp > 0.3, "fp {}", mix.fp);
+    }
+
+    #[test]
+    fn all_sched_kinds_run() {
+        for kind in [SchedKind::Drr, SchedKind::Frag, SchedKind::Tcp] {
+            let mix = mix_of(super::queue_sched(512, kind, 5, Build::Full).unwrap(), 50_000);
+            assert!(mix.loads > 0.05, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn frag_stores_more_than_tcp() {
+        let sched = |kind| super::queue_sched(512, kind, 5, Build::Full).unwrap();
+        let tcp = mix_of(sched(SchedKind::Tcp), 50_000);
+        let frag = mix_of(sched(SchedKind::Frag), 50_000);
+        assert!(frag.stores > tcp.stores + 0.03, "frag {} vs tcp {}", frag.stores, tcp.stores);
+    }
+
+    #[test]
+    fn text_layout_walks_list() {
+        let mix = mix_of(super::text_layout(2048, 60, 6, Build::Full).unwrap(), 50_000);
+        assert!(mix.loads > 0.12, "loads {}", mix.loads);
+        assert!(mix.control > 0.15);
+    }
+
+    #[test]
+    fn annealing_swaps_and_branches() {
+        let mix = mix_of(super::annealing(4096, 8, 512, 7, Build::Full).unwrap(), 60_000);
+        assert!(mix.control > 0.05, "control {}", mix.control);
+        assert!(mix.loads > 0.05, "loads {}", mix.loads);
+        assert!(mix.stores > 0.005, "some swaps accepted: {}", mix.stores);
+    }
+
+    #[test]
+    fn huffman_decode_walks_the_tree() {
+        let mix = mix_of(super::huffman_decode(64, 8192, 8, Build::Full).unwrap(), 60_000);
+        assert!(mix.loads > 0.15, "tree walking loads: {}", mix.loads);
+        assert!(mix.control > 0.15, "per-bit branches: {}", mix.control);
+    }
 }

