@@ -36,11 +36,6 @@
 //!   process-wide tracking allocator installed below;
 //! - `MICA_METRICS_EVERY=2s` — emit periodic heartbeat events carrying
 //!   every counter, so long runs never go dark.
-//!
-//! The simulated PMU (`MICA_PMU=1`, sampling period `MICA_PMU_PERIOD`,
-//! see [`mica_pmu`]) rides along with profiling runs and writes
-//! block-level heat maps plus a flamegraph export under
-//! `results/heat/` — without changing a byte of `profiles.json`.
 
 pub mod analysis;
 pub mod commands;

@@ -16,13 +16,12 @@
 use crate::results::{BenchRecord, ProfileSet};
 use mica_core::{CharacterizationSuite, MicaVector, NUM_METRICS};
 use mica_obs as obs;
-use mica_pmu::{KernelHeat, Pmu, PmuConfig};
 use mica_workloads::{benchmark_table, table_fingerprint, BenchmarkSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 use std::time::Instant;
-use tinyisa::{AsmError, DynInst, TraceSink, Vm, VmError};
+use tinyisa::{AsmError, DynInst, TraceSink, VmError};
 use uarch_sim::{HpcProfile, HpcSimulator};
 
 /// Benchmarks profiled (each tandem run counts once).
@@ -147,27 +146,6 @@ impl TraceSink for Tandem {
     }
 }
 
-/// Fan a delivery to an inner sink and a [`Pmu`] leg. The PMU is passive —
-/// it never mutates the instruction stream — so wrapping a sink in
-/// `WithPmu` cannot change what the inner sink observes, which is the
-/// whole determinism story for `MICA_PMU=1` (see `tests/pmu.rs`).
-struct WithPmu<'a, S> {
-    inner: S,
-    pmu: &'a mut Pmu,
-}
-
-impl<S: TraceSink> TraceSink for WithPmu<'_, S> {
-    fn retire(&mut self, inst: &DynInst) {
-        self.inner.retire(inst);
-        self.pmu.retire(inst);
-    }
-
-    fn retire_block(&mut self, block: &[DynInst]) {
-        self.inner.retire_block(block);
-        self.pmu.retire_block(block);
-    }
-}
-
 /// Add one kernel's per-analyzer delivery time to the
 /// `profile.analyzer.*_us` counters. Blocks take well under a microsecond
 /// per analyzer, so time is summed in nanoseconds per kernel and rounded
@@ -206,50 +184,17 @@ pub fn profile_hpc(spec: &BenchmarkSpec, budget: u64) -> Result<HpcProfile, Prof
 }
 
 /// Run one benchmark once, producing both characterizations from the same
-/// dynamic instruction stream.
+/// dynamic instruction stream, and add each analyzer's delivery time to
+/// the `profile.analyzer.*_us` counters.
 ///
 /// # Errors
 ///
 /// See [`ProfileError`].
 pub fn profile_benchmark(spec: &BenchmarkSpec, budget: u64) -> Result<BenchRecord, ProfileError> {
     let mut vm = spec.build_vm()?;
-    run_tandem(spec, &mut vm, budget, None)
-}
-
-/// [`profile_benchmark`] with the simulated PMU riding along on the
-/// same dynamic instruction stream: one VM run produces both
-/// characterizations *and* the block-level [`KernelHeat`] profile. The
-/// PMU is partition-independent by construction, so the heat artifact
-/// does not depend on how the VM cuts the stream into blocks.
-///
-/// # Errors
-///
-/// See [`ProfileError`].
-pub fn profile_benchmark_pmu(
-    spec: &BenchmarkSpec,
-    budget: u64,
-    config: PmuConfig,
-) -> Result<(BenchRecord, KernelHeat), ProfileError> {
-    let mut vm = spec.build_vm()?;
-    let mut pmu = Pmu::new(vm.program(), config);
-    let rec = run_tandem(spec, &mut vm, budget, Some(&mut pmu))?;
-    Ok((rec, pmu.finish(&spec.name())))
-}
-
-/// Run `vm` into a fresh [`Tandem`] (and the PMU leg, if any), charge the
-/// analyzer counters, and assemble the record.
-fn run_tandem(
-    spec: &BenchmarkSpec,
-    vm: &mut Vm,
-    budget: u64,
-    pmu: Option<&mut Pmu>,
-) -> Result<BenchRecord, ProfileError> {
     let mut tandem =
         Tandem { mica: CharacterizationSuite::new(), hpc: HpcSimulator::new(), hpc_ns: 0 };
-    match pmu {
-        Some(pmu) => vm.run(&mut WithPmu { inner: &mut tandem, pmu }, budget)?,
-        None => vm.run(&mut tandem, budget)?,
-    };
+    vm.run(&mut tandem, budget)?;
     charge_analyzers(&tandem.mica, tandem.hpc_ns);
     Ok(BenchRecord {
         name: spec.name(),
@@ -392,23 +337,12 @@ pub struct ProfileOutcome {
     pub set: ProfileSet,
     /// Benchmarks removed from the run, in Table I order.
     pub quarantined: Vec<Quarantine>,
-    /// Per-kernel PMU heat profiles for the surviving benchmarks, in Table
-    /// I order. Empty unless the run was configured with a
-    /// [`PmuConfig`] (`MICA_PMU=1`) — and on cache hits, which store only
-    /// the [`ProfileSet`].
-    pub heat: Vec<KernelHeat>,
     /// The [`table_fingerprint`] the cache was checked, or the table
     /// profiled, against: computed once, for the run summary to reuse.
     pub table_fingerprint: u64,
 }
 
 impl ProfileOutcome {
-    /// An outcome with nothing quarantined (cache hits), checked against
-    /// `table_fingerprint`.
-    pub fn clean(set: ProfileSet, table_fingerprint: u64) -> ProfileOutcome {
-        ProfileOutcome { set, quarantined: Vec::new(), heat: Vec::new(), table_fingerprint }
-    }
-
     /// Print the `QUARANTINED (n=..)` annotation on stdout (and a warn
     /// event per entry). Prints nothing when the run was clean, so
     /// fault-free output is unchanged.
@@ -440,9 +374,9 @@ fn inject_kernel_panic(spec: &BenchmarkSpec) {
     }
 }
 
-/// What one benchmark's isolated worker hands back: the record plus its
-/// optional heat profile, a profiling error, or a caught panic.
-type ItemOutcome = Result<Result<(BenchRecord, Option<KernelHeat>), ProfileError>, mica_par::ItemPanic>;
+/// What one benchmark's isolated worker hands back: the record, a
+/// profiling error, or a caught panic.
+type ItemOutcome = Result<Result<BenchRecord, ProfileError>, mica_par::ItemPanic>;
 
 /// Fold per-item results into surviving records plus the quarantine list,
 /// both in Table I order (so the report is scheduling-independent).
@@ -454,13 +388,9 @@ fn finish_outcome(
 ) -> ProfileOutcome {
     let mut records = Vec::with_capacity(results.len());
     let mut quarantined = Vec::new();
-    let mut heat = Vec::new();
     for (spec, result) in table.iter().zip(results) {
         match result {
-            Ok(Ok((rec, h))) => {
-                records.push(rec);
-                heat.extend(h);
-            }
+            Ok(Ok(rec)) => records.push(rec),
             Ok(Err(e)) => {
                 quarantined.push(Quarantine { name: spec.name(), reason: e.to_string() });
             }
@@ -474,7 +404,6 @@ fn finish_outcome(
     ProfileOutcome {
         set: ProfileSet { scale, fingerprint: profile_fingerprint_of(table_fingerprint), records },
         quarantined,
-        heat,
         table_fingerprint,
     }
 }
@@ -496,40 +425,23 @@ fn finish_outcome(
 /// [`ProfileError::InvalidScale`] for a non-finite or non-positive scale —
 /// the only error that aborts the run; per-benchmark failures quarantine.
 pub fn profile_all(scale: f64) -> Result<ProfileOutcome, ProfileError> {
-    profile_all_configured(scale, PmuConfig::from_env())
-}
-
-/// [`profile_all`] with an explicit PMU configuration (`None` runs
-/// without the PMU leg) — the determinism tests drive both states through
-/// this without racing on the process environment.
-///
-/// # Errors
-///
-/// See [`profile_all`].
-pub fn profile_all_configured(
-    scale: f64,
-    pmu: Option<PmuConfig>,
-) -> Result<ProfileOutcome, ProfileError> {
     validate_scale(scale)?;
-    Ok(profile_table(scale, pmu, table_fingerprint()))
+    Ok(profile_table(scale, table_fingerprint()))
 }
 
-/// [`profile_all_configured`] at a validated `scale`, for a table whose
+/// [`profile_all`] at a validated `scale`, for a table whose
 /// [`table_fingerprint`] the caller has computed.
-fn profile_table(scale: f64, pmu: Option<PmuConfig>, table_fingerprint: u64) -> ProfileOutcome {
+fn profile_table(scale: f64, table_fingerprint: u64) -> ProfileOutcome {
     let table = benchmark_table();
     let total = table.len();
     let mut all_span = obs::span("profile", "profile_all");
     all_span.attr("benchmarks", total as u64);
     all_span.attr("scale", scale);
-    if let Some(cfg) = pmu {
-        all_span.attr("pmu_period", cfg.period);
-    }
     let progress = mica_par::Progress::new();
     let results = mica_par::par_map_isolated(&table, |spec| {
         inject_kernel_panic(spec);
         let budget = scaled_budget(spec, scale);
-        let rec = run_one(spec, budget, pmu);
+        let rec = run_one(spec, budget);
         let done = progress.tick();
         obs::info!("[{done:3}/{total}] {} ({budget} insts)", spec.name());
         rec
@@ -540,21 +452,14 @@ fn profile_table(scale: f64, pmu: Option<PmuConfig>, table_fingerprint: u64) -> 
 /// Profile one benchmark under a per-kernel span (the span lands on the
 /// worker thread that ran it, so Chrome traces show the kernel on its
 /// pool lane) and feed the `profile.*` counters.
-fn run_one(
-    spec: &BenchmarkSpec,
-    budget: u64,
-    pmu: Option<PmuConfig>,
-) -> Result<(BenchRecord, Option<KernelHeat>), ProfileError> {
+fn run_one(spec: &BenchmarkSpec, budget: u64) -> Result<BenchRecord, ProfileError> {
     let started = std::time::Instant::now();
     let mut span = obs::span("profile", spec.name());
     span.attr("budget", budget);
-    let rec = match pmu {
-        Some(cfg) => profile_benchmark_pmu(spec, budget, cfg).map(|(r, h)| (r, Some(h))),
-        None => profile_benchmark(spec, budget).map(|r| (r, None)),
-    };
+    let rec = profile_benchmark(spec, budget);
     KERNELS.incr();
     KERNEL_US.record(started.elapsed().as_micros() as u64);
-    if let Ok((r, _)) = &rec {
+    if let Ok(r) = &rec {
         INSTS.add(r.executed_instructions);
         span.attr("insts", r.executed_instructions);
     }
@@ -575,7 +480,7 @@ pub fn profile_all_serial(scale: f64) -> Result<ProfileSet, ProfileError> {
         .map(|(i, spec)| {
             let budget = scaled_budget(spec, scale);
             obs::info!("[{:3}/{}] {} ({budget} insts)", i + 1, table.len(), spec.name());
-            run_one(spec, budget, None).map(|(r, _)| r)
+            run_one(spec, budget)
         })
         .collect();
     finish_set(scale, results)
@@ -720,7 +625,7 @@ pub fn load_or_profile_all(path: &Path, scale: f64) -> Result<ProfileOutcome, Pr
         Ok(set) => {
             CACHE_HIT.incr();
             obs::info!("loaded {} cached profiles from {}", set.records.len(), path.display());
-            return Ok(ProfileOutcome::clean(set, table));
+            return Ok(ProfileOutcome { set, quarantined: Vec::new(), table_fingerprint: table });
         }
         Err(miss) => {
             miss.counter().incr();
@@ -732,7 +637,7 @@ pub fn load_or_profile_all(path: &Path, scale: f64) -> Result<ProfileOutcome, Pr
             );
         }
     }
-    let outcome = profile_table(scale, PmuConfig::from_env(), table);
+    let outcome = profile_table(scale, table);
     if let Err(e) = outcome.set.save(path) {
         obs::warn!("could not write profile cache {}: {e}", path.display());
     }

@@ -83,10 +83,6 @@ pub struct RunSummary {
     pub scale: f64,
     /// Worker-pool width (`MICA_THREADS` or detected parallelism).
     pub threads: u64,
-    /// Sampling period of the simulated PMU when the run profiled with
-    /// `MICA_PMU=1`, `None` when the PMU was off. Recorded so a heat
-    /// artifact can always be traced back to the period that produced it.
-    pub pmu_period: Option<u64>,
     /// Fingerprint of the benchmark table the binaries were built with.
     pub table_fingerprint: u64,
     /// Total wall-clock seconds from [`Runner::new`] to [`Runner::finish`].
@@ -205,7 +201,6 @@ impl Runner {
             bin: bin.to_string(),
             scale: crate::scale(),
             threads: mica_par::num_threads() as u64,
-            pmu_period: mica_pmu::PmuConfig::from_env().map(|c| c.period),
             table_fingerprint,
             wall_s: started.elapsed().as_secs_f64(),
             stages,

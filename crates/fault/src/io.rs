@@ -270,14 +270,12 @@ mod tests {
             "cache-write",
             "results",
             "run-summary",
-            "heat",
             "lint-json",
             "lint-static",
             "obs.trace",
             "obs.events",
             "prof.baseline",
             "prof-json",
-            "prof-svg",
             "serve-index",
             "serve-access",
             "serve-drain",

@@ -411,64 +411,6 @@ pub fn dispatch_totals() -> (u64, u64) {
     (EVENTS_DISPATCHED.load(Ordering::Relaxed), SPANS_DISPATCHED.load(Ordering::Relaxed))
 }
 
-/// A cached boolean environment knob with the same disabled-cost contract
-/// as [`enabled`]: after the first read, checking the flag is one atomic
-/// load (two on the very first call, which runs the environment init).
-///
-/// The flag is *on* when the variable is set to any non-empty value other
-/// than `0` — the convention every `MICA_*` boolean knob follows. Declare
-/// one as a static:
-///
-/// ```
-/// static MY_FLAG: mica_obs::EnvFlag = mica_obs::EnvFlag::new("MICA_EXAMPLE");
-/// assert!(!MY_FLAG.enabled() || std::env::var("MICA_EXAMPLE").is_ok());
-/// ```
-pub struct EnvFlag {
-    var: &'static str,
-    /// `FLAG_UNINIT` until first read, then 0 (off) or 1 (on).
-    state: AtomicU8,
-}
-
-const FLAG_UNINIT: u8 = u8::MAX;
-
-impl EnvFlag {
-    /// A flag backed by environment variable `var`, not yet read.
-    pub const fn new(var: &'static str) -> EnvFlag {
-        EnvFlag { var, state: AtomicU8::new(FLAG_UNINIT) }
-    }
-
-    /// The variable this flag reads.
-    pub fn var(&self) -> &'static str {
-        self.var
-    }
-
-    /// Whether the flag is on. Reads the environment once, on the first
-    /// call; afterwards this is a single atomic load.
-    pub fn enabled(&self) -> bool {
-        let mut s = self.state.load(Ordering::Acquire);
-        if s == FLAG_UNINIT {
-            let on = std::env::var(self.var).is_ok_and(|v| !v.is_empty() && v != "0");
-            s = u8::from(on);
-            // A racing first read computes the same value; last store wins
-            // harmlessly.
-            self.state.store(s, Ordering::Release);
-        }
-        s == 1
-    }
-
-    /// Force the cached value, bypassing the environment — for tests that
-    /// must not race other threads on `set_var`.
-    pub fn force(&self, on: bool) {
-        self.state.store(u8::from(on), Ordering::Release);
-    }
-
-    /// Drop the cache so the next [`EnvFlag::enabled`] re-reads the
-    /// environment.
-    pub fn reset(&self) {
-        self.state.store(FLAG_UNINIT, Ordering::Release);
-    }
-}
-
 fn now_us() -> u64 {
     state().epoch.elapsed().as_micros() as u64
 }
@@ -953,29 +895,5 @@ mod tests {
         assert!(!remove_sink(id), "second removal reports absence");
         emit(Level::Info, "obs::test::removed", "dropped".into());
         assert!(sink.events().iter().all(|e| e.target != "obs::test::removed"));
-    }
-
-    #[test]
-    fn env_flag_caches_and_follows_the_boolean_convention() {
-        // Set-var-based coverage is confined to one variable no other test
-        // reads, and reset() re-reads between mutations.
-        static FLAG: EnvFlag = EnvFlag::new("MICA_OBS_ENVFLAG_TEST");
-        assert_eq!(FLAG.var(), "MICA_OBS_ENVFLAG_TEST");
-        std::env::remove_var("MICA_OBS_ENVFLAG_TEST");
-        FLAG.reset();
-        assert!(!FLAG.enabled(), "unset is off");
-        for (value, expect) in [("0", false), ("", false), ("1", true), ("yes", true)] {
-            std::env::set_var("MICA_OBS_ENVFLAG_TEST", value);
-            FLAG.reset();
-            assert_eq!(FLAG.enabled(), expect, "value {value:?}");
-        }
-        // The cache sticks: flipping the environment without reset() does
-        // not change the answer.
-        std::env::set_var("MICA_OBS_ENVFLAG_TEST", "0");
-        assert!(FLAG.enabled(), "cached value survives env churn");
-        FLAG.force(false);
-        assert!(!FLAG.enabled(), "force overrides");
-        std::env::remove_var("MICA_OBS_ENVFLAG_TEST");
-        FLAG.reset();
     }
 }

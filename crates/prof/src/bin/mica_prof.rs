@@ -1,39 +1,34 @@
 //! The `mica-prof` command-line front end.
 //!
 //! ```text
-//! mica-prof analyze   --events FILE [--summary FILE] [--out FILE] [--json FILE]
-//! mica-prof record    --summary FILE --baseline FILE [--label STR]
-//! mica-prof check     --summary FILE --baseline FILE
-//!                     [--max-ratio R] [--min-abs-s S]
-//! mica-prof heat      --dir DIR [--top K] [--svg FILE]
-//! mica-prof heat-diff BEFORE AFTER [--threshold T]
-//! mica-prof slo       ACCESS_LOG [--slo-ms N] [--target X]
+//! mica-prof analyze --events FILE [--summary FILE] [--out FILE] [--json FILE]
+//! mica-prof record  --summary FILE --baseline FILE [--label STR]
+//! mica-prof check   --summary FILE --baseline FILE
+//!                   [--max-ratio R] [--min-abs-s S]
+//! mica-prof slo     ACCESS_LOG [--slo-ms N] [--target X]
 //! ```
 //!
 //! Exit codes: 0 success / gate passed, 1 usage or I/O error, 2 the gate
-//! found a performance regression, `heat-diff` found hotspot drift, or
-//! `slo` found the latency objective breached.
+//! found a performance regression or `slo` found the latency objective
+//! breached.
 
 use mica_experiments::runner::RunSummary;
 use mica_prof::analysis;
 use mica_prof::baseline::{check, has_regression, render_findings, Baseline, CheckConfig};
-use mica_prof::heat;
 use mica_prof::trace::Trace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
-  mica-prof analyze   --events FILE [--summary FILE] [--out FILE] [--json FILE]
-  mica-prof record    --summary FILE --baseline FILE [--label STR]
-  mica-prof check     --summary FILE --baseline FILE [--max-ratio R] [--min-abs-s S]
-  mica-prof heat      --dir DIR [--top K] [--svg FILE]
-  mica-prof heat-diff BEFORE AFTER [--threshold T]
-  mica-prof slo       ACCESS_LOG [--slo-ms N] [--target X]
+  mica-prof analyze --events FILE [--summary FILE] [--out FILE] [--json FILE]
+  mica-prof record  --summary FILE --baseline FILE [--label STR]
+  mica-prof check   --summary FILE --baseline FILE [--max-ratio R] [--min-abs-s S]
+  mica-prof slo     ACCESS_LOG [--slo-ms N] [--target X]
 
-exit codes: 0 ok, 1 usage/io error, 2 performance regression / hotspot drift / SLO breach";
+exit codes: 0 ok, 1 usage/io error, 2 performance regression / SLO breach";
 
 /// Flag parser over `--key value` / `--key=value` pairs, plus bare
-/// positional operands (`heat-diff BEFORE AFTER`).
+/// positional operands (`slo ACCESS_LOG`).
 struct Args {
     pairs: Vec<(String, String)>,
     free: Vec<String>,
@@ -112,46 +107,6 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_heat(args: &Args) -> Result<ExitCode, String> {
-    args.no_free()?;
-    let dir = args.require_path("dir")?;
-    let top = match args.get("top") {
-        Some(k) => k.parse().map_err(|_| format!("bad --top {k:?}"))?,
-        None => 5,
-    };
-    let heats = heat::load_dir(&dir)?;
-    for h in &heats {
-        print!("{}", mica_pmu::render_text(h, top));
-    }
-    if let Some(svg_path) = args.path("svg") {
-        let svg = mica_pmu::render_svg(&heats);
-        mica_fault::io::atomic_write_retry("prof-svg", &svg_path, svg.as_bytes())
-            .map_err(|e| format!("cannot write heat map {}: {e}", svg_path.display()))?;
-        println!("heat map -> {}", svg_path.display());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_heat_diff(args: &Args) -> Result<ExitCode, String> {
-    let [before_dir, after_dir] = args.free.as_slice() else {
-        return Err("heat-diff needs exactly two heat directories".to_string());
-    };
-    let threshold = match args.get("threshold") {
-        Some(t) => t.parse().map_err(|_| format!("bad --threshold {t:?}"))?,
-        None => heat::DEFAULT_THRESHOLD,
-    };
-    let before = heat::load_dir(std::path::Path::new(before_dir))?;
-    let after = heat::load_dir(std::path::Path::new(after_dir))?;
-    let report = heat::diff(&before, &after, threshold);
-    print!("{}", heat::render_diff(&report, threshold));
-    if report.has_drift() {
-        eprintln!("mica-prof: hotspot drift detected");
-        Ok(ExitCode::from(2))
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
 fn unix_now() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -198,6 +153,14 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
+/// A latency objective in whole milliseconds, at least 1. The server
+/// ignores a zero `MICA_SERVE_SLO_MS` and keeps its default, so an audit
+/// against 0 ms would score every answer against an objective no server
+/// ran with.
+fn parse_slo_ms(text: &str) -> Option<u64> {
+    text.trim().parse().ok().filter(|&ms| ms >= 1)
+}
+
 /// Audit a serve access log against the latency objective. The objective
 /// defaults to the same environment knobs the server reads
 /// (`MICA_SERVE_SLO_MS`, `MICA_SERVE_SLO_TARGET`), so gating a drained
@@ -207,9 +170,10 @@ fn cmd_slo(args: &Args) -> Result<ExitCode, String> {
         return Err("slo needs exactly one access-log path".to_string());
     };
     let slo_ms = match args.get("slo-ms") {
-        Some(v) => v.parse().map_err(|_| format!("bad --slo-ms {v:?}"))?,
+        Some(v) => parse_slo_ms(v).ok_or_else(|| format!("bad --slo-ms {v:?} (want ms >= 1)"))?,
         None => match std::env::var("MICA_SERVE_SLO_MS") {
-            Ok(v) => v.trim().parse().map_err(|_| format!("bad MICA_SERVE_SLO_MS {v:?}"))?,
+            Ok(v) => parse_slo_ms(&v)
+                .ok_or_else(|| format!("bad MICA_SERVE_SLO_MS {v:?} (want ms >= 1)"))?,
             Err(_) => 1_000,
         },
     };
@@ -245,8 +209,6 @@ fn main() -> ExitCode {
         "analyze" => cmd_analyze(&args),
         "record" => cmd_record(&args),
         "check" => cmd_check(&args),
-        "heat" => cmd_heat(&args),
-        "heat-diff" => cmd_heat_diff(&args),
         "slo" => cmd_slo(&args),
         other => Err(format!("unknown command {other:?}")),
     });

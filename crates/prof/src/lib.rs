@@ -14,22 +14,18 @@
 //! - [`baseline`] maintains the `BENCH_pipeline.json` performance
 //!   trajectory and implements the noise-aware regression gate
 //!   (median-of-N baseline, relative × absolute thresholds);
-//! - [`heat`] loads the PMU heat artifacts (`results/heat/*.json`,
-//!   written by `MICA_PMU=1` profiling runs) and diffs hotspot shares
-//!   across runs;
 //! - [`slo`] replays the serve daemon's access log
 //!   (`results/serve-access.jsonl`) and recomputes latency-objective
 //!   attainment offline, independent of the daemon's own counters.
 //!
-//! The `mica-prof` binary fronts all four: `analyze` renders a report
-//! (`--json` for the machine-readable [`analysis::JsonReport`]), `record`
-//! appends a run to the trajectory, `check` gates CI, `heat` shows the
-//! hottest blocks per kernel, and `heat-diff` flags share drift (exit 0
-//! clean, 1 usage/IO error, 2 regression/drift).
+//! The `mica-prof` binary fronts them with four commands: `analyze`
+//! renders a report (`--json` for the machine-readable
+//! [`analysis::JsonReport`]), `record` appends a run to the trajectory,
+//! `check` gates CI, and `slo` audits an access log against the latency
+//! objective (exit 0 clean, 1 usage/IO error, 2 regression/breach).
 
 pub mod analysis;
 pub mod baseline;
-pub mod heat;
 pub mod slo;
 pub mod trace;
 

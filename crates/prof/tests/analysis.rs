@@ -37,7 +37,6 @@ fn summary() -> RunSummary {
         bin: "profile".to_string(),
         scale: 1.0,
         threads: 2,
-        pmu_period: None,
         table_fingerprint: 0xfeed,
         wall_s: 0.001,
         stages: vec![StageSummary { name: "profile".to_string(), wall_s: 0.001 }],

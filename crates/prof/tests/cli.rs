@@ -1,10 +1,8 @@
 //! End-to-end tests of the `mica-prof` binary's non-gate commands:
-//! `analyze` error handling and `--json` output, `heat`, and the
-//! `heat-diff` drift detector.
+//! `analyze` error handling and `--json` output, and `slo`'s check of
+//! its latency objective.
 
-use mica_pmu::{BlockHeat, KernelHeat};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 
 struct Run {
@@ -14,8 +12,15 @@ struct Run {
 }
 
 fn run(args: &[&str]) -> Run {
+    run_with_env(args, &[])
+}
+
+fn run_with_env(args: &[&str], env: &[(&str, &str)]) -> Run {
     let out = Command::new(env!("CARGO_BIN_EXE_mica-prof"))
         .args(args)
+        .env_remove("MICA_SERVE_SLO_MS")
+        .env_remove("MICA_SERVE_SLO_TARGET")
+        .envs(env.iter().copied())
         .output()
         .expect("mica-prof runs");
     Run {
@@ -45,47 +50,6 @@ fn events_text() -> String {
     ]
     .join("\n")
         + "\n"
-}
-
-fn heat(kernel: &str, shares: &[(u64, f64)]) -> KernelHeat {
-    let retired: u64 = shares.iter().map(|&(_, s)| (s * 1000.0) as u64).sum();
-    KernelHeat {
-        kernel: kernel.to_string(),
-        period: 101,
-        retired,
-        samples: shares.len() as u64,
-        taken_branches: 7,
-        not_taken_branches: 3,
-        mem_read_bytes: 64,
-        mem_write_bytes: 32,
-        class_counts: BTreeMap::from([("IntAlu".to_string(), retired)]),
-        blocks: shares
-            .iter()
-            .map(|&(pc, share)| BlockHeat {
-                pc,
-                first_idx: 0,
-                insts: 4,
-                hits: 2,
-                retired: (share * 1000.0) as u64,
-                samples: 1,
-                share,
-                loop_depth: 1,
-                loop_chain: vec![pc],
-                static_mix: BTreeMap::from([("IntAlu".to_string(), 4)]),
-            })
-            .collect(),
-    }
-}
-
-fn write_heat_dir(dir: &Path, heats: &[KernelHeat]) {
-    std::fs::create_dir_all(dir).unwrap();
-    for h in heats {
-        let path = dir.join(format!("{}.json", KernelHeat::file_stem(&h.kernel)));
-        std::fs::write(path, h.to_json()).unwrap();
-    }
-    // The real heat directory also holds non-JSON renderings; the loader
-    // must skip them rather than choke.
-    std::fs::write(dir.join("flamegraph.collapsed"), "k;block@0x10 1\n").unwrap();
 }
 
 #[test]
@@ -127,56 +91,23 @@ fn analyze_json_writes_a_parseable_machine_report() {
 }
 
 #[test]
-fn heat_renders_the_hottest_blocks() {
-    let dir = temp_dir("heat");
-    write_heat_dir(&dir, &[heat("m/a/x", &[(0x10000, 0.9), (0x10020, 0.1)])]);
-    let r = run(&["heat", "--dir", dir.to_str().unwrap(), "--top", "1"]);
-    assert_eq!(r.code, 0, "stderr:\n{}", r.stderr);
-    assert!(r.stdout.contains("m/a/x"), "{}", r.stdout);
-    assert!(r.stdout.contains("0x10000"), "hottest block listed:\n{}", r.stdout);
-    assert!(!r.stdout.contains("0x10020"), "--top 1 truncates:\n{}", r.stdout);
+fn slo_rejects_a_zero_objective_from_the_flag_or_the_environment() {
+    let dir = temp_dir("slo_zero");
+    let log = dir.join("serve-access.jsonl");
+    std::fs::write(
+        &log,
+        "{\"kind\":\"table\",\"outcome\":\"ok\",\"queue_wait_us\":5,\"exec_us\":20}\n",
+    )
+    .unwrap();
+    let log = log.to_str().unwrap();
+    let flag = run(&["slo", log, "--slo-ms", "0"]);
+    assert_eq!(flag.code, 1, "stdout:\n{}\nstderr:\n{}", flag.stdout, flag.stderr);
+    assert!(flag.stderr.contains("bad --slo-ms \"0\""), "{}", flag.stderr);
+    let env = run_with_env(&["slo", log], &[("MICA_SERVE_SLO_MS", "0")]);
+    assert_eq!(env.code, 1, "stdout:\n{}\nstderr:\n{}", env.stdout, env.stderr);
+    assert!(env.stderr.contains("bad MICA_SERVE_SLO_MS \"0\""), "{}", env.stderr);
+    // A positive objective from either source still audits the log.
+    assert_eq!(run(&["slo", log, "--slo-ms", "1"]).code, 0);
+    assert_eq!(run_with_env(&["slo", log], &[("MICA_SERVE_SLO_MS", "1")]).code, 0);
     std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn heat_on_an_empty_directory_fails_and_names_it() {
-    let dir = temp_dir("heat_empty");
-    let r = run(&["heat", "--dir", dir.to_str().unwrap()]);
-    assert_eq!(r.code, 1);
-    assert!(r.stderr.contains("no heat artifacts"), "{}", r.stderr);
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn heat_diff_of_identical_runs_is_clean() {
-    let root = temp_dir("diff_clean");
-    let heats = [heat("m/a/x", &[(0x10000, 0.7), (0x10020, 0.3)])];
-    write_heat_dir(&root.join("a"), &heats);
-    write_heat_dir(&root.join("b"), &heats);
-    let r = run(&[
-        "heat-diff",
-        root.join("a").to_str().unwrap(),
-        root.join("b").to_str().unwrap(),
-    ]);
-    assert_eq!(r.code, 0, "stdout:\n{}\nstderr:\n{}", r.stdout, r.stderr);
-    assert!(r.stdout.contains("no hotspot drift"), "{}", r.stdout);
-    std::fs::remove_dir_all(root).ok();
-}
-
-#[test]
-fn heat_diff_flags_a_perturbed_kernel_and_exits_2() {
-    let root = temp_dir("diff_drift");
-    write_heat_dir(&root.join("a"), &[heat("m/a/x", &[(0x10000, 0.7), (0x10020, 0.3)])]);
-    write_heat_dir(&root.join("b"), &[heat("m/a/x", &[(0x10000, 0.5), (0x10020, 0.5)])]);
-    let r = run(&[
-        "heat-diff",
-        root.join("a").to_str().unwrap(),
-        root.join("b").to_str().unwrap(),
-        "--threshold",
-        "0.05",
-    ]);
-    assert_eq!(r.code, 2, "stdout:\n{}\nstderr:\n{}", r.stdout, r.stderr);
-    assert!(r.stdout.contains("DRIFT m/a/x block 0x10000"), "{}", r.stdout);
-    assert!(r.stderr.contains("hotspot drift detected"), "{}", r.stderr);
-    std::fs::remove_dir_all(root).ok();
 }

@@ -419,8 +419,8 @@ pub enum InstClass {
 
 impl InstClass {
     /// Every class, in declaration order. [`InstClass::index`] is the
-    /// position in this array, so per-class counter banks (the PMU's event
-    /// counters, mix tables) can be plain fixed-size arrays.
+    /// position in this array, so per-class counter banks can be plain
+    /// fixed-size arrays.
     pub const ALL: [InstClass; 7] = [
         InstClass::IntAlu,
         InstClass::IntMul,
@@ -436,9 +436,8 @@ impl InstClass {
         matches!(self, InstClass::Branch | InstClass::Jump)
     }
 
-    /// Stable name, identical to the `Debug` rendering — the key used by
-    /// artifact files (`static_mix`, heat-map class counts), so static and
-    /// dynamic reports join without a rename table.
+    /// Stable name, identical to the `Debug` rendering — the class key of
+    /// artifact files such as the static report's `static_mix`.
     pub const fn name(self) -> &'static str {
         match self {
             InstClass::IntAlu => "IntAlu",

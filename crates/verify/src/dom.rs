@@ -273,23 +273,6 @@ impl LoopForest {
         self.innermost.get(block).copied().flatten()
     }
 
-    /// Nesting depth of `block`: the depth of its innermost containing
-    /// loop, or 0 for code outside every loop. This is the "how hot could
-    /// this be" prior the PMU heat map attaches to each block.
-    pub fn depth_of(&self, block: usize) -> usize {
-        self.innermost(block).map_or(0, |li| self.loops[li].depth)
-    }
-
-    /// Header program points of the loops containing `block`,
-    /// outermost-first — the stack a flamegraph collapses a block's samples
-    /// under. Headers are returned as block indices; callers map them to
-    /// pcs through the CFG.
-    pub fn chain_headers(&self, block: usize) -> Vec<usize> {
-        let mut headers: Vec<usize> = self.chain(block).map(|l| l.header).collect();
-        headers.reverse();
-        headers
-    }
-
     /// Iterate the chain of loops containing `block`, innermost first.
     pub fn chain(&self, block: usize) -> impl Iterator<Item = &NaturalLoop> {
         let mut cur = self.innermost(block);
@@ -388,14 +371,6 @@ mod tests {
         assert_eq!(loops.chain(inner_header_block).count(), 2);
         // Exits: the inner loop exits to the outer latch tail.
         assert!(!inner.exits.is_empty());
-        // depth_of / chain_headers: the flamegraph join helpers.
-        assert_eq!(loops.depth_of(0), 0, "preamble is outside every loop");
-        assert_eq!(loops.depth_of(inner_header_block), 2);
-        assert_eq!(
-            loops.chain_headers(inner_header_block),
-            vec![outer.header, inner.header],
-            "outermost-first"
-        );
     }
 
     #[test]
