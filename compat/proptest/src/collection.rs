@@ -40,7 +40,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

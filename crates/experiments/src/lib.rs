@@ -26,16 +26,12 @@
 //! a torn file. A failed write gets three more attempts, on an exponential
 //! backoff with site-seeded jitter capped at 32 ms.
 //!
-//! Observability (`MICA_LOG`, `MICA_TRACE`, `MICA_EVENTS`) is provided by
-//! [`mica_obs`]; every binary drives a [`runner::Runner`] that times its
-//! stages and writes a machine-readable `run-<bin>.json` report next to
-//! its outputs (override with `--report PATH`). Two deeper profiling knobs
-//! feed `mica-prof`:
-//!
-//! - `MICA_ALLOC=1` — count allocations and bytes per span via the
-//!   process-wide tracking allocator installed below;
-//! - `MICA_METRICS_EVERY=2s` — emit periodic heartbeat events carrying
-//!   every counter, so long runs never go dark.
+//! Observability (`MICA_LOG`, `MICA_TRACE`) is provided by [`mica_obs`];
+//! every binary drives a [`runner::Runner`] that times its stages and
+//! writes a machine-readable `run-<bin>.json` report next to its outputs
+//! (override with `--report PATH`). One deeper profiling knob feeds
+//! `mica-prof`: `MICA_ALLOC=1` counts allocations and bytes per span via
+//! the process-wide tracking allocator installed below.
 
 pub mod analysis;
 pub mod commands;

@@ -10,7 +10,6 @@ use std::path::PathBuf;
 fn init() -> PathBuf {
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
-    std::env::remove_var("MICA_EVENTS");
     let dir = std::env::temp_dir().join(format!("mica_cache_reasons_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -124,7 +123,6 @@ fn hit_and_miss_feed_the_cache_counters() {
 fn corrupted_caches_reject_cleanly_and_rewrite_atomically() {
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
-    std::env::remove_var("MICA_EVENTS");
     let dir = std::env::temp_dir().join(format!("mica_cache_corrupt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("profiles.json");

@@ -21,7 +21,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// observability and fault knobs cleared unless `env` sets them.
 fn run(bin: &str, dir: &Path, scale: &str, env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(bin);
-    for knob in ["MICA_TRACE", "MICA_EVENTS", "MICA_FAULTS", "MICA_ALLOC"] {
+    for knob in ["MICA_TRACE", "MICA_FAULTS", "MICA_ALLOC"] {
         cmd.env_remove(knob);
     }
     cmd.env("MICA_RESULTS_DIR", dir)

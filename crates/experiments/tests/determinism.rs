@@ -27,7 +27,7 @@ fn parallel_profile_all_is_byte_identical_to_serial() {
 }
 
 /// Observability must be a pure observer: running the identical sweep with
-/// a Chrome-trace sink and a JSON-lines sink attached — under an installed
+/// a Chrome-trace sink attached — under an installed
 /// request-style [`mica_obs::TraceContext`], with concurrent ops-plane
 /// scrapes (windowed counter/histogram snapshots, the reads `ops metrics`
 /// and `stats` perform) — cannot change a single byte of the scientific
@@ -39,16 +39,12 @@ fn tracing_does_not_change_results() {
     let dir = std::env::temp_dir().join(format!("mica_trace_determinism_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("trace.json");
-    let events_path = dir.join("events.jsonl");
 
     let quiet = profile_all(1e-9).expect("untraced profiling succeeds").set;
 
-    // Sinks are installed programmatically (not via MICA_TRACE) because the
-    // env-driven init already ran for this process.
+    // The sink is installed programmatically (not via MICA_TRACE) because
+    // the env-driven init already ran for this process.
     let trace = mica_obs::add_sink(Box::new(mica_obs::ChromeTraceSink::create(trace_path.clone())));
-    let events = mica_obs::add_sink(Box::new(
-        mica_obs::JsonLinesSink::create(events_path.clone()).expect("events file opens"),
-    ));
     let traced = {
         // The serve daemon runs every request under an installed context
         // while ops scrapes read the windowed metrics from other threads;
@@ -76,7 +72,6 @@ fn tracing_does_not_change_results() {
     };
     mica_obs::flush();
     mica_obs::remove_sink(trace);
-    mica_obs::remove_sink(events);
 
     assert_eq!(
         serde_json::to_string(&quiet).expect("serializes"),
@@ -85,19 +80,26 @@ fn tracing_does_not_change_results() {
     );
 
     // And the observer actually observed: the trace is valid Chrome-trace
-    // JSON with per-kernel spans, the event log is non-empty JSON lines.
+    // JSON with a span per kernel, and its otherData counts the spans.
     let doc: serde::Value = serde_json::from_str(
         &std::fs::read_to_string(&trace_path).expect("trace written"),
     )
     .expect("trace parses");
-    let n_events = doc
-        .field("traceEvents")
-        .and_then(|v| v.as_array())
-        .map(|a| a.len())
-        .expect("traceEvents array");
-    assert!(n_events > 122, "expected per-kernel spans, got {n_events} trace events");
-    let jsonl = std::fs::read_to_string(&events_path).expect("events written");
-    assert!(jsonl.lines().count() > 0, "JSON-lines log is empty");
+    let events = doc.field("traceEvents").and_then(|v| v.as_array()).expect("traceEvents array");
+    fn is(e: &serde::Value, key: &str, want: &str) -> bool {
+        matches!(e.field(key), Some(serde::Value::String(s)) if s == want)
+    }
+    let kernels = events
+        .iter()
+        .filter(|e| is(e, "ph", "X") && is(e, "cat", "profile") && !is(e, "name", "profile_all"))
+        .count();
+    assert!(kernels >= 122, "expected per-kernel spans, got {kernels}");
+    let spans = events.iter().filter(|e| is(e, "ph", "X")).count() as u64;
+    let counted = doc.field("otherData").and_then(|o| o.field("spans")).and_then(|n| match n {
+        serde::Value::Number(n) => n.as_u64(),
+        _ => None,
+    });
+    assert_eq!(counted, Some(spans), "otherData counts every span in the file");
 
     std::fs::remove_dir_all(dir).ok();
 }

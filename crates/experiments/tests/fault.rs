@@ -21,7 +21,6 @@ static LOCK: Mutex<()> = Mutex::new(());
 fn init() {
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
-    std::env::remove_var("MICA_EVENTS");
 }
 
 fn counter_map() -> BTreeMap<String, u64> {

@@ -17,7 +17,6 @@ fn finish_writes_a_parseable_run_summary() {
     std::env::set_var("MICA_RESULTS_DIR", &dir);
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
-    std::env::remove_var("MICA_EVENTS");
     std::env::set_var("MICA_THREADS", "3");
     std::env::set_var("MICA_SCALE", "0.125");
 
@@ -94,7 +93,6 @@ fn quarantine_list_round_trips_through_the_summary() {
     std::env::set_var("MICA_RESULTS_DIR", &dir);
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
-    std::env::remove_var("MICA_EVENTS");
 
     let mut run = Runner::new("qbin");
     run.stage("noop", || ());

@@ -273,9 +273,7 @@ mod tests {
             "lint-json",
             "lint-static",
             "obs.trace",
-            "obs.events",
             "prof.baseline",
-            "prof-json",
             "serve-index",
             "serve-access",
             "serve-drain",

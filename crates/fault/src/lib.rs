@@ -52,11 +52,10 @@
 //!
 //! Known sites: `cache-write` (the profile cache / `profiles.json`),
 //! `results` (CSV/SVG/markdown artifacts), `run-summary`
-//! (`run-<bin>.json`), `obs.trace` (`MICA_TRACE`), `obs.events`
-//! (`MICA_EVENTS`), `serve-index` (the server's sharded profile index),
-//! `serve-drain` (the server's drain summary), `serve.request` (request
-//! execution, `slow:` only) and `respond` (the server's response writes,
-//! `io:`/`slow:`).
+//! (`run-<bin>.json`), `obs.trace` (`MICA_TRACE`), `serve-index` (the
+//! server's sharded profile index), `serve-drain` (the server's drain
+//! summary), `serve.request` (request execution, `slow:` only) and
+//! `respond` (the server's response writes, `io:`/`slow:`).
 
 pub mod io;
 pub mod metrics;

@@ -13,6 +13,19 @@
 //! temp-then-rename atomic write with bounded retry — so a reader never
 //! observes a half-written trace; if the write still fails after the
 //! retry budget, `obs.trace.dropped_events` counts what was lost.
+//!
+//! Every flushed file ends with the format's top-level `otherData`
+//! object,
+//!
+//! ```json
+//! "otherData":{"events":N,"spans":M,"dropped_events":D}
+//! ```
+//!
+//! the instants and spans the sink received and the dropped-event count
+//! at flush time, so a consumer (`mica-prof`) can prove the file
+//! complete: one without `otherData`, with counts above the records it
+//! holds, or with dropped events is reported as truncated instead of
+//! silently under-counted.
 
 use crate::{push_json_attrs, push_json_str, Counter, Event, Sink, SpanRecord};
 use std::path::PathBuf;
@@ -24,14 +37,22 @@ static DROPPED_EVENTS: Counter = Counter::new("obs.trace.dropped_events");
 /// Buffering Chrome-trace writer; finalized by [`Sink::flush`].
 pub struct ChromeTraceSink {
     path: PathBuf,
-    /// Pre-rendered JSON objects, one per trace event.
-    events: Mutex<Vec<String>>,
+    buffer: Mutex<Buffer>,
+}
+
+/// Pre-rendered JSON objects, one per trace event, with how many of them
+/// are instants and spans (for `otherData`).
+#[derive(Default)]
+struct Buffer {
+    objs: Vec<String>,
+    events: u64,
+    spans: u64,
 }
 
 impl ChromeTraceSink {
     /// A sink that will write `path` at flush time (no I/O until then).
     pub fn create(path: PathBuf) -> ChromeTraceSink {
-        ChromeTraceSink { path, events: Mutex::new(Vec::new()) }
+        ChromeTraceSink { path, buffer: Mutex::new(Buffer::default()) }
     }
 }
 
@@ -51,7 +72,9 @@ impl Sink for ChromeTraceSink {
         obj.push_str("\",\"attrs\":");
         push_json_attrs(&mut obj, &event.attrs);
         obj.push_str("}}");
-        self.events.lock().expect("trace buffer poisoned").push(obj);
+        let mut buffer = self.buffer.lock().expect("trace buffer poisoned");
+        buffer.objs.push(obj);
+        buffer.events += 1;
     }
 
     fn on_span(&self, span: &SpanRecord) {
@@ -78,12 +101,15 @@ impl Sink for ChromeTraceSink {
         obj.push_str(",\"attrs\":");
         push_json_attrs(&mut obj, &span.attrs);
         obj.push_str("}}");
-        self.events.lock().expect("trace buffer poisoned").push(obj);
+        let mut buffer = self.buffer.lock().expect("trace buffer poisoned");
+        buffer.objs.push(obj);
+        buffer.spans += 1;
     }
 
     fn flush(&self) {
-        let events = self.events.lock().expect("trace buffer poisoned");
-        let mut out = String::with_capacity(events.iter().map(|e| e.len() + 2).sum::<usize>() + 512);
+        let buffer = self.buffer.lock().expect("trace buffer poisoned");
+        let objs = &buffer.objs;
+        let mut out = String::with_capacity(objs.iter().map(|e| e.len() + 2).sum::<usize>() + 512);
         out.push_str("{\"traceEvents\":[");
         out.push_str(
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"mica\"}}",
@@ -99,18 +125,23 @@ impl Sink for ChromeTraceSink {
             out.push_str(&tid.to_string());
             out.push_str("}}");
         }
-        for obj in events.iter() {
+        for obj in objs {
             out.push(',');
             out.push_str(obj);
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        out.push_str(&format!(
+            "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"events\":{},\"spans\":{},\"dropped_events\":{}}}}}",
+            buffer.events,
+            buffer.spans,
+            DROPPED_EVENTS.get(),
+        ));
         if let Err(e) = mica_fault::io::atomic_write_retry("obs.trace", &self.path, out.as_bytes())
         {
-            DROPPED_EVENTS.add(events.len() as u64);
+            DROPPED_EVENTS.add(objs.len() as u64);
             eprintln!(
                 "warning: cannot write trace file {}: {e} ({} events dropped)",
                 self.path.display(),
-                events.len()
+                objs.len()
             );
         }
     }

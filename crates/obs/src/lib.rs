@@ -11,10 +11,10 @@
 //!   [`trace!`]) with optional structured attributes;
 //! - **atomic counters and histograms** ([`Counter`], [`Histogram`]) for
 //!   things worth counting (cache hits, stolen chunks, GA generations);
-//! - a pluggable [`Sink`] trait with four implementations: a leveled
-//!   human-readable stderr logger, an in-memory capture sink for tests, a
-//!   JSON-lines recorder, and a Chrome-trace (`chrome://tracing`/Perfetto)
-//!   exporter keyed by worker-thread id so `par_map` fan-out is visible.
+//! - a pluggable [`Sink`] trait with three implementations: a leveled
+//!   human-readable stderr logger, an in-memory capture sink for tests,
+//!   and a Chrome-trace (`chrome://tracing`/Perfetto) exporter keyed by
+//!   worker-thread id so `par_map` fan-out is visible.
 //!
 //! Everything is `std`-only (the build environment has no crate-registry
 //! access — same constraint as the `compat/` stand-ins) and strictly
@@ -29,11 +29,11 @@
 //!
 //! - `MICA_LOG=error|warn|info|debug|trace|off` — stderr verbosity
 //!   (default `info`);
-//! - `MICA_TRACE=out.json` — write a Chrome-trace file of every span;
-//! - `MICA_EVENTS=out.jsonl` — record every event and span as JSON lines.
+//! - `MICA_TRACE=out.json` — write a Chrome-trace file of every event
+//!   and span.
 //!
-//! File sinks buffer; call [`flush`] (the experiments' `Runner` does) to
-//! finalize output.
+//! The trace sink buffers; call [`flush`] (the experiments' `Runner` does)
+//! to finalize output.
 //!
 //! # Overhead
 //!
@@ -46,21 +46,17 @@ pub mod alloc;
 mod chrome;
 mod context;
 mod counters;
-mod heartbeat;
-mod jsonl;
 mod sink;
 
 pub use chrome::ChromeTraceSink;
 pub use context::{
     current_context, install_context, next_span_id, ContextGuard, TraceContext,
 };
-pub use heartbeat::start_heartbeat;
 pub use counters::{
     counters, counters_windowed, histograms, histograms_windowed, reset_metrics,
     set_window_clock_ms_for_tests, window_span_ms, Counter, Histogram, HistogramSnapshot,
     WINDOW_SLOTS, WINDOW_SLOT_MS,
 };
-pub use jsonl::JsonLinesSink;
 pub use sink::{MemorySink, Record, Sink, StderrSink};
 
 use std::cell::Cell;
@@ -233,8 +229,6 @@ pub struct SpanRecord {
     pub dur_us: u64,
     /// Logical thread id the span opened and closed on.
     pub tid: u64,
-    /// Nesting depth on that thread at open time (0 = top level).
-    pub depth: u32,
     /// Trace this span belongs to (0 = opened outside any
     /// [`TraceContext`]).
     pub trace_id: u64,
@@ -301,19 +295,11 @@ fn state() -> &'static State {
         if let Some(path) = std::env::var_os("MICA_TRACE") {
             push(Box::new(ChromeTraceSink::create(path.into())), &mut sinks);
         }
-        if let Some(path) = std::env::var_os("MICA_EVENTS") {
-            match JsonLinesSink::create(std::path::PathBuf::from(&path)) {
-                Ok(sink) => push(Box::new(sink), &mut sinks),
-                Err(e) => eprintln!("warning: cannot open MICA_EVENTS={path:?}: {e}"),
-            }
-        }
 
         recompute_caps(&sinks);
         // Deliberately last: the env reads above allocate, and the alloc
-        // flag must stay off until they are done; the heartbeat thread
-        // calls back into this state and blocks until init completes.
+        // flag must stay off until they are done.
         alloc::init_from_env();
-        heartbeat::init_from_env();
         State {
             sinks: RwLock::new(sinks),
             next_sink_id: AtomicU64::new(next_id),
@@ -374,8 +360,8 @@ pub fn remove_sink(id: SinkId) -> bool {
     !removed.is_empty()
 }
 
-/// Flush every installed sink (file sinks buffer until flushed). Call at
-/// the end of a run; the experiments' `Runner` does this.
+/// Flush every installed sink (the trace sink buffers until flushed).
+/// Call at the end of a run; the experiments' `Runner` does this.
 pub fn flush() {
     let s = state();
     let sinks = s.sinks.read().expect("sink registry poisoned");
@@ -433,7 +419,6 @@ static NEXT_ANON_TID: AtomicU64 = AtomicU64::new(1000);
 
 thread_local! {
     static TID: Cell<u64> = const { Cell::new(u64::MAX) };
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 fn register_thread_name(tid: u64, name: String) {
@@ -592,7 +577,6 @@ struct SpanInner {
     name: String,
     ts_us: u64,
     tid: u64,
-    depth: u32,
     trace_id: u64,
     span_id: u64,
     parent_id: u64,
@@ -614,23 +598,17 @@ struct SpanInner {
 pub struct Span(Option<SpanInner>);
 
 /// Open a span. When no installed sink records spans this returns an
-/// inert guard without touching the clock or the thread-local stack.
+/// inert guard without touching the clock or the thread's context.
 pub fn span(cat: &'static str, name: impl Into<String>) -> Span {
     if !spans_enabled() {
         return Span(None);
     }
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
-    });
     let (trace_id, span_id, parent_id, prev_ctx) = context::enter_span();
     Span(Some(SpanInner {
         cat,
         name: name.into(),
         ts_us: now_us(),
         tid: current_tid(),
-        depth,
         trace_id,
         span_id,
         parent_id,
@@ -661,7 +639,6 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(mut inner) = self.0.take() else { return };
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         context::exit_span(inner.prev_ctx);
         if let Some((n0, b0)) = inner.alloc0 {
             let (n1, b1) = alloc::thread_totals();
@@ -676,7 +653,6 @@ impl Drop for Span {
             ts_us: inner.ts_us,
             dur_us: now_us().saturating_sub(inner.ts_us),
             tid: inner.tid,
-            depth: inner.depth,
             trace_id: inner.trace_id,
             span_id: inner.span_id,
             parent_id: inner.parent_id,
@@ -711,7 +687,7 @@ pub fn emit_span_record(record: SpanRecord) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON rendering helpers (shared by the file sinks)
+// JSON rendering helpers (for the trace sink)
 // ---------------------------------------------------------------------------
 
 /// Append `s` to `out` as a JSON string literal.
@@ -821,10 +797,10 @@ mod tests {
         let spans: Vec<SpanRecord> =
             sink.spans().into_iter().filter(|s| s.cat == "obs-test-capture").collect();
         assert_eq!(spans.len(), 2);
-        // Inner closes first and sits one level deeper on the same thread.
+        // Inner closes first and parents to outer on the same thread.
         assert_eq!(spans[0].name, "inner");
         assert_eq!(spans[1].name, "outer");
-        assert_eq!(spans[0].depth, spans[1].depth + 1);
+        assert_eq!(spans[0].parent_id, spans[1].span_id);
         assert_eq!(spans[0].tid, spans[1].tid);
         // Inner is contained in outer.
         assert!(spans[0].ts_us >= spans[1].ts_us);
@@ -869,7 +845,6 @@ mod tests {
             ts_us: ts,
             dur_us: 42,
             tid: 900,
-            depth: 0,
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
             parent_id: 0,

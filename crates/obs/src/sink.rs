@@ -34,8 +34,8 @@ pub trait Sink: Send + Sync {
 /// Human-readable leveled logger on stderr — the `MICA_LOG` sink.
 ///
 /// Events print as `[  12.345s LEVEL target] message (k=v, ...)`. Spans
-/// print only at `trace` verbosity (they flood below that, and the file
-/// sinks are the right tool for span analysis).
+/// print only at `trace` verbosity (they flood below that, and the trace
+/// sink is the right tool for span analysis).
 pub struct StderrSink {
     level: Level,
 }

@@ -14,7 +14,6 @@ fn disabled_pipeline_dispatches_nothing() {
     // binary with a single test).
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
-    std::env::remove_var("MICA_EVENTS");
 
     assert!(!enabled(Level::Error));
     assert!(!enabled(Level::Trace));

@@ -20,7 +20,6 @@ fn init_env() {
         std::env::set_var("MICA_THREADS", "3");
         std::env::set_var("MICA_LOG", "off");
         std::env::remove_var("MICA_TRACE");
-        std::env::remove_var("MICA_EVENTS");
     });
 }
 

@@ -10,7 +10,6 @@ fn pool_spans_nest_per_worker_and_counters_add_up() {
     std::env::set_var("MICA_THREADS", "4");
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
-    std::env::remove_var("MICA_EVENTS");
 
     let mem = MemorySink::new();
     let id = add_sink(Box::new(mem.clone()));

@@ -52,7 +52,6 @@ fn two_pool_invocations_reuse_the_same_worker_tracks() {
     std::env::set_var("MICA_THREADS", "4");
     std::env::set_var("MICA_LOG", "off");
     std::env::remove_var("MICA_TRACE");
-    std::env::remove_var("MICA_EVENTS");
 
     let dir = std::env::temp_dir().join(format!("mica_worker_tracks_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -2,20 +2,18 @@
 //! utilization, kernel latency, and allocation attribution.
 //!
 //! Input is the pair every instrumented binary leaves behind — the
-//! `MICA_EVENTS` JSON-lines stream ([`Trace`]) and the `run-<bin>.json`
+//! `MICA_TRACE` Chrome-trace file ([`Trace`]) and the `run-<bin>.json`
 //! summary ([`RunSummary`]) — either of which may be absent; the analysis
 //! reports what the available half supports.
 //!
-//! The critical path is computed over the reconstructed span forest: start
-//! at the `run` span and repeatedly descend into the *longest* child (for
-//! a `par_map` pool span the descent crosses threads, into its longest
-//! `chunk`). The chain that falls out is the sequence of spans that
-//! dominated the run's wall time — the first places to look when the
-//! regression gate fires.
+//! The critical path is computed over the span tree: start at the `run`
+//! span and repeatedly descend into the *longest* child (for a `par_map`
+//! pool span the descent crosses threads, into its longest `chunk`). The
+//! chain that falls out is the sequence of spans that dominated the run's
+//! wall time — the first places to look when the regression gate fires.
 
-use crate::trace::{FlushInfo, SpanNode, SpanRec, Trace};
+use crate::trace::{SpanRec, Trace, TraceCounts};
 use mica_experiments::runner::RunSummary;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One stage of the run, with its share of total wall time.
@@ -116,10 +114,10 @@ pub struct Analysis {
     pub wall_s: Option<f64>,
     /// Whether the trace is provably incomplete.
     pub truncated: bool,
-    /// Unparseable lines skipped while loading the trace.
-    pub skipped_lines: usize,
-    /// The trace's terminating flush record, when present.
-    pub flush: Option<FlushInfo>,
+    /// Trace elements that were neither a span nor an instant.
+    pub skipped: usize,
+    /// The trace's `otherData` counts, when present.
+    pub counts: Option<TraceCounts>,
     /// Stage decomposition, in execution order.
     pub stages: Vec<StageCost>,
     /// Critical path, root first.
@@ -143,7 +141,7 @@ pub struct Analysis {
     pub cache_hit_ratio: Option<f64>,
     /// Σ of `fault.*` injection counters.
     pub fault_injections: u64,
-    /// Σ of dropped-record counters (trace events + event lines).
+    /// Dropped trace records (`obs.trace.dropped_events`).
     pub dropped_records: u64,
     /// Process-wide allocation totals (`alloc.count`, `alloc.bytes`).
     pub alloc_totals: Option<(u64, u64)>,
@@ -176,8 +174,8 @@ fn median_f64(values: &mut [f64]) -> f64 {
 pub fn analyze(trace: &Trace, summary: Option<&RunSummary>) -> Analysis {
     let mut a = Analysis {
         truncated: trace.truncated(),
-        skipped_lines: trace.skipped_lines,
-        flush: trace.flush,
+        skipped: trace.skipped,
+        counts: trace.counts,
         ..Analysis::default()
     };
 
@@ -241,8 +239,7 @@ fn derive_counter_metrics(a: &mut Analysis) {
     a.analyzer_us.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
     a.fault_injections =
         a.counters.iter().filter(|(n, _)| n.starts_with("fault.injected.")).map(|&(_, v)| v).sum();
-    a.dropped_records = get("obs.trace.dropped_events").unwrap_or(0)
-        + get("obs.events.dropped_lines").unwrap_or(0);
+    a.dropped_records = get("obs.trace.dropped_events").unwrap_or(0);
     if let (Some(n), Some(b)) = (get("alloc.count"), get("alloc.bytes")) {
         if n > 0 {
             a.alloc_totals = Some((n, b));
@@ -263,17 +260,17 @@ fn is_kernel(s: &SpanRec) -> bool {
 }
 
 fn analyze_spans(trace: &Trace, a: &mut Analysis) {
+    let spans = trace.spans();
     // Run identity from the trace when no summary was given.
     if a.bin.is_none() {
-        if let Some(run) = trace.spans.iter().find(|s| s.cat == "run") {
+        if let Some(run) = spans.iter().find(|s| s.cat == "run") {
             a.bin = Some(run.name.clone());
             a.wall_s = Some(run.dur_us as f64 / 1e6);
         }
     }
     if a.stages.is_empty() {
         let wall = a.wall_s.unwrap_or(0.0);
-        a.stages = trace
-            .spans
+        a.stages = spans
             .iter()
             .filter(|s| s.cat == "stage")
             .map(|s| {
@@ -288,8 +285,7 @@ fn analyze_spans(trace: &Trace, a: &mut Analysis) {
     }
 
     // Kernel latency and allocation attribution.
-    let mut kernels: Vec<KernelCost> = trace
-        .spans
+    let mut kernels: Vec<KernelCost> = spans
         .iter()
         .filter(|s| is_kernel(s))
         .map(|s| KernelCost {
@@ -314,21 +310,23 @@ fn analyze_spans(trace: &Trace, a: &mut Analysis) {
     }
 
     // Pool utilization.
-    let chunks: Vec<&SpanRec> = trace.spans.iter().filter(|s| is_chunk(s)).collect();
-    let mut pools: Vec<&SpanRec> = trace.spans.iter().filter(|s| is_pool(s)).collect();
-    pools.sort_by_key(|s| s.ts_us);
-    for pool in pools {
-        a.pools.push(pool_stats(pool, &chunks));
-    }
+    let mut pools: Vec<usize> = (0..spans.len()).filter(|&i| is_pool(&spans[i])).collect();
+    pools.sort_by_key(|&i| spans[i].ts_us);
+    a.pools = pools.into_iter().map(|i| pool_stats(trace, i)).collect();
 
     a.critical_path = critical_path(trace);
 }
 
-fn pool_stats(pool: &SpanRec, chunks: &[&SpanRec]) -> PoolStats {
+/// Utilization of the pool `trace.spans()[pool_idx]`, over the chunks
+/// that parent to it.
+fn pool_stats(trace: &Trace, pool_idx: usize) -> PoolStats {
+    let pool = &trace.spans()[pool_idx];
     let threads = pool.attr_u64("threads").unwrap_or(0);
-    let mine: Vec<&&SpanRec> = chunks
+    let mine: Vec<&SpanRec> = trace
+        .children(pool_idx)
         .iter()
-        .filter(|c| c.ts_us >= pool.ts_us && c.end_us() <= pool.end_us())
+        .map(|&c| &trace.spans()[c])
+        .filter(|c| is_chunk(c))
         .collect();
     let mut by_tid: BTreeMap<u64, Vec<&SpanRec>> = BTreeMap::new();
     for c in &mine {
@@ -365,61 +363,29 @@ fn pool_stats(pool: &SpanRec, chunks: &[&SpanRec]) -> PoolStats {
     }
 }
 
-/// The dominant-cost chain from the `run` root down: at every level
-/// descend into the longest child (ties to the later-finishing one) — for
-/// sequential stages that is the stage that dominated the wall time, and
-/// for a fork-join `par_map` the descent crosses threads into the longest
-/// `chunk`, which is the lower bound no amount of stealing can beat. A
-/// `self` time is what the chosen child does not account for.
+/// The dominant-cost chain from the `run` span (or else the longest root)
+/// down: at every level descend into the longest child (ties to the
+/// later-finishing one) — for sequential stages that is the stage that
+/// dominated the wall time, and for a fork-join `par_map` the descent
+/// crosses threads into the longest `chunk`, which is the lower bound no
+/// amount of stealing can beat. A `self` time is what the chosen child
+/// does not account for.
 fn critical_path(trace: &Trace) -> Vec<CritStep> {
-    let forest = trace.forest();
-    // Node lookup for cross-thread descent: chunk span index -> subtree.
-    fn index_nodes<'f>(
-        nodes: &'f [SpanNode],
-        into: &mut BTreeMap<usize, &'f SpanNode>,
-    ) {
-        for n in nodes {
-            into.insert(n.span, n);
-            index_nodes(&n.children, into);
-        }
-    }
-    let mut by_span: BTreeMap<usize, &SpanNode> = BTreeMap::new();
-    for roots in forest.values() {
-        index_nodes(roots, &mut by_span);
-    }
-
-    let root = by_span
-        .values()
-        .find(|n| trace.spans[n.span].cat == "run")
-        .or_else(|| {
-            by_span.values().max_by_key(|n| trace.spans[n.span].dur_us)
-        })
-        .map(|n| n.span);
+    let spans = trace.spans();
+    let root = spans
+        .iter()
+        .position(|s| s.cat == "run")
+        .or_else(|| trace.roots().iter().copied().max_by_key(|&i| spans[i].dur_us));
     let Some(mut current) = root else { return Vec::new() };
 
     let mut path = Vec::new();
     loop {
-        let span = &trace.spans[current];
-        let node = by_span.get(&current).expect("indexed");
-        // Same-thread children, plus cross-thread chunks for pool spans.
-        let mut candidates: Vec<usize> = node.children.iter().map(|c| c.span).collect();
-        if is_pool(span) {
-            candidates.extend(
-                trace
-                    .spans
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| {
-                        is_chunk(c) && c.ts_us >= span.ts_us && c.end_us() <= span.end_us()
-                    })
-                    .map(|(i, _)| i),
-            );
-        }
-        let next = candidates.into_iter().max_by_key(|&i| {
-            let c = &trace.spans[i];
+        let span = &spans[current];
+        let next = trace.children(current).iter().copied().max_by_key(|&i| {
+            let c = &spans[i];
             (c.dur_us, c.end_us())
         });
-        let child_dur = next.map(|i| trace.spans[i].dur_us).unwrap_or(0);
+        let child_dur = next.map(|i| spans[i].dur_us).unwrap_or(0);
         path.push(CritStep {
             cat: span.cat.clone(),
             name: span.name.clone(),
@@ -448,12 +414,15 @@ pub fn render(a: &Analysis) -> String {
     if a.truncated {
         let _ = writeln!(
             out,
-            "WARNING: trace is incomplete ({}; {} line(s) skipped) — numbers below undercount",
-            match a.flush {
-                None => "no terminating flush record".to_string(),
-                Some(f) => format!("{} line(s) dropped by the sink", f.dropped_lines),
+            "WARNING: trace is incomplete ({}; {} other element(s) skipped) — numbers below undercount",
+            match a.counts {
+                None => "no otherData counts".to_string(),
+                Some(c) => format!(
+                    "otherData counts {} span(s), {} instant(s), {} dropped",
+                    c.spans, c.events, c.dropped_events
+                ),
             },
-            a.skipped_lines,
+            a.skipped,
         );
     }
 
@@ -565,135 +534,4 @@ pub fn render(a: &Analysis) -> String {
 pub fn median(values: &[f64]) -> f64 {
     let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
     median_f64(&mut v)
-}
-
-/// Machine-readable mirror of [`Analysis`] for `mica-prof analyze --json`.
-///
-/// A separate type (rather than `Serialize` on [`Analysis`]) so the JSON
-/// schema is an explicit, stable contract: quantile triples become named
-/// fields, span indices and other internal bookkeeping stay out.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JsonReport {
-    /// Binary name, when known.
-    pub bin: Option<String>,
-    /// Run wall seconds, when known.
-    pub wall_s: Option<f64>,
-    /// Whether the trace is provably incomplete.
-    pub truncated: bool,
-    /// Unparseable lines skipped while loading the trace.
-    pub skipped_lines: u64,
-    /// Stage decomposition, in execution order.
-    pub stages: Vec<JsonStage>,
-    /// Critical path, root first.
-    pub critical_path: Vec<JsonCritStep>,
-    /// Kernel spans observed.
-    pub kernel_count: u64,
-    /// Exact kernel-latency quantiles, microseconds.
-    pub kernel_p50_us: Option<u64>,
-    /// 95th percentile.
-    pub kernel_p95_us: Option<u64>,
-    /// 99th percentile.
-    pub kernel_p99_us: Option<u64>,
-    /// Most expensive kernels, descending, capped at ten.
-    pub kernels_top: Vec<JsonKernel>,
-    /// Every summary counter, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Per-analyzer delivery wall time, descending.
-    pub analyzer_us: Vec<(String, u64)>,
-    /// `profile.cache.hit / (hit + miss*)`, when the counters exist.
-    pub cache_hit_ratio: Option<f64>,
-    /// Σ of `fault.*` injection counters.
-    pub fault_injections: u64,
-    /// Σ of dropped-record counters.
-    pub dropped_records: u64,
-}
-
-/// One stage in a [`JsonReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JsonStage {
-    /// Stage name.
-    pub name: String,
-    /// Stage wall-clock seconds.
-    pub wall_s: f64,
-    /// Fraction of the run's wall time.
-    pub frac: f64,
-}
-
-/// One critical-path step in a [`JsonReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JsonCritStep {
-    /// Span category.
-    pub cat: String,
-    /// Span name.
-    pub name: String,
-    /// Logical thread the span ran on.
-    pub tid: u64,
-    /// Span duration, microseconds.
-    pub dur_us: u64,
-    /// Duration not covered by the next step down, microseconds.
-    pub self_us: u64,
-}
-
-/// One hot kernel in a [`JsonReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JsonKernel {
-    /// Benchmark name.
-    pub name: String,
-    /// Profiling duration, microseconds.
-    pub dur_us: u64,
-    /// Allocations charged to the span, when tracked.
-    pub alloc_n: Option<u64>,
-    /// Bytes charged to the span, when tracked.
-    pub alloc_b: Option<u64>,
-}
-
-impl JsonReport {
-    /// Project an [`Analysis`] onto the stable JSON schema.
-    pub fn from_analysis(a: &Analysis) -> JsonReport {
-        let (p50, p95, p99) = match a.kernel_quantiles_us {
-            Some((p50, p95, p99)) => (Some(p50), Some(p95), Some(p99)),
-            None => (None, None, None),
-        };
-        JsonReport {
-            bin: a.bin.clone(),
-            wall_s: a.wall_s,
-            truncated: a.truncated,
-            skipped_lines: a.skipped_lines as u64,
-            stages: a
-                .stages
-                .iter()
-                .map(|s| JsonStage { name: s.name.clone(), wall_s: s.wall_s, frac: s.frac })
-                .collect(),
-            critical_path: a
-                .critical_path
-                .iter()
-                .map(|c| JsonCritStep {
-                    cat: c.cat.clone(),
-                    name: c.name.clone(),
-                    tid: c.tid,
-                    dur_us: c.dur_us,
-                    self_us: c.self_us,
-                })
-                .collect(),
-            kernel_count: a.kernel_count as u64,
-            kernel_p50_us: p50,
-            kernel_p95_us: p95,
-            kernel_p99_us: p99,
-            kernels_top: a
-                .kernels_top
-                .iter()
-                .map(|k| JsonKernel {
-                    name: k.name.clone(),
-                    dur_us: k.dur_us,
-                    alloc_n: k.alloc_n,
-                    alloc_b: k.alloc_b,
-                })
-                .collect(),
-            counters: a.counters.clone(),
-            analyzer_us: a.analyzer_us.clone(),
-            cache_hit_ratio: a.cache_hit_ratio,
-            fault_injections: a.fault_injections,
-            dropped_records: a.dropped_records,
-        }
-    }
 }

@@ -239,16 +239,13 @@ pub fn check(base: &Baseline, cur: &RunSummary, cfg: &CheckConfig) -> Vec<Findin
             format!("{} benchmark(s) quarantined this run", cur.quarantined.len()),
         ));
     }
-    for dropped in ["obs.events.dropped_lines", "obs.trace.dropped_events"] {
-        if let Some(c) = cur.counters.iter().find(|c| c.name == dropped) {
-            if c.value > 0 {
-                findings.push(Finding::new(
-                    Severity::Warn,
-                    dropped,
-                    format!("{dropped} = {} — observability lost records", c.value),
-                ));
-            }
-        }
+    let dropped = "obs.trace.dropped_events";
+    if let Some(c) = cur.counters.iter().find(|c| c.name == dropped && c.value > 0) {
+        findings.push(Finding::new(
+            Severity::Warn,
+            dropped,
+            format!("{dropped} = {} — observability lost records", c.value),
+        ));
     }
     findings
 }

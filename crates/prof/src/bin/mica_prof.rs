@@ -1,7 +1,7 @@
 //! The `mica-prof` command-line front end.
 //!
 //! ```text
-//! mica-prof analyze --events FILE [--summary FILE] [--out FILE] [--json FILE]
+//! mica-prof analyze --trace FILE [--summary FILE] [--out FILE]
 //! mica-prof record  --summary FILE --baseline FILE [--label STR]
 //! mica-prof check   --summary FILE --baseline FILE
 //!                   [--max-ratio R] [--min-abs-s S]
@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
-  mica-prof analyze --events FILE [--summary FILE] [--out FILE] [--json FILE]
+  mica-prof analyze --trace FILE [--summary FILE] [--out FILE]
   mica-prof record  --summary FILE --baseline FILE [--label STR]
   mica-prof check   --summary FILE --baseline FILE [--max-ratio R] [--min-abs-s S]
   mica-prof slo     ACCESS_LOG [--slo-ms N] [--target X]
@@ -84,21 +84,14 @@ fn load_summary(path: &std::path::Path) -> Result<RunSummary, String> {
 
 fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     args.no_free()?;
-    let events = args.require_path("events")?;
-    let trace = Trace::load(&events)
-        .map_err(|e| format!("cannot read events {}: {e}", events.display()))?;
+    let path = args.require_path("trace")?;
+    let trace =
+        Trace::load(&path).map_err(|e| format!("cannot read trace {}: {e}", path.display()))?;
     let summary = match args.path("summary") {
         Some(p) => Some(load_summary(&p)?),
         None => None,
     };
-    let a = analysis::analyze(&trace, summary.as_ref());
-    if let Some(json_path) = args.path("json") {
-        let json = serde_json::to_string_pretty(&analysis::JsonReport::from_analysis(&a))
-            .expect("JsonReport serializes");
-        mica_fault::io::atomic_write_retry("prof-json", &json_path, json.as_bytes())
-            .map_err(|e| format!("cannot write JSON report {}: {e}", json_path.display()))?;
-    }
-    let report = analysis::render(&a);
+    let report = analysis::render(&analysis::analyze(&trace, summary.as_ref()));
     match args.path("out") {
         Some(out) => std::fs::write(&out, &report)
             .map_err(|e| format!("cannot write report {}: {e}", out.display()))?,

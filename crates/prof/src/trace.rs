@@ -1,40 +1,24 @@
-//! Loader for `MICA_EVENTS` JSON-lines streams.
+//! Loader for `MICA_TRACE` Chrome-trace files.
 //!
-//! The stream interleaves three record shapes (see `mica_obs::jsonl`):
-//! events, closed spans, and one terminating `flush` summary. Parsing is
-//! deliberately *tolerant* — a line that does not parse, or a record shape
-//! this version does not know, is counted and skipped, never fatal: the
-//! profiler must be able to analyze a trace written by a newer (or older,
-//! or crashed) pipeline and say what it can.
+//! The file is one Trace Event Format document (see `mica_obs`'s Chrome
+//! sink): complete (`"ph":"X"`) events are spans, carrying their
+//! `trace`/`span`/`parent` ids and attributes in `args`; instant
+//! (`"ph":"i"`) events are log records, of which only the count is kept;
+//! any other element (the `M` metadata, a phase this version does not
+//! know, a malformed record) is skipped and counted. Loading is
+//! deliberately *tolerant*: the profiler must be able to analyze a trace
+//! written by a newer (or older, or crashed) pipeline and say what it can.
 //!
-//! Span records arrive in **close order** (a parent closes after its
-//! children), carrying only `(ts_us, dur_us, tid, depth)` — no explicit
-//! parent links. [`Trace::forest`] reconstructs the per-thread span trees
-//! by interval nesting: within one logical thread, spans never partially
-//! overlap, so sorting by `(ts asc, dur desc)` and keeping a stack of open
-//! intervals recovers every parent/child edge.
+//! The span tree is built once, from parent ids: a span whose parent has
+//! no record in the file is a root. So a `par_map` pool's chunks, which
+//! run on worker threads, are its children, and a span whose timestamps
+//! would nest it under the wrong parent (serve's backfilled `queue` span)
+//! still hangs under its own.
 
 use serde::Value;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-/// One leveled event line.
-#[derive(Debug, Clone)]
-pub struct EventRec {
-    /// Microseconds since tracing started.
-    pub ts_us: u64,
-    /// Logical thread id (0 = main, `1 + w` = pool worker `w`).
-    pub tid: u64,
-    /// Level string as written (`"info"`, `"warn"`, …).
-    pub level: String,
-    /// Module-path target.
-    pub target: String,
-    /// Rendered message.
-    pub msg: String,
-    /// Structured attributes.
-    pub attrs: Vec<(String, Value)>,
-}
-
-/// One closed-span line.
+/// One closed span (`"ph":"X"`).
 #[derive(Debug, Clone)]
 pub struct SpanRec {
     /// Open timestamp, microseconds since tracing started.
@@ -43,8 +27,10 @@ pub struct SpanRec {
     pub dur_us: u64,
     /// Logical thread id the span ran on.
     pub tid: u64,
-    /// Nesting depth on its thread at open time.
-    pub depth: u64,
+    /// Process-unique id of the span.
+    pub span_id: u64,
+    /// Id of the span it opened under (0 = none).
+    pub parent_id: u64,
     /// Static category (`run`, `stage`, `par`, `profile`, …).
     pub cat: String,
     /// Span name (stage name, kernel name, …).
@@ -68,37 +54,33 @@ impl SpanRec {
     }
 }
 
-/// The terminating `flush` summary record.
+/// The counts the trace sink writes as the document's `otherData` when it
+/// flushes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushInfo {
-    /// Event lines the sink dispatched over its lifetime.
+pub struct TraceCounts {
+    /// Instants the sink received over its lifetime.
     pub events: u64,
-    /// Span lines the sink dispatched over its lifetime.
+    /// Spans the sink received over its lifetime.
     pub spans: u64,
-    /// Lines lost to failed flushes (`obs.events.dropped_lines`).
-    pub dropped_lines: u64,
+    /// Records lost to failed flushes (`obs.trace.dropped_events`).
+    pub dropped_events: u64,
 }
 
-/// A parsed `MICA_EVENTS` stream.
+/// A parsed `MICA_TRACE` file with its span tree.
 #[derive(Debug, Default)]
 pub struct Trace {
-    /// Events in dispatch order.
-    pub events: Vec<EventRec>,
-    /// Spans in close order.
-    pub spans: Vec<SpanRec>,
-    /// The terminating summary, when the stream has one.
-    pub flush: Option<FlushInfo>,
-    /// Lines skipped as unparseable or of unknown shape.
-    pub skipped_lines: usize,
-}
-
-/// One node of the reconstructed span forest.
-#[derive(Debug)]
-pub struct SpanNode {
-    /// Index into [`Trace::spans`].
-    pub span: usize,
-    /// Child nodes, in start order.
-    pub children: Vec<SpanNode>,
+    /// Spans in file (close) order; the tree below indexes into it.
+    spans: Vec<SpanRec>,
+    /// Instants in the file.
+    pub events: usize,
+    /// The sink's `otherData` counts, when the file has them.
+    pub counts: Option<TraceCounts>,
+    /// Elements that are neither a span nor an instant.
+    pub skipped: usize,
+    /// `children[i]`: the spans whose parent is `spans[i]`, in start order.
+    children: Vec<Vec<usize>>,
+    /// Spans whose parent has no record, in start order.
+    roots: Vec<usize>,
 }
 
 fn get_str(obj: &Value, key: &str) -> Option<String> {
@@ -115,142 +97,103 @@ fn get_u64(obj: &Value, key: &str) -> Option<u64> {
     }
 }
 
-fn get_attrs(obj: &Value) -> Vec<(String, Value)> {
-    obj.field("attrs").and_then(Value::as_object).map(<[_]>::to_vec).unwrap_or_default()
-}
-
 impl Trace {
-    /// Parse a JSON-lines stream. Never fails: bad lines are counted in
-    /// [`Trace::skipped_lines`] and analysis reports the gap.
+    /// Parse a Chrome-trace document. Never fails: a document that does
+    /// not parse yields an empty trace, which has no `otherData` and so
+    /// reads as truncated.
     pub fn parse(text: &str) -> Trace {
         let mut trace = Trace::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Ok(doc) = serde_json::from_str::<Value>(line) else {
-                trace.skipped_lines += 1;
-                continue;
-            };
-            let parsed = match doc.field("t").and_then(value_str) {
-                Some("event") => Trace::parse_event(&doc).map(|e| trace.events.push(e)),
-                Some("span") => Trace::parse_span(&doc).map(|s| trace.spans.push(s)),
-                Some("flush") => Trace::parse_flush(&doc).map(|f| trace.flush = Some(f)),
-                _ => None,
-            };
-            if parsed.is_none() {
-                trace.skipped_lines += 1;
+        let Ok(doc) = serde_json::from_str::<Value>(text) else { return trace };
+        for elem in doc.field("traceEvents").and_then(Value::as_array).unwrap_or_default() {
+            match elem.field("ph") {
+                Some(Value::String(ph)) if ph == "i" => trace.events += 1,
+                Some(Value::String(ph)) if ph == "X" => match Trace::parse_span(elem) {
+                    Some(span) => trace.spans.push(span),
+                    None => trace.skipped += 1,
+                },
+                _ => trace.skipped += 1,
             }
         }
+        trace.counts = doc.field("otherData").and_then(|o| {
+            Some(TraceCounts {
+                events: get_u64(o, "events")?,
+                spans: get_u64(o, "spans")?,
+                dropped_events: get_u64(o, "dropped_events")?,
+            })
+        });
+        trace.build_tree();
         trace
     }
 
-    /// Read and parse the stream at `path`.
+    /// Read and parse the file at `path`.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; parse problems are tolerated and
-    /// surface as [`Trace::skipped_lines`].
+    /// surface as [`Trace::skipped`] or as truncation.
     pub fn load(path: &std::path::Path) -> std::io::Result<Trace> {
         Ok(Trace::parse(&std::fs::read_to_string(path)?))
     }
 
-    fn parse_event(doc: &Value) -> Option<EventRec> {
-        Some(EventRec {
-            ts_us: get_u64(doc, "ts_us")?,
-            tid: get_u64(doc, "tid")?,
-            level: get_str(doc, "level")?,
-            target: get_str(doc, "target")?,
-            msg: get_str(doc, "msg")?,
-            attrs: get_attrs(doc),
-        })
-    }
-
-    fn parse_span(doc: &Value) -> Option<SpanRec> {
+    fn parse_span(elem: &Value) -> Option<SpanRec> {
+        let args = elem.field("args")?;
         Some(SpanRec {
-            ts_us: get_u64(doc, "ts_us")?,
-            dur_us: get_u64(doc, "dur_us")?,
-            tid: get_u64(doc, "tid")?,
-            depth: get_u64(doc, "depth")?,
-            cat: get_str(doc, "cat")?,
-            name: get_str(doc, "name")?,
-            attrs: get_attrs(doc),
+            ts_us: get_u64(elem, "ts")?,
+            dur_us: get_u64(elem, "dur")?,
+            tid: get_u64(elem, "tid")?,
+            span_id: get_u64(args, "span")?,
+            parent_id: get_u64(args, "parent")?,
+            cat: get_str(elem, "cat")?,
+            name: get_str(elem, "name")?,
+            attrs: args
+                .field("attrs")
+                .and_then(Value::as_object)
+                .map(<[_]>::to_vec)
+                .unwrap_or_default(),
         })
     }
 
-    fn parse_flush(doc: &Value) -> Option<FlushInfo> {
-        Some(FlushInfo {
-            events: get_u64(doc, "events")?,
-            spans: get_u64(doc, "spans")?,
-            dropped_lines: get_u64(doc, "dropped_lines")?,
-        })
+    fn build_tree(&mut self) {
+        let index: HashMap<u64, usize> =
+            self.spans.iter().enumerate().map(|(i, s)| (s.span_id, i)).collect();
+        let mut order: Vec<usize> = (0..self.spans.len()).collect();
+        order.sort_by_key(|&i| self.spans[i].ts_us);
+        self.children = vec![Vec::new(); self.spans.len()];
+        for i in order {
+            match index.get(&self.spans[i].parent_id) {
+                Some(&p) if p != i => self.children[p].push(i),
+                _ => self.roots.push(i),
+            }
+        }
     }
 
-    /// Whether the stream is provably incomplete: no terminating `flush`
-    /// record (the run died before its final flush), dropped lines, or a
-    /// flush summary that counts more records than the file holds.
+    /// Spans in file (close) order. [`Trace::children`] and
+    /// [`Trace::roots`] index into this slice.
+    pub fn spans(&self) -> &[SpanRec] {
+        &self.spans
+    }
+
+    /// The spans whose parent is `spans()[span]`, in start order.
+    pub fn children(&self, span: usize) -> &[usize] {
+        &self.children[span]
+    }
+
+    /// The spans whose parent has no record in the file, in start order.
+    pub fn roots(&self) -> &[usize] {
+        &self.roots
+    }
+
+    /// Whether the file is provably incomplete: no `otherData` (the run
+    /// died before its final flush, or the document does not parse),
+    /// dropped events, or counts above the records the file holds.
     pub fn truncated(&self) -> bool {
-        match self.flush {
+        match self.counts {
             None => true,
-            Some(f) => {
-                f.dropped_lines > 0
-                    || (f.events as usize) > self.events.len()
-                    || (f.spans as usize) > self.spans.len()
+            Some(c) => {
+                c.dropped_events > 0
+                    || (c.events as usize) > self.events
+                    || (c.spans as usize) > self.spans.len()
             }
         }
-    }
-
-    /// Reconstruct the span forest, grouped per logical thread id: the
-    /// map's values are that thread's root spans in start order.
-    pub fn forest(&self) -> BTreeMap<u64, Vec<SpanNode>> {
-        let mut by_tid: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, s) in self.spans.iter().enumerate() {
-            by_tid.entry(s.tid).or_default().push(i);
-        }
-        let mut forest = BTreeMap::new();
-        for (tid, mut idxs) in by_tid {
-            // Parents start no later and end no earlier than their
-            // children; `depth` breaks zero-duration ties deterministically.
-            idxs.sort_by(|&a, &b| {
-                let (sa, sb) = (&self.spans[a], &self.spans[b]);
-                sa.ts_us
-                    .cmp(&sb.ts_us)
-                    .then(sb.dur_us.cmp(&sa.dur_us))
-                    .then(sa.depth.cmp(&sb.depth))
-            });
-            let mut roots: Vec<SpanNode> = Vec::new();
-            let mut stack: Vec<SpanNode> = Vec::new();
-            for i in idxs {
-                let span = &self.spans[i];
-                while let Some(top) = stack.last() {
-                    if self.spans[top.span].end_us() <= span.ts_us {
-                        let closed = stack.pop().expect("nonempty stack");
-                        match stack.last_mut() {
-                            Some(parent) => parent.children.push(closed),
-                            None => roots.push(closed),
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                stack.push(SpanNode { span: i, children: Vec::new() });
-            }
-            while let Some(closed) = stack.pop() {
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(closed),
-                    None => roots.push(closed),
-                }
-            }
-            forest.insert(tid, roots);
-        }
-        forest
-    }
-}
-
-/// String view of a [`Value`] (the compat serde has no `as_str`).
-fn value_str(v: &Value) -> Option<&str> {
-    match v {
-        Value::String(s) => Some(s),
-        _ => None,
     }
 }

@@ -6,30 +6,61 @@ use mica_experiments::runner::{CounterEntry, HistogramEntry, RunSummary, StageSu
 use mica_prof::analysis::{analyze, render};
 use mica_prof::trace::Trace;
 
-fn span(ts: u64, dur: u64, tid: u64, depth: u64, cat: &str, name: &str, attrs: &str) -> String {
+/// One Chrome-trace span (`"ph":"X"`) with its `(span, parent)` ids and
+/// attributes.
+fn span(
+    ts: u64,
+    dur: u64,
+    tid: u64,
+    (id, parent): (u64, u64),
+    cat: &str,
+    name: &str,
+    attrs: &str,
+) -> String {
     format!(
-        "{{\"t\":\"span\",\"ts_us\":{ts},\"dur_us\":{dur},\"tid\":{tid},\"depth\":{depth},\
-         \"cat\":\"{cat}\",\"name\":\"{name}\",\"attrs\":{{{attrs}}}}}"
+        "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
+         \"pid\":1,\"tid\":{tid},\"args\":{{\"trace\":7,\"span\":{id},\"parent\":{parent},\
+         \"attrs\":{{{attrs}}}}}}}"
+    )
+}
+
+/// A Chrome-trace document holding `spans` and an `otherData` that counts
+/// `counted_spans` of them.
+fn document(spans: &[String], counted_spans: usize) -> String {
+    format!(
+        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\
+         \"otherData\":{{\"events\":0,\"spans\":{counted_spans},\"dropped_events\":0}}}}",
+        spans.join(",")
     )
 }
 
 /// run[0..1000] > stage profile[0..1000] > par_map[0..1000, 2 threads];
 /// tid 1 runs one chunk [0..400] holding kernel A, then idles; tid 2 runs
 /// chunks [0..500] and [500..1000] holding kernels B and C.
+fn synthetic_spans() -> Vec<String> {
+    vec![
+        span(0, 390, 1, (6, 5), "profile", "MiBench/CRC32/pcm", "\"alloc_n\":10,\"alloc_b\":640"),
+        span(0, 400, 1, (5, 4), "par", "chunk", "\"start\":0,\"len\":8"),
+        span(
+            0,
+            490,
+            2,
+            (8, 7),
+            "profile",
+            "SPEC2000/bzip2/graphic",
+            "\"alloc_n\":20,\"alloc_b\":1280",
+        ),
+        span(0, 500, 2, (7, 4), "par", "chunk", "\"start\":8,\"len\":8"),
+        span(500, 490, 2, (10, 9), "profile", "SPEC2000/gcc/166", ""),
+        span(500, 500, 2, (9, 4), "par", "chunk", "\"start\":16,\"len\":8"),
+        span(0, 1000, 0, (4, 3), "par", "par_map", "\"items\":24,\"threads\":2"),
+        span(0, 1000, 0, (3, 2), "stage", "profile", ""),
+        span(0, 1000, 0, (2, 1), "run", "profile", ""),
+    ]
+}
+
 fn synthetic_trace() -> String {
-    let lines = [
-        span(0, 390, 1, 1, "profile", "MiBench/CRC32/pcm", "\"alloc_n\":10,\"alloc_b\":640"),
-        span(0, 400, 1, 0, "par", "chunk", "\"start\":0,\"len\":8"),
-        span(0, 490, 2, 1, "profile", "SPEC2000/bzip2/graphic", "\"alloc_n\":20,\"alloc_b\":1280"),
-        span(0, 500, 2, 0, "par", "chunk", "\"start\":8,\"len\":8"),
-        span(500, 490, 2, 1, "profile", "SPEC2000/gcc/166", ""),
-        span(500, 500, 2, 0, "par", "chunk", "\"start\":16,\"len\":8"),
-        span(0, 1000, 0, 2, "par", "par_map", "\"items\":24,\"threads\":2"),
-        span(0, 1000, 0, 1, "stage", "profile", ""),
-        span(0, 1000, 0, 0, "run", "profile", ""),
-        "{\"t\":\"flush\",\"events\":0,\"spans\":9,\"dropped_lines\":0}".to_string(),
-    ];
-    lines.join("\n") + "\n"
+    document(&synthetic_spans(), 9)
 }
 
 fn summary() -> RunSummary {
@@ -114,14 +145,48 @@ fn full_analysis_of_a_synthetic_run() {
 
 #[test]
 fn truncated_trace_is_reported_not_hidden() {
-    // Same trace without the flush record: the stream died mid-run.
-    let text: String =
-        synthetic_trace().lines().filter(|l| !l.contains("\"flush\"")).collect::<Vec<_>>().join("\n");
+    // Same spans without otherData: the run died before its final flush.
+    let text = format!("{{\"traceEvents\":[{}]}}", synthetic_spans().join(","));
     let trace = Trace::parse(&text);
     assert!(trace.truncated());
     let report = render(&analyze(&trace, None));
     assert!(report.contains("WARNING"), "truncation must surface:\n{report}");
-    assert!(report.contains("no terminating flush record"), "{report}");
+    assert!(report.contains("no otherData counts"), "{report}");
+
+    // otherData counting a span the file does not hold.
+    let trace = Trace::parse(&document(&synthetic_spans(), 10));
+    assert!(trace.truncated());
+    let report = render(&analyze(&trace, None));
+    assert!(report.contains("WARNING"), "truncation must surface:\n{report}");
+    assert!(report.contains("otherData counts 10 span(s)"), "{report}");
+}
+
+#[test]
+fn overlapping_pools_on_different_threads_keep_their_own_chunks() {
+    // Pool A on tid 0 [0..1000] with chunks on tids 1 and 2; pool B, opened
+    // on tid 5, runs [200..800] inside A's interval with chunks on tids 6
+    // and 7. Each pool owns exactly the chunks that parent to it.
+    let spans = [
+        span(0, 1000, 1, (11, 10), "par", "chunk", ""),
+        span(0, 600, 2, (12, 10), "par", "chunk", ""),
+        span(250, 450, 6, (21, 20), "par", "chunk", ""),
+        span(250, 300, 7, (22, 20), "par", "chunk", ""),
+        span(200, 600, 5, (20, 0), "par", "par_map", "\"items\":2,\"threads\":2"),
+        span(0, 1000, 0, (10, 0), "par", "par_map", "\"items\":2,\"threads\":2"),
+    ];
+    let a = analyze(&Trace::parse(&document(&spans, 6)), None);
+    assert_eq!(a.pools.len(), 2);
+    let (pa, pb) = (&a.pools[0], &a.pools[1]);
+    assert_eq!((pa.ts_us, pa.chunks), (0, 2));
+    assert_eq!(pa.workers.iter().map(|w| w.tid).collect::<Vec<_>>(), [1, 2]);
+    assert!((pa.utilization - 0.8).abs() < 1e-9, "(1000 + 600) / (2 × 1000): {}", pa.utilization);
+    assert_eq!((pb.ts_us, pb.chunks), (200, 2));
+    assert_eq!(pb.workers.iter().map(|w| w.tid).collect::<Vec<_>>(), [6, 7]);
+    assert!((pb.utilization - 0.625).abs() < 1e-9, "(450 + 300) / (2 × 600): {}", pb.utilization);
+    // No run span: the critical path starts at the longest root and
+    // descends into that pool's own longest chunk.
+    let path: Vec<(u64, u64)> = a.critical_path.iter().map(|s| (s.tid, s.dur_us)).collect();
+    assert_eq!(path, [(0, 1000), (1, 1000)]);
 }
 
 #[test]

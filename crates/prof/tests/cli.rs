@@ -1,6 +1,6 @@
 //! End-to-end tests of the `mica-prof` binary's non-gate commands:
-//! `analyze` error handling and `--json` output, and `slo`'s check of
-//! its latency objective.
+//! `analyze` error handling and report, and `slo`'s check of its latency
+//! objective.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -36,57 +36,54 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A minimal but complete events stream: run > stage > kernel span plus a
-/// consistent flush record, so the trace is not truncated.
-fn events_text() -> String {
-    [
-        "{\"t\":\"span\",\"ts_us\":10,\"dur_us\":80,\"tid\":0,\"depth\":2,\
-         \"cat\":\"profile\",\"name\":\"MiBench/CRC32/pcm\",\"attrs\":{}}",
-        "{\"t\":\"span\",\"ts_us\":5,\"dur_us\":90,\"tid\":0,\"depth\":1,\
-         \"cat\":\"stage\",\"name\":\"profile\",\"attrs\":{}}",
-        "{\"t\":\"span\",\"ts_us\":0,\"dur_us\":100,\"tid\":0,\"depth\":0,\
-         \"cat\":\"run\",\"name\":\"profile\",\"attrs\":{}}",
-        "{\"t\":\"flush\",\"events\":0,\"spans\":3,\"dropped_lines\":0}",
-    ]
-    .join("\n")
-        + "\n"
+/// A minimal but complete Chrome trace: run > stage > kernel span plus
+/// consistent `otherData` counts, so the trace is not truncated.
+fn trace_text() -> String {
+    let span = |ts: u64, dur: u64, id: u64, cat: &str, name: &str| {
+        format!(
+            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
+             \"pid\":1,\"tid\":0,\"args\":{{\"trace\":7,\"span\":{id},\"parent\":{},\
+             \"attrs\":{{}}}}}}",
+            id - 1
+        )
+    };
+    format!(
+        "{{\"traceEvents\":[{},{},{}],\"displayTimeUnit\":\"ms\",\
+         \"otherData\":{{\"events\":0,\"spans\":3,\"dropped_events\":0}}}}",
+        span(10, 80, 3, "profile", "MiBench/CRC32/pcm"),
+        span(5, 90, 2, "stage", "profile"),
+        span(0, 100, 1, "run", "profile"),
+    )
 }
 
 #[test]
 fn analyze_on_a_missing_events_file_exits_nonzero_and_names_the_path() {
-    let missing = temp_dir("absent").join("no-such-events.jsonl");
-    let r = run(&["analyze", "--events", missing.to_str().unwrap()]);
+    let missing = temp_dir("absent").join("no-such-trace.json");
+    let r = run(&["analyze", "--trace", missing.to_str().unwrap()]);
     assert_eq!(r.code, 1, "stderr:\n{}", r.stderr);
     assert!(
-        r.stderr.contains("no-such-events.jsonl"),
+        r.stderr.contains("no-such-trace.json"),
         "error must name the offending path:\n{}",
         r.stderr
     );
-    assert!(r.stderr.contains("cannot read events"), "{}", r.stderr);
+    assert!(r.stderr.contains("cannot read trace"), "{}", r.stderr);
 }
 
 #[test]
-fn analyze_json_writes_a_parseable_machine_report() {
-    let dir = temp_dir("json");
-    let events = dir.join("events.jsonl");
-    std::fs::write(&events, events_text()).unwrap();
-    let json_path = dir.join("report.json");
-    let r = run(&[
-        "analyze",
-        "--events",
-        events.to_str().unwrap(),
-        "--json",
-        json_path.to_str().unwrap(),
-    ]);
+fn analyze_prints_the_report_of_a_trace() {
+    let dir = temp_dir("report");
+    let trace = dir.join("trace.json");
+    std::fs::write(&trace, trace_text()).unwrap();
+    let r = run(&["analyze", "--trace", trace.to_str().unwrap()]);
     assert_eq!(r.code, 0, "stderr:\n{}", r.stderr);
-    assert!(r.stdout.contains("# mica-prof report"), "human report still printed");
-    let text = std::fs::read_to_string(&json_path).expect("JSON report written");
-    let report: mica_prof::analysis::JsonReport =
-        serde_json::from_str(&text).expect("JSON report parses");
-    assert_eq!(report.bin.as_deref(), Some("profile"));
-    assert_eq!(report.kernel_count, 1);
-    assert_eq!(report.kernels_top[0].name, "MiBench/CRC32/pcm");
-    assert!(!report.truncated);
+    assert!(
+        r.stdout.contains("# mica-prof report: profile\n"),
+        "bin from the run span:\n{}",
+        r.stdout
+    );
+    assert!(r.stdout.contains("## Kernels (1 spans)"), "{}", r.stdout);
+    assert!(r.stdout.contains("  MiBench/CRC32/pcm "), "{}", r.stdout);
+    assert!(!r.stdout.contains("WARNING"), "a complete trace is not truncated:\n{}", r.stdout);
     std::fs::remove_dir_all(dir).ok();
 }
 

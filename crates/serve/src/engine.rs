@@ -354,8 +354,9 @@ impl Engine {
             )));
         }
         SIMULATED.incr();
-        let run = characterize_vm_sliced(vm, budget, cfg.slice, || cancel.load(Ordering::Relaxed))
-            .map_err(|e| Outcome::fail(e.to_string()))?;
+        let run =
+            characterize_vm_sliced(vm, budget, crate::SLICE, || cancel.load(Ordering::Relaxed))
+                .map_err(|e| Outcome::fail(e.to_string()))?;
         match run {
             SlicedRun::Cancelled { executed } => {
                 INSTS.add(executed);

@@ -19,7 +19,8 @@
 //!   construction.
 //! - **Per-request deadlines** ([`engine`]): each request's VM fuel budget
 //!   is capped by what its deadline can justify
-//!   (`MICA_SERVE_FUEL_PER_MS`), execution is sliced
+//!   (`MICA_SERVE_FUEL_PER_MS`) and clamped to [`MAX_DEADLINE_MS`],
+//!   execution is sliced every [`SLICE`] instructions
 //!   ([`mica_experiments::profile::characterize_vm_sliced`]) and a
 //!   wall-clock watchdog cancels work past its deadline — timed-out work
 //!   is reported with a structured `deadline` status, never leaked.
@@ -34,7 +35,7 @@
 //! - **A live ops plane + SLO tracking** ([`server`]): `ops` requests
 //!   (`health`/`ready`/`metrics`/`stats`) bypass the queue and keep
 //!   answering during a drain; every response echoes a `trace` id tying
-//!   it to its span tree in the `MICA_TRACE`/`MICA_EVENTS` sinks; every
+//!   it to its span tree in the `MICA_TRACE` file; every
 //!   served request lands in a JSONL access log
 //!   (`<results>/serve-access.jsonl`); and a `MICA_SERVE_SLO_MS` /
 //!   `MICA_SERVE_SLO_TARGET` latency objective is tracked both over the
@@ -57,9 +58,7 @@
 //! | `MICA_SERVE_QUEUE` | 32 | admission queue capacity |
 //! | `MICA_SERVE_WATERMARK` | 3/4 of queue | shed expensive work above this depth |
 //! | `MICA_SERVE_DEADLINE_MS` | 2000 | default per-request deadline |
-//! | `MICA_SERVE_MAX_DEADLINE_MS` | 30000 | deadline ceiling |
 //! | `MICA_SERVE_FUEL_PER_MS` | 20000 | VM instructions a deadline millisecond buys |
-//! | `MICA_SERVE_SLICE` | 50000 | fuel slice between cancellation checks |
 //! | `MICA_SERVE_RETRY_MS` | 25 | base `retry_after_ms` backpressure hint |
 //! | `MICA_SERVE_SLO_MS` | 1000 | latency objective: an answered request is SLO-good iff `ok` within this |
 //! | `MICA_SERVE_SLO_TARGET` | 0.99 | attainment objective in `[0, 1)`; burn rate is measured against it |
@@ -74,6 +73,13 @@ pub mod client;
 pub mod engine;
 pub mod protocol;
 pub mod server;
+
+/// Ceiling a request's deadline is clamped to, in milliseconds.
+pub const MAX_DEADLINE_MS: u64 = 30_000;
+
+/// Fuel slice between cancellation checks: the sliced VM loop reads the
+/// watchdog's flag every this many instructions.
+pub const SLICE: u64 = 50_000;
 
 /// Read a `u64` environment knob, warning on (and ignoring) garbage.
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -104,14 +110,9 @@ pub struct ServeConfig {
     /// Default deadline for requests that don't set one
     /// (`MICA_SERVE_DEADLINE_MS`).
     pub default_deadline_ms: u64,
-    /// Ceiling a request's deadline is clamped to
-    /// (`MICA_SERVE_MAX_DEADLINE_MS`).
-    pub max_deadline_ms: u64,
     /// VM instructions one deadline millisecond buys
     /// (`MICA_SERVE_FUEL_PER_MS`) — the deadline-derived fuel budget.
     pub fuel_per_ms: u64,
-    /// Fuel slice between cancellation checks (`MICA_SERVE_SLICE`).
-    pub slice: u64,
     /// Base backpressure hint in `retry_after_ms` (`MICA_SERVE_RETRY_MS`).
     pub retry_ms: u64,
     /// Latency objective (`MICA_SERVE_SLO_MS`): an answered request is
@@ -153,9 +154,7 @@ impl ServeConfig {
             queue_cap,
             watermark: watermark.clamp(1, queue_cap),
             default_deadline_ms: env_u64("MICA_SERVE_DEADLINE_MS", 2_000),
-            max_deadline_ms: env_u64("MICA_SERVE_MAX_DEADLINE_MS", 30_000),
             fuel_per_ms: env_u64("MICA_SERVE_FUEL_PER_MS", 20_000),
-            slice: env_u64("MICA_SERVE_SLICE", 50_000),
             retry_ms: env_u64("MICA_SERVE_RETRY_MS", 25),
             slo_ms: env_u64("MICA_SERVE_SLO_MS", 1_000),
             slo_target,
@@ -170,9 +169,7 @@ impl Default for ServeConfig {
             queue_cap: 32,
             watermark: 24,
             default_deadline_ms: 2_000,
-            max_deadline_ms: 30_000,
             fuel_per_ms: 20_000,
-            slice: 50_000,
             retry_ms: 25,
             slo_ms: 1_000,
             slo_target: 0.99,
@@ -188,8 +185,8 @@ mod tests {
     fn default_config_is_sane() {
         let c = ServeConfig::default();
         assert!(c.watermark <= c.queue_cap);
-        assert!(c.default_deadline_ms <= c.max_deadline_ms);
-        assert!(c.fuel_per_ms >= 1 && c.slice >= 1);
+        assert!(c.default_deadline_ms <= MAX_DEADLINE_MS);
+        assert!(c.fuel_per_ms >= 1);
         assert!(c.slo_ms >= 1 && (0.0..1.0).contains(&c.slo_target));
     }
 

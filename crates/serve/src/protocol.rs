@@ -25,8 +25,8 @@
 //! plane, not a submission. Its payload rides in the `ops` field.
 //!
 //! Every response also echoes a server-minted `trace` id (16 lowercase
-//! hex digits) identifying the request's span tree in the `MICA_TRACE` /
-//! `MICA_EVENTS` sinks, so client logs correlate with server traces.
+//! hex digits) identifying the request's span tree in the `MICA_TRACE`
+//! file, so client logs correlate with server traces.
 
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
@@ -90,7 +90,7 @@ pub struct Request {
     /// fuel allowance).
     pub budget: Option<u64>,
     /// Per-request deadline in milliseconds (defaults to the server's
-    /// `MICA_SERVE_DEADLINE_MS`, clamped to `MICA_SERVE_MAX_DEADLINE_MS`).
+    /// `MICA_SERVE_DEADLINE_MS`, clamped to [`crate::MAX_DEADLINE_MS`]).
     pub deadline_ms: Option<u64>,
     /// Neighbors to return (default 5).
     pub k: Option<u64>,

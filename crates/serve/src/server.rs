@@ -392,10 +392,8 @@ fn admit(
         return Some(resp);
     }
 
-    let deadline_ms = req
-        .deadline_ms
-        .unwrap_or(shared.cfg.default_deadline_ms)
-        .clamp(1, shared.cfg.max_deadline_ms);
+    let deadline_ms =
+        req.deadline_ms.unwrap_or(shared.cfg.default_deadline_ms).clamp(1, crate::MAX_DEADLINE_MS);
     let admitted = Instant::now();
     let admitted_us = obs::timestamp_us();
     let deadline_at = admitted + Duration::from_millis(deadline_ms);
@@ -667,7 +665,6 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 ts_us: job.admitted_us,
                 dur_us: wait_us,
                 tid: obs::current_tid(),
-                depth: 0,
                 trace_id: job.ctx.trace_id,
                 span_id: obs::next_span_id(),
                 parent_id: job.ctx.span_id,
@@ -732,7 +729,6 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 ts_us: job.admitted_us,
                 dur_us: latency_us,
                 tid: obs::current_tid(),
-                depth: 0,
                 trace_id: job.ctx.trace_id,
                 span_id: job.ctx.span_id,
                 parent_id: 0,

@@ -73,11 +73,9 @@ fn robustness_envelope_end_to_end() {
         queue_cap: 8,
         watermark: 6,
         default_deadline_ms: 10_000,
-        max_deadline_ms: 30_000,
         // Generous: deadline tests below rely on wall-clock cancellation,
         // not on the fuel allowance tripping first.
         fuel_per_ms: 10_000_000,
-        slice: 50_000,
         retry_ms: 5,
         slo_ms: 30_000,
         slo_target: 0.5,

@@ -417,53 +417,6 @@ pub enum InstClass {
     Jump,
 }
 
-impl InstClass {
-    /// Every class, in declaration order. [`InstClass::index`] is the
-    /// position in this array, so per-class counter banks can be plain
-    /// fixed-size arrays.
-    pub const ALL: [InstClass; 7] = [
-        InstClass::IntAlu,
-        InstClass::IntMul,
-        InstClass::Fp,
-        InstClass::Load,
-        InstClass::Store,
-        InstClass::Branch,
-        InstClass::Jump,
-    ];
-
-    /// True for any control transfer (branch or jump/call/return).
-    pub fn is_control(self) -> bool {
-        matches!(self, InstClass::Branch | InstClass::Jump)
-    }
-
-    /// Stable name, identical to the `Debug` rendering — the class key of
-    /// artifact files such as the static report's `static_mix`.
-    pub const fn name(self) -> &'static str {
-        match self {
-            InstClass::IntAlu => "IntAlu",
-            InstClass::IntMul => "IntMul",
-            InstClass::Fp => "Fp",
-            InstClass::Load => "Load",
-            InstClass::Store => "Store",
-            InstClass::Branch => "Branch",
-            InstClass::Jump => "Jump",
-        }
-    }
-
-    /// Dense index into [`InstClass::ALL`]-ordered counter arrays.
-    pub const fn index(self) -> usize {
-        match self {
-            InstClass::IntAlu => 0,
-            InstClass::IntMul => 1,
-            InstClass::Fp => 2,
-            InstClass::Load => 3,
-            InstClass::Store => 4,
-            InstClass::Branch => 5,
-            InstClass::Jump => 6,
-        }
-    }
-}
-
 /// A reference to an architectural register in a [`DynInst`] event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegRef {
@@ -570,14 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn control_classes() {
-        assert!(InstClass::Branch.is_control());
-        assert!(InstClass::Jump.is_control());
-        assert!(!InstClass::Load.is_control());
-        assert!(!InstClass::IntAlu.is_control());
-    }
-
-    #[test]
     fn op_flow_classification() {
         use crate::regs::*;
         assert_eq!(Op::Add(T0, T1, T2).flow(), Flow::Next);
@@ -664,13 +609,5 @@ mod tests {
         assert_eq!(d.num_sources(), 2);
         let v: Vec<_> = d.sources().collect();
         assert_eq!(v, vec![RegRef::Int(2), RegRef::Fp(3)]);
-    }
-
-    #[test]
-    fn class_index_and_name_are_consistent_with_all() {
-        for (i, c) in InstClass::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i, "{c:?}");
-            assert_eq!(c.name(), format!("{c:?}"), "name must match Debug");
-        }
     }
 }

@@ -806,7 +806,7 @@ impl Analysis {
     /// Build the full analysis bundle: run the abstract interpretation,
     /// use singleton targets to narrow indirect edges, re-run on the
     /// refined graph until nothing else resolves (at most
-    /// [`MAX_REFINE_ROUNDS`] rounds), then derive loops and liveness from
+    /// `MAX_REFINE_ROUNDS` rounds), then derive loops and liveness from
     /// the final CFG.
     pub fn build(prog: &Program, config: &VerifyConfig) -> Analysis {
         let mut cfg = Cfg::build(prog);
