@@ -73,11 +73,11 @@ pub struct GaResult {
 }
 
 /// Genomes scored together by one call of the fitness kernel.
-const LANES: usize = 4;
+const LANES: usize = 8;
 
 /// Benchmark pairs whose subspace distances the kernel sums together, in
 /// registers.
-const BLOCK: usize = 8;
+const BLOCK: usize = 16;
 
 /// The GA engine. Keeps the z-scored columns and Pearson's full-space
 /// terms, so scoring a genome costs its subspace distances and two passes
@@ -145,50 +145,75 @@ impl GeneticSelector {
         self
     }
 
-    /// Pairwise distances over the columns `genome` selects, in the
-    /// condensed order, into lane `lane` of `out`. Each pair's squared
-    /// differences are summed in ascending column order and square-rooted:
-    /// the expression [`pairwise_distances`] evaluates on the selected
-    /// columns, so every distance is bit-identical to it.
-    fn subspace_distances(&self, genome: u64, lane: usize, out: &mut [[f64; LANES]]) {
-        let n = self.rows;
-        let stride = n + BLOCK - 1;
-        let cols: Vec<&[f64]> = (0..self.num_cols)
-            .filter(|&c| genome >> c & 1 == 1)
-            .map(|c| &self.z[c * stride..(c + 1) * stride])
-            .collect();
-        let mut out = out.iter_mut();
-        for i in 0..n {
-            for j in (i + 1..n).step_by(BLOCK) {
-                // The pairs (i, j..j + BLOCK). Past the last row, the
-                // padding feeds sums that no pair keeps.
-                let mut sums = [0.0; BLOCK];
-                for col in &cols {
-                    let zi = col[i];
-                    let zj: &[f64; BLOCK] = col[j..j + BLOCK].try_into().expect("padded column");
-                    for (s, zj) in sums.iter_mut().zip(zj) {
-                        let d = zi - zj;
-                        *s += d * d;
-                    }
-                }
-                let dist = sums.map(f64::sqrt);
-                for (d, o) in dist[..(n - j).min(BLOCK)].iter().zip(out.by_ref()) {
-                    o[lane] = *d;
-                }
-            }
+    /// `rho` of one to eight genomes, lane by lane: on `x86_64` CPUs with
+    /// AVX2, [`rho_lanes`](Self::rho_lanes) compiled for AVX2, and
+    /// elsewhere its baseline compilation. Both evaluate the same
+    /// expressions in the same order, so every score is bit-identical
+    /// between them.
+    fn rho_batch(&self, genomes: &[u64]) -> [f64; LANES] {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `rho_lanes_avx2` needs only AVX2, which this CPU was
+            // just found to have.
+            return unsafe { self.rho_lanes_avx2(genomes) };
         }
+        self.rho_lanes(genomes)
     }
 
-    /// `rho` of one to four genomes, lane by lane. `pearson`'s subspace
-    /// half runs for all four lanes in each pass, so its add chains
-    /// overlap; each lane still adds in `pearson`'s order, so every score
-    /// is bit-identical to it. Lanes past the batch score zero distances,
-    /// which `pearson` maps to 0.0.
-    fn rho_batch(&self, genomes: &[u64]) -> [f64; LANES] {
-        assert!((1..=LANES).contains(&genomes.len()), "one to four genomes");
-        let mut sub = vec![[0.0; LANES]; self.full_dev.len()];
-        for (lane, &g) in genomes.iter().enumerate() {
-            self.subspace_distances(g, lane, &mut sub);
+    /// [`rho_lanes`](Self::rho_lanes) compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn rho_lanes_avx2(&self, genomes: &[u64]) -> [f64; LANES] {
+        self.rho_lanes(genomes)
+    }
+
+    /// `rho` of one to eight genomes, lane by lane. For each block of
+    /// pairs `(i, j..j + BLOCK)`, each lane sums the pairs' squared
+    /// differences over its genome's columns in ascending order and takes
+    /// their square roots: the expression [`pairwise_distances`] evaluates
+    /// on the selected columns, so every distance is bit-identical to it.
+    /// `pearson`'s subspace half then runs for all eight lanes in each
+    /// pass, so their add chains overlap; each lane still adds in
+    /// `pearson`'s order, so every score is bit-identical to it. Lanes past
+    /// the batch score zero distances, which `pearson` maps to 0.0.
+    #[inline(always)]
+    fn rho_lanes(&self, genomes: &[u64]) -> [f64; LANES] {
+        assert!((1..=LANES).contains(&genomes.len()), "one to eight genomes");
+        let n = self.rows;
+        let stride = n + BLOCK - 1;
+        let cols: Vec<Vec<&[f64]>> = genomes
+            .iter()
+            .map(|&g| {
+                (0..self.num_cols)
+                    .filter(|&c| g >> c & 1 == 1)
+                    .map(|c| &self.z[c * stride..(c + 1) * stride])
+                    .collect()
+            })
+            .collect();
+        let mut sub = Vec::with_capacity(self.full_dev.len());
+        // One block's distances, pair by pair. Lanes past the batch stay 0.
+        let mut block = [[0.0; LANES]; BLOCK];
+        for i in 0..n {
+            for j in (i + 1..n).step_by(BLOCK) {
+                for (lane, cols) in cols.iter().enumerate() {
+                    // The pairs (i, j..j + BLOCK). Past the last row, the
+                    // padding feeds sums that no pair keeps.
+                    let mut sums = [0.0; BLOCK];
+                    for col in cols {
+                        let zi = col[i];
+                        let zj: &[f64; BLOCK] =
+                            col[j..j + BLOCK].try_into().expect("padded column");
+                        for (s, zj) in sums.iter_mut().zip(zj) {
+                            let d = zi - zj;
+                            *s += d * d;
+                        }
+                    }
+                    for (pair, d) in block.iter_mut().zip(sums.map(f64::sqrt)) {
+                        pair[lane] = d;
+                    }
+                }
+                sub.extend_from_slice(&block[..(n - j).min(BLOCK)]);
+            }
         }
         let n = sub.len() as f64;
         let mut sum = [0.0; LANES];
@@ -215,7 +240,7 @@ impl GeneticSelector {
         })
     }
 
-    /// Fitness of one to four genomes, lane by lane; see
+    /// Fitness of one to eight genomes, lane by lane; see
     /// [`fitness`](Self::fitness). Lanes past the batch score 0.0.
     fn fitness_batch(&self, genomes: &[u64]) -> [f64; LANES] {
         let rho = self.rho_batch(genomes);
@@ -637,11 +662,13 @@ mod tests {
     }
 
     /// `fitness` for the free GA (`fixed` false) or a fixed size, and
-    /// `fitness_batch` filled with one, two, three and four genomes in
-    /// turn, must equal the paper's fitness built from the production
-    /// functions bit for bit: `pearson` between the full-space distances
-    /// and those over the genome's columns, times `1 - n/N` when the size
-    /// is free. Returns each genome's fitness for the free GA.
+    /// `fitness_batch` at every batch fill from one to eight, must equal the
+    /// paper's fitness built from the production functions bit for bit:
+    /// `pearson` between the full-space distances and those over the
+    /// genome's columns, times `1 - n/N` when the size is free. So must the
+    /// baseline compilation `rho_lanes`, called directly, at every fill.
+    /// Lanes past a batch must score 0.0. Returns each genome's fitness for
+    /// the free GA.
     fn check_kernel(ds: &DataSet, genomes: &[u64]) -> Vec<f64> {
         let z = zscore_normalize(ds);
         let full = pairwise_distances(&z);
@@ -665,17 +692,19 @@ mod tests {
             }
             let single: Vec<f64> = genomes.iter().map(|&g| sel.fitness(g)).collect();
             assert_eq!(bits(&single), bits(want), "fixed = {fixed}: fitness");
-            let mut batched = Vec::new();
-            let mut rest = genomes;
-            for fill in (1..=LANES).cycle() {
-                if rest.is_empty() {
-                    break;
+            for fill in 1..=LANES {
+                let (mut batched, mut baseline) = (Vec::new(), Vec::new());
+                for batch in genomes.chunks(fill) {
+                    let (scores, lanes) = (sel.fitness_batch(batch), sel.rho_lanes(batch));
+                    for spare in [&scores, &lanes].map(|s| &s[batch.len()..]) {
+                        assert_eq!(bits(spare), vec![0; spare.len()], "fill = {fill}: spare lanes");
+                    }
+                    batched.extend_from_slice(&scores[..batch.len()]);
+                    baseline.extend_from_slice(&lanes[..batch.len()]);
                 }
-                let (batch, tail) = rest.split_at(fill.min(rest.len()));
-                batched.extend_from_slice(&sel.fitness_batch(batch)[..batch.len()]);
-                rest = tail;
+                assert_eq!(bits(&batched), bits(want), "fixed = {fixed}, fill = {fill}: batch");
+                assert_eq!(bits(&baseline), bits(&rho), "fill = {fill}: baseline compilation");
             }
-            assert_eq!(bits(&batched), bits(want), "fixed = {fixed}: fitness_batch");
         }
         free
     }
@@ -684,16 +713,17 @@ mod tests {
     fn kernel_matches_pearson_at_every_genome_size() {
         let ds = random_122x47();
         let mut rng = StdRng::seed_from_u64(7);
-        let mut genomes = Vec::new();
-        for size in 1..=ds.cols() {
-            for _ in 0..4 {
-                let mut g = 0u64;
-                while (g.count_ones() as usize) < size {
-                    g |= 1 << rng.gen_range(0..ds.cols());
-                }
-                genomes.push(g);
+        let mut genome = |size: usize| {
+            let mut g = 0u64;
+            while (g.count_ones() as usize) < size {
+                g |= 1 << rng.gen_range(0..ds.cols());
             }
-        }
+            g
+        };
+        // First one full batch that mixes sizes, as the free GA's do, then
+        // four genomes of each size.
+        let mut genomes = [1, 47, 8, 2, 30, 3, 17, 5].map(&mut genome).to_vec();
+        genomes.extend((1..=ds.cols()).flat_map(|size| [size; 4].map(&mut genome)));
         check_kernel(&ds, &genomes);
     }
 

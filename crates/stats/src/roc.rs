@@ -99,14 +99,49 @@ pub struct RocPoint {
 /// `steps` controls the sweep resolution; the end points (thresholds 0%
 /// and slightly above 100%) are always included so the curve spans from
 /// (1, 1) to (0, 0).
+///
+/// Each point is the one [`classify_pairs`] gives at its threshold, bit for
+/// bit: the MICA distances are split by HPC class and sorted once, and each
+/// step counts the large ones of each class by binary search. The MICA
+/// distances must not be NaN.
+///
+/// # Panics
+///
+/// Panics if the two distance sets have different lengths or are empty.
 pub fn roc_curve(hpc: &[f64], mica: &[f64], hpc_frac: f64, steps: usize) -> Vec<RocPoint> {
+    assert_eq!(hpc.len(), mica.len(), "distance sets must align");
+    assert!(!hpc.is_empty(), "need at least one pair");
     let steps = steps.max(2);
+    let hpc_threshold = hpc_frac * hpc.iter().copied().fold(0.0, f64::max);
+    let mica_max = mica.iter().copied().fold(0.0, f64::max);
+    // The MICA distances of the HPC-large pairs and of the HPC-small ones.
+    let (mut large, mut small) = (Vec::new(), Vec::new());
+    for (&h, &m) in hpc.iter().zip(mica) {
+        if h > hpc_threshold {
+            large.push(m);
+        } else {
+            small.push(m);
+        }
+    }
+    large.sort_unstable_by(f64::total_cmp);
+    small.sort_unstable_by(f64::total_cmp);
+    let above =
+        |sorted: &[f64], threshold: f64| sorted.len() - sorted.partition_point(|&m| m <= threshold);
+    let t = hpc.len() as f64;
     (0..=steps)
         .map(|s| {
             // Sweep slightly past 1.0 so the final point classifies every
             // tuple as "small" in the MICA space.
             let frac = 1.02 * s as f64 / steps as f64;
-            let c = classify_pairs(hpc, mica, hpc_frac, frac);
+            let mica_threshold = frac * mica_max;
+            let tp = above(&large, mica_threshold);
+            let fp = above(&small, mica_threshold);
+            let c = PairClassification {
+                true_positive: tp as f64 / t,
+                true_negative: (small.len() - fp) as f64 / t,
+                false_positive: fp as f64 / t,
+                false_negative: (large.len() - tp) as f64 / t,
+            };
             RocPoint {
                 one_minus_specificity: 1.0 - c.specificity(),
                 sensitivity: c.sensitivity(),
@@ -179,6 +214,56 @@ mod tests {
         // Threshold > max: everything "small" -> sensitivity 0, specificity 1.
         assert_eq!(last.sensitivity, 0.0);
         assert_eq!(last.one_minus_specificity, 0.0);
+    }
+
+    /// `roc_curve` as a sweep of `classify_pairs`, one call per step.
+    fn roc_by_classify(hpc: &[f64], mica: &[f64], hpc_frac: f64, steps: usize) -> Vec<RocPoint> {
+        let steps = steps.max(2);
+        (0..=steps)
+            .map(|s| {
+                let frac = 1.02 * s as f64 / steps as f64;
+                let c = classify_pairs(hpc, mica, hpc_frac, frac);
+                RocPoint {
+                    one_minus_specificity: 1.0 - c.specificity(),
+                    sensitivity: c.sensitivity(),
+                    mica_frac: frac,
+                }
+            })
+            .collect()
+    }
+
+    fn assert_same_curve(hpc: &[f64], mica: &[f64], hpc_frac: f64, steps: usize) {
+        let bits = |curve: &[RocPoint]| {
+            curve
+                .iter()
+                .map(|p| [p.one_minus_specificity, p.sensitivity, p.mica_frac].map(f64::to_bits))
+                .collect::<Vec<_>>()
+        };
+        let want = roc_by_classify(hpc, mica, hpc_frac, steps);
+        assert_eq!(bits(&roc_curve(hpc, mica, hpc_frac, steps)), bits(&want));
+    }
+
+    #[test]
+    fn roc_curve_matches_classify_pairs_at_every_step() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // A seeded set the size of the committed data's 122 benchmarks.
+        let mut rng = StdRng::seed_from_u64(0x4d49_4341);
+        let hpc: Vec<f64> = (0..7381).map(|_| rng.gen::<f64>() * 9.0).collect();
+        let mica: Vec<f64> = hpc.iter().map(|h| 0.5 * h + rng.gen::<f64>() * 4.0).collect();
+        for steps in [200, 37] {
+            assert_same_curve(&hpc, &mica, 0.2, steps);
+        }
+        // Integer distances, where thresholds land exactly on values in
+        // both spaces.
+        let hpc: Vec<f64> = (0..400).map(|i| (i * 7 % 11) as f64).collect();
+        let mica: Vec<f64> = (0..400).map(|i| (i * 13 % 101) as f64).collect();
+        assert!(hpc.contains(&(0.5 * 10.0)), "no HPC value on the HPC threshold");
+        let on_value = (0..=102).filter(|&s| mica.contains(&(1.02 * s as f64 / 102.0 * 100.0)));
+        assert!(on_value.count() > 10, "too few MICA thresholds on a value");
+        assert_same_curve(&hpc, &mica, 0.5, 102);
+        // An all-zero MICA space.
+        assert_same_curve(&hpc, &[0.0; 400], 0.2, 200);
     }
 
     #[test]

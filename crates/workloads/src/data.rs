@@ -35,26 +35,53 @@ impl DataGen {
         self.rng.gen()
     }
 
-    /// Fill `[base, base+len)` with uniform random bytes (incompressible,
-    /// high-entropy input — e.g. SPEC gzip's `random` input).
+    /// `len` uniform random bytes (incompressible, high-entropy input —
+    /// e.g. SPEC gzip's `random` input), drawn as the iterator is consumed.
+    pub fn random_bytes(&mut self, len: u64) -> impl Iterator<Item = u8> + '_ {
+        (0..len).map(|_| self.rng.gen())
+    }
+
+    /// Fill `[base, base+len)` with [`random_bytes`](Self::random_bytes).
     pub fn fill_random(&mut self, mem: &mut Memory, base: u64, len: u64) {
-        for i in 0..len {
-            mem.write_u8(base + i, self.rng.gen());
-        }
+        write_from(mem, base, self.random_bytes(len));
     }
 
-    /// Fill with bytes drawn from a small alphabet (DNA- or protein-like
-    /// sequences; also moderately compressible text stand-ins).
-    pub fn fill_alphabet(&mut self, mem: &mut Memory, base: u64, len: u64, alphabet: u8) {
+    /// `len` bytes drawn from a small alphabet (DNA- or protein-like
+    /// sequences; also moderately compressible text stand-ins), drawn as the
+    /// iterator is consumed.
+    pub fn alphabet_bytes(&mut self, len: u64, alphabet: u8) -> impl Iterator<Item = u8> + '_ {
         let alphabet = alphabet.max(1);
-        for i in 0..len {
-            mem.write_u8(base + i, self.rng.gen_range(0..alphabet));
-        }
+        (0..len).map(move |_| self.rng.gen_range(0..alphabet))
     }
 
-    /// Fill with repetitive, highly compressible data: random phrases of
+    /// Fill `[base, base+len)` with [`alphabet_bytes`](Self::alphabet_bytes).
+    pub fn fill_alphabet(&mut self, mem: &mut Memory, base: u64, len: u64, alphabet: u8) {
+        write_from(mem, base, self.alphabet_bytes(len, alphabet));
+    }
+
+    /// `len` repetitive, highly compressible bytes: random phrases of
     /// `phrase` bytes repeated with occasional mutations
-    /// (`mutation_per_mille` per byte).
+    /// (`mutation_per_mille` per byte). The phrase is drawn at once, the
+    /// mutations as the iterator is consumed.
+    pub fn repetitive_bytes(
+        &mut self,
+        len: u64,
+        phrase: u64,
+        mutation_per_mille: u64,
+    ) -> impl Iterator<Item = u8> + '_ {
+        let phrase = phrase.max(1);
+        let pattern: Vec<u8> = (0..phrase).map(|_| self.rng.gen_range(b'a'..=b'z')).collect();
+        (0..len).map(move |i| {
+            let mut b = pattern[(i % phrase) as usize];
+            if self.rng.gen_range(0..1000u64) < mutation_per_mille {
+                b = self.rng.gen_range(b'a'..=b'z');
+            }
+            b
+        })
+    }
+
+    /// Fill `[base, base+len)` with
+    /// [`repetitive_bytes`](Self::repetitive_bytes).
     pub fn fill_repetitive(
         &mut self,
         mem: &mut Memory,
@@ -63,15 +90,7 @@ impl DataGen {
         phrase: u64,
         mutation_per_mille: u64,
     ) {
-        let phrase = phrase.max(1);
-        let pattern: Vec<u8> = (0..phrase).map(|_| self.rng.gen_range(b'a'..=b'z')).collect();
-        for i in 0..len {
-            let mut b = pattern[(i % phrase) as usize];
-            if self.rng.gen_range(0..1000u64) < mutation_per_mille {
-                b = self.rng.gen_range(b'a'..=b'z');
-            }
-            mem.write_u8(base + i, b);
-        }
+        write_from(mem, base, self.repetitive_bytes(len, phrase, mutation_per_mille));
     }
 
     /// Fill `count` doubles in `[-1, 1)` starting at `base`.
@@ -141,6 +160,14 @@ impl DataGen {
                 + self.rng.gen_range(-500.0..500.0);
             mem.write_le(base + i * 2, 2, (v as i64 as u64) & 0xffff);
         }
+    }
+}
+
+/// Write `bytes` from `base` on as they are drawn. A data image can run to
+/// megabytes, so it is never buffered whole.
+fn write_from(mem: &mut Memory, base: u64, bytes: impl Iterator<Item = u8>) {
+    for (addr, b) in (base..).zip(bytes) {
+        mem.write_u8(addr, b);
     }
 }
 

@@ -4,17 +4,17 @@
 use super::Build;
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
-use tinyisa::{regs::*, Asm, AsmError, Memory, Vm};
+use tinyisa::{regs::*, Asm, AsmError, Vm};
 
-/// Fill an input buffer whose compressibility is controlled by `entropy`
+/// An input of `len` bytes whose compressibility is controlled by `entropy`
 /// (0 = maximally repetitive, 100 = uniform random) — used to mirror the
 /// gzip/bzip2 input variants (graphic, log, program, random, source).
-fn fill_input(g: &mut DataGen, mem: &mut Memory, base: u64, len: u64, entropy: u64) {
+fn input_bytes(g: &mut DataGen, len: u64, entropy: u64) -> Vec<u8> {
     match entropy {
-        0..=20 => g.fill_repetitive(mem, base, len, 24, entropy * 10),
-        21..=50 => g.fill_repetitive(mem, base, len, 96, 200 + entropy * 5),
-        51..=80 => g.fill_alphabet(mem, base, len, 64),
-        _ => g.fill_random(mem, base, len),
+        0..=20 => g.repetitive_bytes(len, 24, entropy * 10).collect(),
+        21..=50 => g.repetitive_bytes(len, 96, 200 + entropy * 5).collect(),
+        51..=80 => g.alphabet_bytes(len, 64).collect(),
+        _ => g.random_bytes(len).collect(),
     }
 }
 
@@ -110,17 +110,13 @@ pub(crate) fn lz_compress(
     if build == Build::Program {
         return Ok(vm);
     }
-    let mut g = DataGen::new(seed);
-    fill_input(&mut g, vm.mem_mut(), DATA_BASE, bytes, entropy);
+    vm.mem_mut().write_bytes(DATA_BASE, &input_bytes(&mut DataGen::new(seed), bytes, entropy));
     Ok(vm)
 }
 
 /// The `bytes`-long input `lz_decompress` compresses.
 fn lz_input(bytes: u64, entropy: u64, seed: u64) -> Vec<u8> {
-    let mut g = DataGen::new(seed);
-    let mut scratch = Memory::new();
-    fill_input(&mut g, &mut scratch, 0, bytes, entropy);
-    scratch.read_bytes(0, bytes as usize)
+    input_bytes(&mut DataGen::new(seed), bytes, entropy)
 }
 
 /// LZ-compress `data` into the token stream `lz_decompress` decodes: tag
@@ -355,8 +351,7 @@ pub(crate) fn bwtish(block: u64, entropy: u64, seed: u64, build: Build) -> Resul
     if build == Build::Program {
         return Ok(vm);
     }
-    let mut g = DataGen::new(seed);
-    fill_input(&mut g, vm.mem_mut(), DATA_BASE, block, entropy);
+    vm.mem_mut().write_bytes(DATA_BASE, &input_bytes(&mut DataGen::new(seed), block, entropy));
     Ok(vm)
 }
 
