@@ -22,8 +22,6 @@ use tinyisa::Program;
 ///   three data regions (each extended to the next region's base — the
 ///   memory is sparse, so the bound only has to catch *wild* constants,
 ///   not enforce a footprint) and a 1 MiB stack below [`STACK_TOP`].
-/// - `expect_halt` off: kernels are endless steady-state loops profiled to
-///   fuel exhaustion.
 pub fn workload_config() -> VerifyConfig {
     const STACK_LEN: u64 = 0x10_0000;
     VerifyConfig {
@@ -34,7 +32,6 @@ pub fn workload_config() -> VerifyConfig {
             Segment { name: "data2", start: DATA2_BASE, len: DATA3_BASE - DATA2_BASE },
             Segment { name: "data3", start: DATA3_BASE, len: DATA3_BASE },
         ],
-        expect_halt: false,
     }
 }
 

@@ -29,9 +29,8 @@ fn parallel_profile_all_is_byte_identical_to_serial() {
 /// Observability must be a pure observer: running the identical sweep with
 /// a Chrome-trace sink attached — under an installed
 /// request-style [`mica_obs::TraceContext`], with concurrent ops-plane
-/// scrapes (windowed counter/histogram snapshots, the reads `ops metrics`
-/// and `stats` perform) — cannot change a single byte of the scientific
-/// output.
+/// scrapes (counter/histogram snapshots, the reads `ops metrics`
+/// performs) — cannot change a single byte of the scientific output.
 #[test]
 fn tracing_does_not_change_results() {
     std::env::set_var("MICA_THREADS", "4");
@@ -47,7 +46,7 @@ fn tracing_does_not_change_results() {
     let trace = mica_obs::add_sink(Box::new(mica_obs::ChromeTraceSink::create(trace_path.clone())));
     let traced = {
         // The serve daemon runs every request under an installed context
-        // while ops scrapes read the windowed metrics from other threads;
+        // while ops scrapes read the metrics from other threads;
         // reproduce both here around the sweep.
         let ctx = mica_obs::TraceContext::fresh();
         let _guard = mica_obs::install_context(Some(ctx));
@@ -57,8 +56,8 @@ fn tracing_does_not_change_results() {
             std::thread::spawn(move || {
                 let mut scrapes = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let _ = mica_obs::counters_windowed();
-                    let _ = mica_obs::histograms_windowed();
+                    let _ = mica_obs::counters();
+                    let _ = mica_obs::histograms();
                     scrapes += 1;
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }

@@ -1,109 +1,23 @@
-//! Process-wide atomic counters and power-of-two histograms, each with a
-//! rolling window beside the lifetime cells.
+//! Process-wide atomic counters and power-of-two histograms, each one
+//! set of lifetime cells.
 //!
 //! Both are registered by name in a global table on first use, so a
 //! `static COUNTER: Counter = Counter::new("profile.cache.hit")` anywhere
 //! in the workspace and a `counters()` snapshot in the run-summary writer
-//! agree on one cell. Bumping is a single relaxed `fetch_add` — safe in
-//! the `par_map` hot path — and, like all of `mica-obs`, has no effect on
-//! computed results.
-//!
-//! # Windows
-//!
-//! Lifetime totals are useless for a long-running daemon ("42 million
-//! requests since boot" answers nothing about *now*), so every cell also
-//! feeds a ring of [`WINDOW_SLOTS`] buckets of [`WINDOW_SLOT_MS`] each —
-//! 12×5s = the last minute. A bump lands in the slot for the current
-//! 5-second epoch; a slot whose stamp is stale is re-claimed (one CAS)
-//! and zeroed by the first writer of the new epoch. Readers sum only the
-//! slots stamped inside the window, so expiry needs no sweeper thread.
-//!
-//! The rotation is lock-free and deliberately *approximate at the
-//! boundary*: a writer racing the re-claim can add to a slot an instant
-//! before it is zeroed (losing that one bump from the window) or land a
-//! value from the closing epoch in the fresh slot. The error is bounded
-//! by the handful of in-flight bumps at each 5-second edge, affects only
-//! the windowed view (lifetime cells are exact), and buys bump costs low
-//! enough for request hot paths.
+//! agree on one cell. Bumping is a single relaxed `fetch_add` with no
+//! clock read — safe in the `par_map` hot path — and, like all of
+//! `mica-obs`, has no effect on computed results. A consumer that wants a
+//! recent rate takes two snapshots of the lifetime totals and divides
+//! their difference by the time between them.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Slots in each rolling window ring.
-pub const WINDOW_SLOTS: usize = 12;
-/// Width of one window slot, milliseconds.
-pub const WINDOW_SLOT_MS: u64 = 5_000;
-
-/// Total width of the rolling window, milliseconds (12×5s = one minute).
-pub fn window_span_ms() -> u64 {
-    WINDOW_SLOTS as u64 * WINDOW_SLOT_MS
-}
-
-/// Wall-clock override for deterministic window tests (`u64::MAX` =
-/// follow the real clock).
-static WINDOW_CLOCK_MS: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Pin (or with `None` unpin) the clock the window rings read, so tests
-/// can step across slot boundaries deterministically. Global — tests
-/// using it must own their counter names and restore the real clock.
-pub fn set_window_clock_ms_for_tests(ms: Option<u64>) {
-    WINDOW_CLOCK_MS.store(ms.unwrap_or(u64::MAX), Ordering::Release);
-}
-
-/// Milliseconds on the window clock. The real clock is `SystemTime` (one
-/// vDSO read per bump), not the obs epoch `Instant` — reading the epoch
-/// would force full observability init on the first counter bump.
-fn window_now_ms() -> u64 {
-    let pinned = WINDOW_CLOCK_MS.load(Ordering::Acquire);
-    if pinned != u64::MAX {
-        return pinned;
-    }
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// The current slot epoch ("stamp"). Strictly positive on any real
-/// clock, so a zeroed stamp always reads as expired.
-fn current_stamp() -> u64 {
-    window_now_ms() / WINDOW_SLOT_MS
-}
-
-/// One ring slot of a windowed counter.
-struct WinSlot {
-    /// Slot epoch this slot's value belongs to (0 = never written).
-    stamp: AtomicU64,
-    value: AtomicU64,
-}
-
-/// Re-claim `stamp_cell` for epoch `stamp`; returns whether this caller
-/// won the rotation (and must zero the slot's values).
-fn claim_slot(stamp_cell: &AtomicU64, stamp: u64) -> bool {
-    let cur = stamp_cell.load(Ordering::Acquire);
-    cur != stamp
-        && stamp_cell.compare_exchange(cur, stamp, Ordering::AcqRel, Ordering::Acquire).is_ok()
-}
-
-struct CounterCells {
-    total: AtomicU64,
-    ring: [WinSlot; WINDOW_SLOTS],
-}
-
-fn new_counter_cells() -> CounterCells {
-    CounterCells {
-        total: AtomicU64::new(0),
-        ring: [const {
-            WinSlot { stamp: AtomicU64::new(0), value: AtomicU64::new(0) }
-        }; WINDOW_SLOTS],
-    }
-}
-
-static COUNTERS: OnceLock<Mutex<BTreeMap<&'static str, &'static CounterCells>>> = OnceLock::new();
+static COUNTERS: OnceLock<Mutex<BTreeMap<&'static str, &'static AtomicU64>>> = OnceLock::new();
 static HISTOGRAMS: OnceLock<Mutex<BTreeMap<&'static str, &'static HistCells>>> = OnceLock::new();
 
-fn counter_table() -> &'static Mutex<BTreeMap<&'static str, &'static CounterCells>> {
+fn counter_table() -> &'static Mutex<BTreeMap<&'static str, &'static AtomicU64>> {
     COUNTERS.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -116,7 +30,7 @@ fn histogram_table() -> &'static Mutex<BTreeMap<&'static str, &'static HistCells
 /// lock-free.
 pub struct Counter {
     name: &'static str,
-    cell: OnceLock<&'static CounterCells>,
+    cell: OnceLock<&'static AtomicU64>,
 }
 
 impl Counter {
@@ -126,23 +40,16 @@ impl Counter {
         Counter { name, cell: OnceLock::new() }
     }
 
-    fn cell(&self) -> &'static CounterCells {
+    fn cell(&self) -> &'static AtomicU64 {
         self.cell.get_or_init(|| {
             let mut table = counter_table().lock().expect("counter table poisoned");
-            table.entry(self.name).or_insert_with(|| Box::leak(Box::new(new_counter_cells())))
+            table.entry(self.name).or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
         })
     }
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        let cells = self.cell();
-        cells.total.fetch_add(n, Ordering::Relaxed);
-        let stamp = current_stamp();
-        let slot = &cells.ring[(stamp % WINDOW_SLOTS as u64) as usize];
-        if claim_slot(&slot.stamp, stamp) {
-            slot.value.store(0, Ordering::Release);
-        }
-        slot.value.fetch_add(n, Ordering::Relaxed);
+        self.cell().fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add 1.
@@ -152,13 +59,7 @@ impl Counter {
 
     /// Current lifetime value.
     pub fn get(&self) -> u64 {
-        self.cell().total.load(Ordering::Relaxed)
-    }
-
-    /// Value accumulated over the rolling window (the last
-    /// [`window_span_ms`] milliseconds, including the in-progress slot).
-    pub fn windowed(&self) -> u64 {
-        windowed_counter_value(self.cell())
+        self.cell().load(Ordering::Relaxed)
     }
 
     /// Register the counter (at zero) without bumping it, so it appears in
@@ -186,7 +87,7 @@ pub fn counters() -> Vec<(String, u64)> {
         .lock()
         .expect("counter table poisoned")
         .iter()
-        .map(|(name, cells)| (name.to_string(), cells.total.load(Ordering::Relaxed)))
+        .map(|(name, cell)| (name.to_string(), cell.load(Ordering::Relaxed)))
         .collect();
     out.extend(mica_fault::metrics::snapshot().into_iter().map(|(n, v)| (n.to_string(), v)));
     let (alloc_n, alloc_b) = crate::alloc::totals();
@@ -196,46 +97,7 @@ pub fn counters() -> Vec<(String, u64)> {
     out
 }
 
-/// Sum the slots of `cells` stamped inside the current window.
-fn windowed_counter_value(cells: &CounterCells) -> u64 {
-    let stamp = current_stamp();
-    let oldest = stamp.saturating_sub(WINDOW_SLOTS as u64 - 1);
-    cells
-        .ring
-        .iter()
-        .filter(|s| {
-            let st = s.stamp.load(Ordering::Acquire);
-            st >= oldest && st <= stamp
-        })
-        .map(|s| s.value.load(Ordering::Relaxed))
-        .sum()
-}
-
-/// Windowed snapshot of every registered counter, ascending by name —
-/// the value each accumulated over the last [`window_span_ms`]
-/// milliseconds. Only table-registered counters have windows; the merged
-/// `fault.*` / `alloc.*` totals (see [`counters`]) are lifetime-only and
-/// do not appear here.
-pub fn counters_windowed() -> Vec<(String, u64)> {
-    counter_table()
-        .lock()
-        .expect("counter table poisoned")
-        .iter()
-        .map(|(name, cells)| (name.to_string(), windowed_counter_value(cells)))
-        .collect()
-}
-
 const BUCKETS: usize = 64;
-
-/// One ring slot of a windowed histogram: a full bucket array per slot,
-/// so windowed quantiles are as exact as lifetime ones.
-struct WinHistSlot {
-    /// Slot epoch (0 = never written).
-    stamp: AtomicU64,
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-}
 
 struct HistCells {
     /// `buckets[b]` counts values whose bit length is `b` (0 counts only
@@ -243,7 +105,6 @@ struct HistCells {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
-    ring: [WinHistSlot; WINDOW_SLOTS],
 }
 
 /// A named histogram over `u64` values with power-of-two buckets — cheap
@@ -268,14 +129,6 @@ impl Histogram {
                     buckets: [const { AtomicU64::new(0) }; BUCKETS],
                     count: AtomicU64::new(0),
                     sum: AtomicU64::new(0),
-                    ring: [const {
-                        WinHistSlot {
-                            stamp: AtomicU64::new(0),
-                            count: AtomicU64::new(0),
-                            sum: AtomicU64::new(0),
-                            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-                        }
-                    }; WINDOW_SLOTS],
                 }))
             })
         })
@@ -288,22 +141,6 @@ impl Histogram {
         cells.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         cells.count.fetch_add(1, Ordering::Relaxed);
         cells.sum.fetch_add(value, Ordering::Relaxed);
-        let stamp = current_stamp();
-        let slot = &cells.ring[(stamp % WINDOW_SLOTS as u64) as usize];
-        if claim_slot(&slot.stamp, stamp) {
-            // The winner zeroes the whole slot; the 64 stores are not one
-            // atomic step, so a reader racing this exact instant can see
-            // a partially cleared slot — the same bounded boundary error
-            // the module doc accepts for counters.
-            slot.count.store(0, Ordering::Relaxed);
-            slot.sum.store(0, Ordering::Relaxed);
-            for b in &slot.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
-        slot.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        slot.count.fetch_add(1, Ordering::Relaxed);
-        slot.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// The histogram's name.
@@ -314,12 +151,6 @@ impl Histogram {
     /// Current lifetime snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         snapshot_cells(self.name, self.cells())
-    }
-
-    /// Snapshot over the rolling window: the merge of every ring slot
-    /// stamped inside the last [`window_span_ms`] milliseconds.
-    pub fn windowed_snapshot(&self) -> HistogramSnapshot {
-        windowed_hist_snapshot(self.name, self.cells())
     }
 }
 
@@ -381,29 +212,6 @@ fn snapshot_cells(name: &str, cells: &HistCells) -> HistogramSnapshot {
     }
 }
 
-fn windowed_hist_snapshot(name: &str, cells: &HistCells) -> HistogramSnapshot {
-    let stamp = current_stamp();
-    let oldest = stamp.saturating_sub(WINDOW_SLOTS as u64 - 1);
-    let mut snap = HistogramSnapshot {
-        name: name.to_string(),
-        count: 0,
-        sum: 0,
-        buckets: vec![0; BUCKETS],
-    };
-    for slot in &cells.ring {
-        let st = slot.stamp.load(Ordering::Acquire);
-        if st < oldest || st > stamp {
-            continue;
-        }
-        snap.count = snap.count.saturating_add(slot.count.load(Ordering::Relaxed));
-        snap.sum = snap.sum.saturating_add(slot.sum.load(Ordering::Relaxed));
-        for (acc, b) in snap.buckets.iter_mut().zip(&slot.buckets) {
-            *acc = acc.saturating_add(b.load(Ordering::Relaxed));
-        }
-    }
-    snap
-}
-
 /// Snapshot of every registered histogram, ascending by name.
 pub fn histograms() -> Vec<HistogramSnapshot> {
     histogram_table()
@@ -414,31 +222,14 @@ pub fn histograms() -> Vec<HistogramSnapshot> {
         .collect()
 }
 
-/// Windowed snapshot of every registered histogram, ascending by name
-/// (see [`Histogram::windowed_snapshot`]).
-pub fn histograms_windowed() -> Vec<HistogramSnapshot> {
-    histogram_table()
-        .lock()
-        .expect("histogram table poisoned")
-        .iter()
-        .map(|(name, cells)| windowed_hist_snapshot(name, cells))
-        .collect()
-}
-
 /// Zero every registered counter and histogram (tests; run summaries of
 /// sequential runs in one process). Also zeros the merged `fault.*`
 /// counters.
 pub fn reset_metrics() {
     mica_fault::metrics::reset();
     crate::alloc::reset_totals();
-    for (_, cells) in counter_table().lock().expect("counter table poisoned").iter() {
-        cells.total.store(0, Ordering::Relaxed);
-        for slot in &cells.ring {
-            // Stamp 0 predates any real epoch, so the slot reads as
-            // expired until its next claim.
-            slot.stamp.store(0, Ordering::Release);
-            slot.value.store(0, Ordering::Relaxed);
-        }
+    for (_, cell) in counter_table().lock().expect("counter table poisoned").iter() {
+        cell.store(0, Ordering::Relaxed);
     }
     for (_, cells) in histogram_table().lock().expect("histogram table poisoned").iter() {
         for b in &cells.buckets {
@@ -446,14 +237,6 @@ pub fn reset_metrics() {
         }
         cells.count.store(0, Ordering::Relaxed);
         cells.sum.store(0, Ordering::Relaxed);
-        for slot in &cells.ring {
-            slot.stamp.store(0, Ordering::Release);
-            slot.count.store(0, Ordering::Relaxed);
-            slot.sum.store(0, Ordering::Relaxed);
-            for b in &slot.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -461,8 +244,17 @@ pub fn reset_metrics() {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that assert exact cell values against the one
+    /// that zeroes every cell: [`reset_metrics`] is process-wide.
+    static EXACT_VALUES: Mutex<()> = Mutex::new(());
+
+    fn exact_values() -> std::sync::MutexGuard<'static, ()> {
+        EXACT_VALUES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn same_name_shares_a_cell() {
+        let _exact = exact_values();
         static A: Counter = Counter::new("obs.test.shared");
         static B: Counter = Counter::new("obs.test.shared");
         let before = A.get();
@@ -483,6 +275,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_bit_length() {
+        let _exact = exact_values();
         static H: Histogram = Histogram::new("obs.test.hist");
         for v in [0u64, 1, 2, 3, 1000] {
             H.record(v);
@@ -513,6 +306,7 @@ mod tests {
 
     #[test]
     fn quantile_edge_cases_are_pinned() {
+        let _exact = exact_values();
         static H: Histogram = Histogram::new("obs.test.hist.quantile");
         for v in [1u64, 2, 3, 1000] {
             H.record(v);
@@ -545,160 +339,42 @@ mod tests {
         assert_eq!(snap.quantile_upper_bound(1.0), u64::MAX, "rank 10 is past every bucket");
     }
 
-    /// Serializes the window-clock-pinning tests: the override is global,
-    /// so two of them interleaving would corrupt each other's epochs.
-    static WINDOW_CLOCK_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Run `f` with the window clock pinned, restoring the real clock
-    /// even if `f` panics.
-    fn with_pinned_clock(f: impl FnOnce()) {
-        let _guard = WINDOW_CLOCK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        struct Unpin;
-        impl Drop for Unpin {
-            fn drop(&mut self) {
-                set_window_clock_ms_for_tests(None);
+    #[test]
+    fn lifetime_cells_stay_exact_under_concurrent_writers() {
+        let _exact = exact_values();
+        static C: Counter = Counter::new("obs.test.concurrent");
+        static H: Histogram = Histogram::new("obs.test.concurrent_h");
+        let threads = 8;
+        let per_thread = 1000u64;
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for i in 0..per_thread {
+                        C.incr();
+                        H.record(i % 7);
+                    }
+                });
             }
-        }
-        let _unpin = Unpin;
-        f();
-    }
-
-    #[test]
-    fn counter_window_rotates_at_slot_boundaries() {
-        with_pinned_clock(|| {
-            static C: Counter = Counter::new("obs.test.win.rotate");
-            let base = 1_000_000 * WINDOW_SLOT_MS;
-            set_window_clock_ms_for_tests(Some(base));
-            C.add(5);
-            assert_eq!(C.windowed(), 5);
-            // Still inside the same slot.
-            set_window_clock_ms_for_tests(Some(base + WINDOW_SLOT_MS - 1));
-            C.add(2);
-            assert_eq!(C.windowed(), 7);
-            // Crossing into the next slot keeps both slots in the window.
-            set_window_clock_ms_for_tests(Some(base + WINDOW_SLOT_MS));
-            C.add(1);
-            assert_eq!(C.windowed(), 8);
-            // One full window later, only the newest slot survives.
-            set_window_clock_ms_for_tests(Some(base + window_span_ms()));
-            assert_eq!(C.windowed(), 1, "first two slots expired");
-            // Another full window and everything is gone — without any
-            // writes; expiry is read-side.
-            set_window_clock_ms_for_tests(Some(base + 2 * window_span_ms() + WINDOW_SLOT_MS));
-            assert_eq!(C.windowed(), 0);
-            // Lifetime total was never touched by expiry.
-            assert_eq!(C.get(), 8);
         });
+        let total = threads * per_thread;
+        assert_eq!(C.get(), total);
+        let snap = H.snapshot();
+        assert_eq!(snap.count, total);
+        assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count, "buckets drifted from count");
     }
 
     #[test]
-    fn counter_window_reclaims_a_stale_slot() {
-        with_pinned_clock(|| {
-            static C: Counter = Counter::new("obs.test.win.reclaim");
-            let base = 2_000_000 * WINDOW_SLOT_MS;
-            set_window_clock_ms_for_tests(Some(base));
-            C.add(100);
-            // Exactly WINDOW_SLOTS later the ring index wraps to the same
-            // slot; the claim must zero the old epoch's 100 first.
-            set_window_clock_ms_for_tests(Some(base + window_span_ms()));
-            C.add(3);
-            assert_eq!(C.windowed(), 3, "wrapped slot was re-zeroed on claim");
-        });
-    }
-
-    #[test]
-    fn histogram_window_rotates_and_merges() {
-        with_pinned_clock(|| {
-            static H: Histogram = Histogram::new("obs.test.win.hist");
-            let base = 3_000_000 * WINDOW_SLOT_MS;
-            set_window_clock_ms_for_tests(Some(base));
-            for v in [1u64, 2, 3] {
-                H.record(v);
-            }
-            set_window_clock_ms_for_tests(Some(base + WINDOW_SLOT_MS));
-            H.record(1000);
-            let snap = H.windowed_snapshot();
-            assert_eq!(snap.count, 4, "both live slots merge");
-            assert_eq!(snap.sum, 1006);
-            assert_eq!(snap.quantile_upper_bound(1.0), 1023);
-            // Far enough ahead that only the 1000 survives.
-            set_window_clock_ms_for_tests(Some(base + window_span_ms()));
-            let snap = H.windowed_snapshot();
-            assert_eq!(snap.count, 1);
-            assert_eq!(snap.sum, 1000);
-            assert_eq!(snap.quantile_upper_bound(0.5), 1023);
-            // Lifetime snapshot still sees all four.
-            assert_eq!(H.snapshot().count, 4);
-        });
-    }
-
-    #[test]
-    fn windowed_snapshots_list_registered_cells() {
-        static C: Counter = Counter::new("obs.test.win.listed");
-        static H: Histogram = Histogram::new("obs.test.win.listed_h");
-        C.register();
-        H.record(1);
-        assert!(counters_windowed().iter().any(|(n, _)| n == "obs.test.win.listed"));
-        assert!(histograms_windowed().iter().any(|s| s.name == "obs.test.win.listed_h"));
-        // The windowed counter view excludes the merged lifetime-only
-        // namespaces.
-        assert!(counters_windowed().iter().all(|(n, _)| !n.starts_with("alloc.")));
-    }
-
-    #[test]
-    fn window_survives_concurrent_writers_across_a_rotation() {
-        with_pinned_clock(|| {
-            static C: Counter = Counter::new("obs.test.win.concurrent");
-            static H: Histogram = Histogram::new("obs.test.win.concurrent_h");
-            let base = 4_000_000 * WINDOW_SLOT_MS;
-            set_window_clock_ms_for_tests(Some(base));
-            let threads = 8;
-            let per_thread = 1000u64;
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| {
-                        for i in 0..per_thread {
-                            C.incr();
-                            H.record(i % 7);
-                            if i == per_thread / 2 {
-                                // Every thread races the same rotation.
-                                set_window_clock_ms_for_tests(Some(base + WINDOW_SLOT_MS));
-                            }
-                        }
-                    });
-                }
-            });
-            let total = threads * per_thread;
-            // Lifetime cells are exact even across the racy rotation.
-            assert_eq!(C.get(), total);
-            assert_eq!(H.snapshot().count, total);
-            // The windowed view may lose the in-flight bumps racing the
-            // single claim/zero edge, but never more than that, and must
-            // not over-count past the true total.
-            // Two claims happen (the never-written slot at start, the
-            // fresh slot at the rotation) and each can race the other
-            // threads' in-flight bumps.
-            let max_lost = 2 * (threads - 1);
-            let windowed = C.windowed();
-            assert!(windowed <= total, "window over-counted: {windowed} > {total}");
-            assert!(
-                windowed >= total - max_lost,
-                "window lost more than the in-flight edges: {windowed} < {}",
-                total - max_lost
-            );
-            let wsnap = H.windowed_snapshot();
-            assert!(wsnap.count <= total);
-            assert!(wsnap.count >= total - max_lost);
-            // A merged windowed snapshot stays internally consistent up
-            // to the same edge: buckets and count can disagree only by
-            // bumps split across a zeroing store.
-            let bucket_total: u64 = wsnap.buckets.iter().sum();
-            assert!(
-                bucket_total.abs_diff(wsnap.count) <= max_lost,
-                "snapshot buckets ({bucket_total}) drifted from count ({})",
-                wsnap.count
-            );
-        });
+    fn reset_metrics_zeroes_counters_and_histograms() {
+        let _exact = exact_values();
+        static C: Counter = Counter::new("obs.test.reset");
+        static H: Histogram = Histogram::new("obs.test.reset_h");
+        C.add(5);
+        H.record(1000);
+        reset_metrics();
+        assert_eq!(C.get(), 0);
+        let snap = H.snapshot();
+        assert_eq!((snap.count, snap.sum), (0, 0));
+        assert!(snap.buckets.iter().all(|&n| n == 0), "{snap:?}");
     }
 
     #[test]

@@ -52,11 +52,7 @@ pub use chrome::ChromeTraceSink;
 pub use context::{
     current_context, install_context, next_span_id, ContextGuard, TraceContext,
 };
-pub use counters::{
-    counters, counters_windowed, histograms, histograms_windowed, reset_metrics,
-    set_window_clock_ms_for_tests, window_span_ms, Counter, Histogram, HistogramSnapshot,
-    WINDOW_SLOTS, WINDOW_SLOT_MS,
-};
+pub use counters::{counters, histograms, reset_metrics, Counter, Histogram, HistogramSnapshot};
 pub use sink::{MemorySink, Record, Sink, StderrSink};
 
 use std::cell::Cell;

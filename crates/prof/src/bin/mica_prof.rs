@@ -25,6 +25,10 @@ const USAGE: &str = "usage:
   mica-prof check   --summary FILE --baseline FILE [--max-ratio R] [--min-abs-s S]
   mica-prof slo     ACCESS_LOG [--slo-ms N] [--target X]
 
+slo counts an answer good when it is ok within N ms of queue wait plus
+execution, and breaches when under a fraction X of answers are good
+(defaults: --slo-ms 1000 --target 0.99).
+
 exit codes: 0 ok, 1 usage/io error, 2 performance regression / SLO breach";
 
 /// Flag parser over `--key value` / `--key=value` pairs, plus bare
@@ -146,36 +150,26 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-/// A latency objective in whole milliseconds, at least 1. The server
-/// ignores a zero `MICA_SERVE_SLO_MS` and keeps its default, so an audit
-/// against 0 ms would score every answer against an objective no server
-/// ran with.
-fn parse_slo_ms(text: &str) -> Option<u64> {
-    text.trim().parse().ok().filter(|&ms| ms >= 1)
-}
-
-/// Audit a serve access log against the latency objective. The objective
-/// defaults to the same environment knobs the server reads
-/// (`MICA_SERVE_SLO_MS`, `MICA_SERVE_SLO_TARGET`), so gating a drained
-/// run needs no repeated configuration.
+/// Audit a serve access log against the latency objective given by
+/// `--slo-ms` (default 1000) and `--target` (default 0.99). A 0 ms
+/// objective is refused: it would count as good only the answers the log
+/// times at 0 µs.
 fn cmd_slo(args: &Args) -> Result<ExitCode, String> {
     let [log_path] = args.free.as_slice() else {
         return Err("slo needs exactly one access-log path".to_string());
     };
-    let slo_ms = match args.get("slo-ms") {
-        Some(v) => parse_slo_ms(v).ok_or_else(|| format!("bad --slo-ms {v:?} (want ms >= 1)"))?,
-        None => match std::env::var("MICA_SERVE_SLO_MS") {
-            Ok(v) => parse_slo_ms(&v)
-                .ok_or_else(|| format!("bad MICA_SERVE_SLO_MS {v:?} (want ms >= 1)"))?,
-            Err(_) => 1_000,
-        },
+    let slo_ms: u64 = match args.get("slo-ms") {
+        Some(v) => v
+            .trim()
+            .parse()
+            .ok()
+            .filter(|&ms| ms >= 1)
+            .ok_or_else(|| format!("bad --slo-ms {v:?} (want ms >= 1)"))?,
+        None => 1_000,
     };
     let target: f64 = match args.get("target") {
         Some(v) => v.parse().map_err(|_| format!("bad --target {v:?}"))?,
-        None => match std::env::var("MICA_SERVE_SLO_TARGET") {
-            Ok(v) => v.trim().parse().map_err(|_| format!("bad MICA_SERVE_SLO_TARGET {v:?}"))?,
-            Err(_) => 0.99,
-        },
+        None => 0.99,
     };
     if !(0.0..1.0).contains(&target) {
         return Err(format!("target {target} must be in [0, 1)"));

@@ -16,8 +16,8 @@
 //!   trajectory and implements the noise-aware regression gate
 //!   (median-of-N baseline, relative × absolute thresholds);
 //! - [`slo`] replays the serve daemon's access log
-//!   (`results/serve-access.jsonl`) and recomputes latency-objective
-//!   attainment offline, independent of the daemon's own counters.
+//!   (`results/serve-access.jsonl`) and scores latency-objective
+//!   attainment, the one place an SLO is scored.
 //!
 //! The `mica-prof` binary fronts them with four commands: `analyze`
 //! renders a report, `record` appends a run to the trajectory, `check`

@@ -1,24 +1,20 @@
-//! Offline SLO audit over the serve daemon's access log.
+//! The SLO audit over the serve daemon's access log.
 //!
-//! `mica-serve` scores its latency objective live (windowed counters for
-//! `ops` scrapes, lifetime totals in the drain summary). This module is
-//! the *offline referee*: it replays `<results>/serve-access.jsonl` and
-//! recomputes attainment from the per-request records, so CI can gate on
-//! an artifact rather than trusting the daemon's own bookkeeping.
+//! `mica-serve` writes one line per request line it read to
+//! `<results>/serve-access.jsonl`. This module replays that log and
+//! scores it against a latency objective; it is the only place an SLO is
+//! scored, so CI gates on the artifact.
 //!
 //! Parsing follows the [`crate::trace`] philosophy: tolerant. A line that
 //! does not parse or lacks the fields this version needs is counted and
 //! skipped, never fatal — the audit says what it can about logs written
 //! by newer or older servers.
 //!
-//! Scoring matches the server's definition with one stated difference:
-//! the log records `queue_wait_us` and `exec_us` but not the response
-//! write, so offline latency is `queue_wait_us + exec_us` — a lower bound
-//! on the server's admission-to-response-written measure. A request is
-//! **good** when its outcome is `ok` and that latency is within the
-//! objective. Refusals (`overloaded`/`draining`), unparseable request
-//! lines (`kind: "invalid"`) and control-plane `ops` scrapes are excluded
-//! from the denominator, exactly as the server excludes them.
+//! The definition: an answer is **good** when its outcome is `ok` and its
+//! `queue_wait_us + exec_us` is within the objective. Refusals
+//! (`overloaded`/`draining`), unparseable request lines
+//! (`kind: "invalid"`) and control-plane `ops` scrapes are not answers
+//! and are excluded from the denominator.
 
 use serde::Value;
 use std::collections::BTreeMap;

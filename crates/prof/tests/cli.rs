@@ -12,17 +12,8 @@ struct Run {
 }
 
 fn run(args: &[&str]) -> Run {
-    run_with_env(args, &[])
-}
-
-fn run_with_env(args: &[&str], env: &[(&str, &str)]) -> Run {
-    let out = Command::new(env!("CARGO_BIN_EXE_mica-prof"))
-        .args(args)
-        .env_remove("MICA_SERVE_SLO_MS")
-        .env_remove("MICA_SERVE_SLO_TARGET")
-        .envs(env.iter().copied())
-        .output()
-        .expect("mica-prof runs");
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_mica-prof")).args(args).output().expect("mica-prof runs");
     Run {
         code: out.status.code().expect("exit code"),
         stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -88,7 +79,7 @@ fn analyze_prints_the_report_of_a_trace() {
 }
 
 #[test]
-fn slo_rejects_a_zero_objective_from_the_flag_or_the_environment() {
+fn slo_rejects_a_zero_objective_from_the_flag() {
     let dir = temp_dir("slo_zero");
     let log = dir.join("serve-access.jsonl");
     std::fs::write(
@@ -100,11 +91,7 @@ fn slo_rejects_a_zero_objective_from_the_flag_or_the_environment() {
     let flag = run(&["slo", log, "--slo-ms", "0"]);
     assert_eq!(flag.code, 1, "stdout:\n{}\nstderr:\n{}", flag.stdout, flag.stderr);
     assert!(flag.stderr.contains("bad --slo-ms \"0\""), "{}", flag.stderr);
-    let env = run_with_env(&["slo", log], &[("MICA_SERVE_SLO_MS", "0")]);
-    assert_eq!(env.code, 1, "stdout:\n{}\nstderr:\n{}", env.stdout, env.stderr);
-    assert!(env.stderr.contains("bad MICA_SERVE_SLO_MS \"0\""), "{}", env.stderr);
-    // A positive objective from either source still audits the log.
+    // A positive objective still audits the log.
     assert_eq!(run(&["slo", log, "--slo-ms", "1"]).code, 0);
-    assert_eq!(run_with_env(&["slo", log], &[("MICA_SERVE_SLO_MS", "1")]).code, 0);
     std::fs::remove_dir_all(dir).ok();
 }

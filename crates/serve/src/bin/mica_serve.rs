@@ -13,8 +13,7 @@ fn main() {
         Ok(summary) => {
             eprintln!(
                 "mica-serve drained: {} accepted ({} ok, {} error, {} panic, {} deadline), \
-                 {} rejected overloaded, {} rejected draining, {} index entries, \
-                 SLO {}/{} ({:.4} of target {}), {:.1}s",
+                 {} rejected overloaded, {} rejected draining, {} index entries, {:.1}s",
                 summary.accepted,
                 summary.ok,
                 summary.errors,
@@ -23,10 +22,6 @@ fn main() {
                 summary.rejected_overloaded,
                 summary.rejected_draining,
                 summary.index_entries,
-                summary.slo_good,
-                summary.slo_total,
-                summary.slo_attainment,
-                summary.slo_target,
                 summary.wall_s,
             );
         }

@@ -5,7 +5,7 @@
 //! writes, so `table` answers are byte-identical to it), the
 //! [`QuerySpace`], and the provenance block — plus the mutable submission
 //! index that caches computed `zoo`/`asm` answers across requests and is
-//! flushed to sharded JSON on drain.
+//! flushed to `<results>/serve-index.json` on drain.
 //!
 //! [`Engine::execute`] runs *inside* the server's
 //! [`mica_par::par_map_isolated`] dispatch, so a panic anywhere in here —
@@ -25,7 +25,7 @@ use mica_obs as obs;
 use mica_workloads::{benchmark_table, BenchmarkSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -37,10 +37,7 @@ static SIMULATED: obs::Counter = obs::Counter::new("serve.simulated");
 /// Dynamic instructions executed on behalf of submissions.
 static INSTS: obs::Counter = obs::Counter::new("serve.insts");
 
-/// Number of submission-index shards.
-pub const INDEX_SHARDS: u64 = 4;
-
-/// One cached submission answer, as stored in the sharded index.
+/// One cached submission answer, as stored in the index file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IndexEntry {
     /// Canonical submission key (kind, name/program hash, parameters).
@@ -53,11 +50,11 @@ pub struct IndexEntry {
     pub executed_instructions: u64,
 }
 
-/// One shard file: entries sorted by key.
+/// The index file (`serve-index.json`): entries sorted by key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IndexShard {
+pub struct IndexFile {
     /// Profile-layout fingerprint the entries were computed under; a
-    /// mismatched shard is discarded on load.
+    /// file with another fingerprint is discarded on load.
     pub fingerprint: u64,
     /// The cached answers.
     pub entries: Vec<IndexEntry>,
@@ -104,14 +101,14 @@ pub struct Engine {
     table: Vec<BenchmarkSpec>,
     scale: f64,
     index: Mutex<BTreeMap<String, IndexEntry>>,
-    index_dir: PathBuf,
+    index_path: PathBuf,
     table_fingerprint: u64,
 }
 
 impl Engine {
     /// Boot the engine: load (or compute and cache) the reference
     /// profiles, build the GA query space, and warm the submission index
-    /// from any shards a previous run drained.
+    /// from the file a previous run drained.
     ///
     /// # Errors
     ///
@@ -133,11 +130,10 @@ impl Engine {
         let set = outcome.set;
         let space = QuerySpace::build(&set, 8);
         let by_name = set.records.iter().enumerate().map(|(i, r)| (r.name.clone(), i)).collect();
-        let index_dir = results.join("serve-index");
+        let index_path = results.join("serve-index.json");
         // `profile_fingerprint()` re-assembles all 122 reference kernels per
-        // call; the loaded set already carries the value, so thread it through
-        // instead of recomputing per shard.
-        let index = load_index(&index_dir, set.fingerprint);
+        // call; the loaded set already carries the value, so thread it through.
+        let index = load_index(&index_path, set.fingerprint);
         if !index.is_empty() {
             obs::info!("warmed submission index with {} entries", index.len());
         }
@@ -148,7 +144,7 @@ impl Engine {
             table: benchmark_table(),
             scale,
             index: Mutex::new(index),
-            index_dir,
+            index_path,
             table_fingerprint: outcome.table_fingerprint,
         })
     }
@@ -385,33 +381,17 @@ impl Engine {
         hit
     }
 
-    /// Flush the submission index to its shards via
-    /// [`mica_fault::atomic_write_retry`] (site `serve-index`). Returns
-    /// `(shards_written, entries)`.
-    pub fn flush_index(&self) -> (u64, u64) {
+    /// Flush the submission index to `serve-index.json`. Returns the
+    /// entries written, 0 when the write fails.
+    pub fn flush_index(&self) -> u64 {
         let index = self.index.lock().expect("index poisoned");
-        let total = index.len() as u64;
-        if let Err(e) = std::fs::create_dir_all(&self.index_dir) {
-            obs::warn!("cannot create {}: {e}", self.index_dir.display());
-            return (0, total);
-        }
-        let mut written = 0;
-        let fingerprint = self.set.fingerprint;
-        for shard_no in 0..INDEX_SHARDS {
-            let entries: Vec<IndexEntry> = index
-                .values()
-                .filter(|e| fnv1a(e.key.as_bytes()) % INDEX_SHARDS == shard_no)
-                .cloned()
-                .collect();
-            let shard = IndexShard { fingerprint, entries };
-            let path = self.index_dir.join(format!("shard-{shard_no}.json"));
-            let json = serde_json::to_string_pretty(&shard).expect("IndexShard serializes");
-            match mica_fault::atomic_write_retry("serve-index", &path, json.as_bytes()) {
-                Ok(()) => written += 1,
-                Err(e) => obs::warn!("cannot write index shard {}: {e}", path.display()),
+        match write_index(&self.index_path, self.set.fingerprint, &index) {
+            Ok(()) => index.len() as u64,
+            Err(e) => {
+                obs::warn!("cannot write submission index {}: {e}", self.index_path.display());
+                0
             }
         }
-        (written, total)
     }
 }
 
@@ -445,36 +425,49 @@ fn fuel_allowance(deadline_at: Instant, cfg: &ServeConfig) -> u64 {
     remaining_ms.saturating_mul(cfg.fuel_per_ms).max(1)
 }
 
-/// Load every readable, fingerprint-current shard; anything else is
-/// skipped with a warning (a stale index is a cache, not state).
-fn load_index(dir: &std::path::Path, fingerprint: u64) -> BTreeMap<String, IndexEntry> {
-    let mut map = BTreeMap::new();
-    for shard_no in 0..INDEX_SHARDS {
-        let path = dir.join(format!("shard-{shard_no}.json"));
-        let json = match std::fs::read_to_string(&path) {
-            Ok(json) => json,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => {
-                obs::warn!("skipping index shard {}: {e}", path.display());
-                continue;
-            }
-        };
-        match serde_json::from_str::<IndexShard>(&json) {
-            Ok(shard) if shard.fingerprint == fingerprint => {
-                for e in shard.entries {
-                    map.insert(e.key.clone(), e);
-                }
-            }
-            Ok(shard) => obs::warn!(
-                "discarding index shard {} (fingerprint {:#x} != {:#x})",
+/// Write `index` to `path` via [`mica_fault::atomic_write_retry`] (site
+/// `serve-index`), stamped with `fingerprint`.
+fn write_index(
+    path: &Path,
+    fingerprint: u64,
+    index: &BTreeMap<String, IndexEntry>,
+) -> std::io::Result<()> {
+    let file = IndexFile { fingerprint, entries: index.values().cloned().collect() };
+    let json = serde_json::to_string_pretty(&file).expect("IndexFile serializes");
+    mica_fault::atomic_write_retry("serve-index", path, json.as_bytes())
+}
+
+/// Load the index file at `path`. An absent file is an empty index; an
+/// unreadable or unparseable file, or one stamped with another
+/// fingerprint, is skipped with a warning (a stale index is a cache, not
+/// state).
+fn load_index(path: &Path, fingerprint: u64) -> BTreeMap<String, IndexEntry> {
+    let json = match std::fs::read_to_string(path) {
+        Ok(json) => json,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return BTreeMap::new(),
+        Err(e) => {
+            obs::warn!("skipping submission index {}: {e}", path.display());
+            return BTreeMap::new();
+        }
+    };
+    match serde_json::from_str::<IndexFile>(&json) {
+        Ok(file) if file.fingerprint == fingerprint => {
+            file.entries.into_iter().map(|e| (e.key.clone(), e)).collect()
+        }
+        Ok(file) => {
+            obs::warn!(
+                "discarding submission index {} (fingerprint {:#x} != {:#x})",
                 path.display(),
-                shard.fingerprint,
+                file.fingerprint,
                 fingerprint
-            ),
-            Err(e) => obs::warn!("discarding unparseable index shard {}: {e}", path.display()),
+            );
+            BTreeMap::new()
+        }
+        Err(e) => {
+            obs::warn!("discarding unparseable submission index {}: {e}", path.display());
+            BTreeMap::new()
         }
     }
-    map
 }
 
 #[cfg(test)]
@@ -499,6 +492,32 @@ mod tests {
         assert_ne!(k3, submission_key(&asm).unwrap());
 
         assert_eq!(submission_key(&Request::new("c", RequestKind::Table)), None);
+    }
+
+    #[test]
+    fn index_file_round_trips_and_rejects_stale_or_garbage_files() {
+        let dir = std::env::temp_dir().join(format!("mica_serve_index_{}", std::process::id()));
+        let path = dir.join("serve-index.json");
+        assert!(load_index(&path, 7).is_empty(), "an absent file is an empty index");
+        let index: BTreeMap<String, IndexEntry> = ["zoo|b", "asm|a"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let entry = IndexEntry {
+                    key: key.to_string(),
+                    name: format!("entry {i}"),
+                    vector: vec![0.5, i as f64, -1.25e-3],
+                    executed_instructions: 1_000 + i as u64,
+                };
+                (key.to_string(), entry)
+            })
+            .collect();
+        write_index(&path, 7, &index).unwrap();
+        assert_eq!(load_index(&path, 7), index);
+        assert!(load_index(&path, 8).is_empty(), "another fingerprint is discarded");
+        std::fs::write(&path, "{\"fingerprint\": 7, \"entries\": [").unwrap();
+        assert!(load_index(&path, 7).is_empty(), "a garbage file is discarded");
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

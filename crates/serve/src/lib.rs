@@ -30,17 +30,15 @@
 //!   `panic` response while the pool and the server keep serving.
 //! - **Graceful drain**: SIGTERM / ctrl-c stops admission (`draining`
 //!   rejections), finishes in-flight work, flushes the observability
-//!   sinks, the sharded submission index, and a schema-stable drain
-//!   summary via [`mica_fault::atomic_write_retry`], then exits 0.
-//! - **A live ops plane + SLO tracking** ([`server`]): `ops` requests
+//!   sinks, the submission index (`<results>/serve-index.json`), and a
+//!   schema-stable drain summary via [`mica_fault::atomic_write_retry`],
+//!   then exits 0.
+//! - **A live ops plane** ([`server`]): `ops` requests
 //!   (`health`/`ready`/`metrics`/`stats`) bypass the queue and keep
 //!   answering during a drain; every response echoes a `trace` id tying
-//!   it to its span tree in the `MICA_TRACE` file; every
-//!   served request lands in a JSONL access log
-//!   (`<results>/serve-access.jsonl`); and a `MICA_SERVE_SLO_MS` /
-//!   `MICA_SERVE_SLO_TARGET` latency objective is tracked both over the
-//!   rolling last-minute window (`stats`, `metrics`) and for the whole
-//!   run ([`server::DrainSummary`], audited offline by `mica-prof slo`).
+//!   it to its span tree in the `MICA_TRACE` file; and every served
+//!   request lands in a JSONL access log (`<results>/serve-access.jsonl`),
+//!   which `mica-prof slo` scores against a latency objective.
 //! - **A retrying client** ([`client`], `mica-serve-client`): capped
 //!   exponential backoff with deterministic site-seeded jitter
 //!   ([`mica_fault::io::backoff_ms`]), honoring `retry_after_ms` hints.
@@ -60,8 +58,6 @@
 //! | `MICA_SERVE_DEADLINE_MS` | 2000 | default per-request deadline |
 //! | `MICA_SERVE_FUEL_PER_MS` | 20000 | VM instructions a deadline millisecond buys |
 //! | `MICA_SERVE_RETRY_MS` | 25 | base `retry_after_ms` backpressure hint |
-//! | `MICA_SERVE_SLO_MS` | 1000 | latency objective: an answered request is SLO-good iff `ok` within this |
-//! | `MICA_SERVE_SLO_TARGET` | 0.99 | attainment objective in `[0, 1)`; burn rate is measured against it |
 //!
 //! The profile cache, budget scale, and thread pool are shared with the
 //! batch pipeline (`MICA_RESULTS_DIR`, `MICA_SCALE`, `MICA_THREADS`), so a
@@ -115,14 +111,6 @@ pub struct ServeConfig {
     pub fuel_per_ms: u64,
     /// Base backpressure hint in `retry_after_ms` (`MICA_SERVE_RETRY_MS`).
     pub retry_ms: u64,
-    /// Latency objective (`MICA_SERVE_SLO_MS`): an answered request is
-    /// SLO-good iff it is `ok` and its admission-to-response latency is at
-    /// most this many milliseconds.
-    pub slo_ms: u64,
-    /// Attainment objective (`MICA_SERVE_SLO_TARGET`), a fraction in
-    /// `[0, 1)`. Burn rate = (1 − attainment) / (1 − target): 1.0 means
-    /// the error budget is being spent exactly at the sustainable rate.
-    pub slo_target: f64,
 }
 
 impl ServeConfig {
@@ -139,16 +127,6 @@ impl ServeConfig {
             },
             Err(_) => queue_cap * 3 / 4,
         };
-        let slo_target = match std::env::var("MICA_SERVE_SLO_TARGET") {
-            Ok(v) => match v.trim().parse::<f64>() {
-                Ok(t) if (0.0..1.0).contains(&t) => t,
-                _ => {
-                    eprintln!("warning: ignoring invalid MICA_SERVE_SLO_TARGET={v:?} (want [0, 1))");
-                    0.99
-                }
-            },
-            Err(_) => 0.99,
-        };
         ServeConfig {
             addr: std::env::var("MICA_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7033".into()),
             queue_cap,
@@ -156,8 +134,6 @@ impl ServeConfig {
             default_deadline_ms: env_u64("MICA_SERVE_DEADLINE_MS", 2_000),
             fuel_per_ms: env_u64("MICA_SERVE_FUEL_PER_MS", 20_000),
             retry_ms: env_u64("MICA_SERVE_RETRY_MS", 25),
-            slo_ms: env_u64("MICA_SERVE_SLO_MS", 1_000),
-            slo_target,
         }
     }
 }
@@ -171,8 +147,6 @@ impl Default for ServeConfig {
             default_deadline_ms: 2_000,
             fuel_per_ms: 20_000,
             retry_ms: 25,
-            slo_ms: 1_000,
-            slo_target: 0.99,
         }
     }
 }
@@ -187,7 +161,6 @@ mod tests {
         assert!(c.watermark <= c.queue_cap);
         assert!(c.default_deadline_ms <= MAX_DEADLINE_MS);
         assert!(c.fuel_per_ms >= 1);
-        assert!(c.slo_ms >= 1 && (0.0..1.0).contains(&c.slo_target));
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //! The `ops` family (`op`: `health`, `ready`, `metrics`, `stats`) is
 //! answered on the reader thread, bypasses the admission queue entirely,
 //! and keeps answering during a drain — it is the daemon's live control
-//! plane, not a submission. Its payload rides in the `ops` field.
+//! plane, not a submission. Its payload rides in the `ops` field: `health`
+//! gives status and uptime, `ready` whether admission is open, `stats`
+//! the queue depth, in-flight count and drain flag, and `metrics` a text
+//! exposition of every counter's lifetime total and every histogram's
+//! count, mean, p50 and p99.
 //!
 //! Every response also echoes a server-minted `trace` id (16 lowercase
 //! hex digits) identifying the request's span tree in the `MICA_TRACE`

@@ -28,14 +28,12 @@
 //! root `request` span (admission → response written) with a `queue` span
 //! and the engine's execution spans parented under it, all sharing the
 //! request's trace id — and (b) one line of the JSONL access log flushed
-//! to `<results>/serve-access.jsonl` on drain. The `MICA_SERVE_SLO_MS` /
-//! `MICA_SERVE_SLO_TARGET` objective is scored per answer (windowed
-//! counters feed `ops` scrapes; lifetime totals feed the
-//! [`DrainSummary`]).
+//! to `<results>/serve-access.jsonl` on drain, which `mica-prof slo`
+//! scores against a latency objective.
 //!
 //! Drain: stop admission (readers answer `draining`; `ops` stays live so
 //! `ready` can report the drain), let the dispatcher finish the queue and
-//! in-flight batches, flush the submission index shards, the access log,
+//! in-flight batches, flush the submission index, the access log,
 //! and the [`DrainSummary`] (all via [`mica_fault::atomic_write_retry`]),
 //! write the run summary, flush the observability sinks, and return — the
 //! binary then exits 0.
@@ -68,10 +66,6 @@ static SHED: obs::Counter = obs::Counter::new("serve.shed");
 static BAD_LINES: obs::Counter = obs::Counter::new("serve.bad_lines");
 /// Control-plane (`ops`) queries answered.
 static OPS: obs::Counter = obs::Counter::new("serve.ops");
-/// Answered requests that met the SLO (`ok` within `MICA_SERVE_SLO_MS`).
-static SLO_GOOD: obs::Counter = obs::Counter::new("serve.slo.good");
-/// Answered requests measured against the SLO (every non-refused answer).
-static SLO_TOTAL: obs::Counter = obs::Counter::new("serve.slo.total");
 /// Admission-to-dispatch wait.
 static QUEUE_US: obs::Histogram = obs::Histogram::new("serve.queue_us");
 /// Admission-to-response-written latency.
@@ -95,28 +89,9 @@ fn register_counters() {
         &SHED,
         &BAD_LINES,
         &OPS,
-        &SLO_GOOD,
-        &SLO_TOTAL,
     ] {
         c.register();
     }
-}
-
-/// `good / total`, with an empty window scoring a perfect 1.0 (no
-/// requests means no missed objective).
-fn slo_attainment(good: u64, total: u64) -> f64 {
-    if total == 0 {
-        1.0
-    } else {
-        good as f64 / total as f64
-    }
-}
-
-/// Error-budget burn rate: the fraction of the budget being spent,
-/// normalized so 1.0 = exactly sustainable. `target` is clamped away
-/// from 1.0 so a (misconfigured) zero-width budget cannot divide by zero.
-fn slo_burn_rate(attainment: f64, target: f64) -> f64 {
-    (1.0 - attainment) / (1.0 - target).max(1e-9)
 }
 
 /// What the drain writes to `serve-drain.json` — the server's closing
@@ -146,28 +121,11 @@ pub struct DrainSummary {
     /// Requests still queued or executing when drain began, all of which
     /// were finished (never dropped) before this summary was written.
     pub drained_in_flight: u64,
-    /// Submission-index shards written.
-    pub index_shards: u64,
-    /// Entries across those shards.
+    /// Submission-index entries written to `serve-index.json` (0 when
+    /// the write failed).
     pub index_entries: u64,
     /// Access-log lines flushed to `serve-access.jsonl`.
     pub access_log_lines: u64,
-    /// The latency objective the run was held to (`MICA_SERVE_SLO_MS`).
-    pub slo_ms: u64,
-    /// The attainment objective (`MICA_SERVE_SLO_TARGET`).
-    pub slo_target: f64,
-    /// Answered requests that met the objective (`ok` within `slo_ms`).
-    pub slo_good: u64,
-    /// Data-plane answers measured against the objective. Refusals and
-    /// bad lines are admission outcomes, not answers; `ops` scrapes are
-    /// the measurement plane — all three are excluded.
-    pub slo_total: u64,
-    /// `slo_good / slo_total` over the whole run (1.0 when nothing was
-    /// answered).
-    pub slo_attainment: f64,
-    /// `(1 − attainment) / (1 − target)`; above 1.0 the error budget is
-    /// being spent faster than the objective sustains.
-    pub slo_burn_rate: f64,
     /// Server uptime in seconds.
     pub wall_s: f64,
     /// The same provenance block every `ok` answer carried.
@@ -256,8 +214,6 @@ struct Stats {
     rejected_draining: AtomicU64,
     bad_lines: AtomicU64,
     drained_in_flight: AtomicU64,
-    slo_good: AtomicU64,
-    slo_total: AtomicU64,
 }
 
 impl Stats {
@@ -273,8 +229,6 @@ impl Stats {
             rejected_draining: AtomicU64::new(0),
             bad_lines: AtomicU64::new(0),
             drained_in_flight: AtomicU64::new(0),
-            slo_good: AtomicU64::new(0),
-            slo_total: AtomicU64::new(0),
         }
     }
 }
@@ -560,37 +514,18 @@ fn handle_ops(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-/// The `stats` ops payload: a compact JSON object of live load state and
-/// last-window SLO standing.
+/// The `stats` ops payload: a compact JSON object of live load state.
 fn stats_text(shared: &Shared) -> String {
     let queue_depth = shared.queue.lock().expect("queue poisoned").len();
     let inflight = shared.inflight.load(Ordering::Relaxed);
     let draining = shared.draining.load(Ordering::SeqCst);
-    let good = SLO_GOOD.windowed();
-    let total = SLO_TOTAL.windowed();
-    let attainment = slo_attainment(good, total);
-    let burn = slo_burn_rate(attainment, shared.cfg.slo_target);
-    format!(
-        "{{\"queue_depth\":{queue_depth},\"inflight\":{inflight},\"draining\":{draining},\
-\"window_ms\":{},\"accepted_1m\":{},\"ok_1m\":{},\"shed_1m\":{},\
-\"rejected_overloaded_1m\":{},\"rejected_draining_1m\":{},\
-\"slo_ms\":{},\"slo_target\":{},\"slo_good_1m\":{good},\"slo_total_1m\":{total},\
-\"slo_attainment_1m\":{attainment},\"slo_burn_rate_1m\":{burn}}}",
-        obs::window_span_ms(),
-        ACCEPTED.windowed(),
-        OK.windowed(),
-        SHED.windowed(),
-        REJECTED_OVERLOADED.windowed(),
-        REJECTED_DRAINING.windowed(),
-        shared.cfg.slo_ms,
-        shared.cfg.slo_target,
-    )
+    format!("{{\"queue_depth\":{queue_depth},\"inflight\":{inflight},\"draining\":{draining}}}")
 }
 
 /// The `metrics` ops payload: a plain-text exposition of every registered
-/// counter (lifetime and last-window values) and histogram (count / mean /
-/// p50 / p99 upper bounds), prefixed with the provenance fingerprints so a
-/// scrape is attributable to the table and profile set that produced it.
+/// counter's lifetime total and every histogram's count / mean / p50 / p99
+/// upper bounds, prefixed with the provenance fingerprints so a scrape is
+/// attributable to the table and profile set that produced it.
 fn metrics_text(shared: &Shared) -> String {
     let mut out = String::new();
     out.push_str("# mica-serve metrics\n");
@@ -598,13 +533,9 @@ fn metrics_text(shared: &Shared) -> String {
         "# provenance table_fingerprint={} profile_fingerprint={}\n",
         shared.provenance.table_fingerprint, shared.provenance.profile_fingerprint
     ));
-    out.push_str(&format!("# window_ms {}\n", obs::window_span_ms()));
-    let windowed: std::collections::BTreeMap<String, u64> =
-        obs::counters_windowed().into_iter().collect();
     for (name, total) in obs::counters() {
         let metric = name.replace('.', "_");
         out.push_str(&format!("{metric}_total {total}\n"));
-        out.push_str(&format!("{metric}_1m {}\n", windowed.get(&name).copied().unwrap_or(0)));
     }
     for snap in obs::histograms() {
         let metric = snap.name.replace('.', "_");
@@ -613,20 +544,6 @@ fn metrics_text(shared: &Shared) -> String {
         out.push_str(&format!("{metric}_p50 {}\n", snap.quantile_upper_bound(0.5)));
         out.push_str(&format!("{metric}_p99 {}\n", snap.quantile_upper_bound(0.99)));
     }
-    for snap in obs::histograms_windowed() {
-        let metric = snap.name.replace('.', "_");
-        out.push_str(&format!("{metric}_1m_count {}\n", snap.count));
-        out.push_str(&format!("{metric}_1m_p50 {}\n", snap.quantile_upper_bound(0.5)));
-        out.push_str(&format!("{metric}_1m_p99 {}\n", snap.quantile_upper_bound(0.99)));
-    }
-    let good = SLO_GOOD.windowed();
-    let total = SLO_TOTAL.windowed();
-    let attainment = slo_attainment(good, total);
-    out.push_str(&format!("serve_slo_attainment_1m {attainment}\n"));
-    out.push_str(&format!(
-        "serve_slo_burn_rate_1m {}\n",
-        slo_burn_rate(attainment, shared.cfg.slo_target)
-    ));
     out
 }
 
@@ -715,13 +632,6 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             write_response(&job.conn, &resp);
             let latency_us = job.admitted.elapsed().as_micros() as u64;
             LATENCY_US.record(latency_us);
-
-            // SLO accounting: every data-plane answer counts; good means
-            // `ok` within the latency objective, response write included.
-            bump(&shared.stats.slo_total, &SLO_TOTAL);
-            if resp.status == status::OK && latency_us <= shared.cfg.slo_ms.saturating_mul(1_000) {
-                bump(&shared.stats.slo_good, &SLO_GOOD);
-            }
 
             // The trace's root: one `request` span covering admission to
             // response written, with the `queue` and engine spans under it.
@@ -962,7 +872,7 @@ fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<DrainSumma
     dispatcher.join().expect("dispatcher panicked");
     watchdog.join().expect("watchdog panicked");
 
-    let (index_shards, index_entries) = runner.stage("flush-index", || shared.engine.flush_index());
+    let index_entries = runner.stage("flush-index", || shared.engine.flush_index());
 
     let access_log_lines = runner.stage("flush-access-log", || {
         let lines = shared.access.lock().expect("access log poisoned");
@@ -982,9 +892,6 @@ fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<DrainSumma
     });
 
     let stats = &shared.stats;
-    let slo_good = stats.slo_good.load(Ordering::Relaxed);
-    let slo_total = stats.slo_total.load(Ordering::Relaxed);
-    let slo_attain = slo_attainment(slo_good, slo_total);
     let summary = DrainSummary {
         accepted: stats.accepted.load(Ordering::Relaxed),
         ok: stats.ok.load(Ordering::Relaxed),
@@ -996,15 +903,8 @@ fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<DrainSumma
         rejected_draining: stats.rejected_draining.load(Ordering::Relaxed),
         bad_lines: stats.bad_lines.load(Ordering::Relaxed),
         drained_in_flight: stats.drained_in_flight.load(Ordering::Relaxed),
-        index_shards,
         index_entries,
         access_log_lines,
-        slo_ms: shared.cfg.slo_ms,
-        slo_target: shared.cfg.slo_target,
-        slo_good,
-        slo_total,
-        slo_attainment: slo_attain,
-        slo_burn_rate: slo_burn_rate(slo_attain, shared.cfg.slo_target),
         wall_s: shared.started.elapsed().as_secs_f64(),
         provenance: shared.provenance.clone(),
     };
@@ -1039,18 +939,6 @@ mod tests {
         assert!(expired.load(Ordering::Relaxed));
         assert!(!live.load(Ordering::Relaxed));
         assert_eq!(wd.entries.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn slo_math_is_pinned_down() {
-        // Nothing answered = perfect attainment, zero burn.
-        assert_eq!(slo_attainment(0, 0), 1.0);
-        assert_eq!(slo_burn_rate(slo_attainment(0, 0), 0.99), 0.0);
-        assert_eq!(slo_attainment(3, 4), 0.75);
-        // Missing 2% against a 1% budget burns at 2x.
-        assert!((slo_burn_rate(0.98, 0.99) - 2.0).abs() < 1e-6);
-        // A degenerate target of ~1.0 must not divide by zero.
-        assert!(slo_burn_rate(0.5, 1.0 - f64::MIN_POSITIVE).is_finite());
     }
 
     #[test]
@@ -1091,15 +979,8 @@ mod tests {
             rejected_draining: 1,
             bad_lines: 0,
             drained_in_flight: 2,
-            index_shards: 4,
             index_entries: 7,
             access_log_lines: 9,
-            slo_ms: 1_000,
-            slo_target: 0.99,
-            slo_good: 3,
-            slo_total: 5,
-            slo_attainment: 0.6,
-            slo_burn_rate: 40.0,
             wall_s: 1.25,
             provenance: Provenance {
                 server: "mica-serve test".into(),

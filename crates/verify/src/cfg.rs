@@ -254,13 +254,6 @@ impl Cfg {
             reachable,
         }
     }
-
-    /// True if some reachable block contains a `halt`.
-    pub fn reachable_halt(&self, prog: &Program) -> bool {
-        self.blocks.iter().enumerate().any(|(i, b)| {
-            self.reachable[i] && prog.insts()[b.start..b.end].contains(&Op::Halt)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -268,17 +261,15 @@ mod tests {
     use super::*;
     use tinyisa::{regs::*, Asm};
 
-    fn cfg_of(build: impl FnOnce(&mut Asm)) -> (Program, Cfg) {
+    fn cfg_of(build: impl FnOnce(&mut Asm)) -> Cfg {
         let mut a = Asm::new();
         build(&mut a);
-        let p = a.assemble().unwrap();
-        let cfg = Cfg::build(&p);
-        (p, cfg)
+        Cfg::build(&a.assemble().unwrap())
     }
 
     #[test]
     fn straight_line_is_one_block() {
-        let (_, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             a.li(T0, 1);
             a.addi(T0, T0, 2);
             a.halt();
@@ -290,7 +281,7 @@ mod tests {
 
     #[test]
     fn branch_splits_blocks_and_wires_both_edges() {
-        let (_, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             let done = a.label();
             a.li(T0, 1); // b0
             a.beq(T0, ZERO, done);
@@ -306,7 +297,7 @@ mod tests {
 
     #[test]
     fn back_edge_forms_a_loop() {
-        let (_, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             let head = a.label();
             a.li(T0, 0); // b0
             a.bind(head);
@@ -322,7 +313,7 @@ mod tests {
 
     #[test]
     fn call_edges_go_to_callee_and_ret_returns_to_return_sites() {
-        let (p, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             let (f, after) = (a.label(), a.label());
             a.call(f); // b0: edge to callee only
             a.jmp(after); // b1: the return site
@@ -336,13 +327,12 @@ mod tests {
         let ret_site = cfg.block_of(1);
         assert_eq!(cfg.blocks()[0].succs, vec![callee]);
         assert!(cfg.has_edge(callee, ret_site), "ret must reach the call return site");
-        assert!(cfg.reachable_halt(&p));
         assert_eq!(cfg.indirect_targets(), &[1]);
     }
 
     #[test]
     fn li_text_constant_joins_the_indirect_pool() {
-        let (p, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             a.li(T0, (0x1_0000 + 2 * INST_BYTES) as i64); // address of inst 2
             a.jr(T0);
             a.halt(); // inst 2: indirect target
@@ -350,12 +340,11 @@ mod tests {
         assert_eq!(cfg.indirect_targets(), &[2]);
         let jr_block = cfg.block_of(1);
         assert!(cfg.has_edge(jr_block, cfg.block_of(2)));
-        assert!(cfg.reachable_halt(&p));
     }
 
     #[test]
     fn unreachable_code_after_a_jump_is_detected() {
-        let (_, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             let end = a.label();
             a.jmp(end); // b0
             a.li(T0, 7); // b1: unreachable
@@ -369,7 +358,7 @@ mod tests {
 
     #[test]
     fn falling_off_the_end_is_flagged() {
-        let (_, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             a.li(T0, 1);
             a.addi(T0, T0, 1); // no halt, no jump: runs off text
         });
@@ -379,7 +368,7 @@ mod tests {
 
     #[test]
     fn refine_indirect_narrows_succs_and_recomputes_reachability() {
-        let (_, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             let (f, g, after) = (a.label(), a.label(), a.label());
             a.call(f); // 0: return site is 1
             a.bind(after);
@@ -402,14 +391,13 @@ mod tests {
 
     #[test]
     fn endless_kernel_shape_has_no_halt_and_no_fall_off() {
-        let (p, cfg) = cfg_of(|a| {
+        let cfg = cfg_of(|a| {
             let outer = a.label();
             a.li(T0, 0);
             a.bind(outer);
             a.addi(T0, T0, 1);
             a.jmp(outer);
         });
-        assert!(!cfg.reachable_halt(&p));
         assert!(cfg.blocks().iter().all(|b| !b.falls_off_end));
     }
 }

@@ -11,16 +11,16 @@
 //!    conservatively against call return sites and li-materialized text
 //!    addresses);
 //! 2. reachability lints: unreachable blocks, fall-through off the end of
-//!    text, no-reachable-`halt` detection (opt-in — the workload kernels
-//!    are endless steady-state loops by design);
+//!    text (the workload kernels are endless steady-state loops by design,
+//!    so a missing `halt` is not a finding);
 //! 3. a forward may-uninitialized dataflow over the integer and FP register
 //!    files ([`may_uninit_reads`]) flags read-before-write;
 //! 4. memory lints on the abstract base address of every load and store: a
 //!    singleton address is checked against the segment bounds, the text
 //!    segment and the access width; a bounded range whose whole hull misses
 //!    every declared segment is flagged too;
-//! 5. structural lints: redundant jumps, no-op branches, self-loops with no
-//!    exit, unresolvable indirect transfers;
+//! 5. structural lints: redundant jumps, no-op branches, unresolvable
+//!    indirect transfers;
 //! 6. an abstract interpretation ([`Analysis`]) layering the natural-loop
 //!    forest ([`LoopForest`]), backward liveness ([`Liveness`]), and a
 //!    forward interval domain ([`AbsState`], whose singletons are the
@@ -114,18 +114,12 @@ pub enum Lint {
     AccessInText,
     /// A direct branch/jump/call target is outside the text segment.
     BranchTargetOutOfText,
-    /// No reachable `halt` (reported only when the config expects one).
-    NoReachableHalt,
     /// A provably-constant address is not a multiple of the access width.
     MisalignedAccess,
     /// An unconditional jump to the next instruction (dead control flow).
     JumpToFallthrough,
     /// A conditional branch whose taken target is its own fall-through.
     BranchToFallthrough,
-    /// A reachable block whose only successor is itself (reported only when
-    /// the config expects a halt — endless steady-state kernels loop by
-    /// design).
-    SelfLoopNoExit,
     /// An indirect transfer with an empty conservative target pool.
     IndirectUnresolved,
     /// A `li` constant that lands inside the text segment but does not
@@ -158,11 +152,9 @@ impl Lint {
             | Lint::DeadStore
             | Lint::IntervalOutOfSegment
             | Lint::LoopNeverExits => Severity::Error,
-            Lint::NoReachableHalt
-            | Lint::MisalignedAccess
+            Lint::MisalignedAccess
             | Lint::JumpToFallthrough
             | Lint::BranchToFallthrough
-            | Lint::SelfLoopNoExit
             | Lint::IndirectUnresolved
             | Lint::SplitTextAddress => Severity::Warn,
         }
@@ -177,11 +169,9 @@ impl Lint {
             Lint::OutOfSegment => "out-of-segment",
             Lint::AccessInText => "access-in-text",
             Lint::BranchTargetOutOfText => "branch-target-out-of-text",
-            Lint::NoReachableHalt => "no-reachable-halt",
             Lint::MisalignedAccess => "misaligned-access",
             Lint::JumpToFallthrough => "jump-to-fallthrough",
             Lint::BranchToFallthrough => "branch-to-fallthrough",
-            Lint::SelfLoopNoExit => "self-loop-no-exit",
             Lint::IndirectUnresolved => "indirect-unresolved",
             Lint::SplitTextAddress => "split-text-address",
             Lint::DeadStore => "dead-store",
@@ -250,9 +240,6 @@ pub struct VerifyConfig {
     /// Declared data segments. When empty, the out-of-segment check is
     /// skipped (text-collision and alignment checks still run).
     pub segments: Vec<Segment>,
-    /// Whether the program is expected to reach a `halt`. The workload
-    /// kernels are endless steady-state loops, so this defaults to off.
-    pub expect_halt: bool,
 }
 
 /// The result of [`verify`]: all findings, sorted by instruction index
@@ -345,15 +332,6 @@ pub fn verify_with_analysis(prog: &Program, analysis: &Analysis, config: &Verify
             );
         }
     }
-    if config.expect_halt && !cfg.reachable_halt(prog) {
-        push(
-            &mut findings,
-            Lint::NoReachableHalt,
-            0,
-            "no halt instruction is reachable from the entry".to_string(),
-        );
-    }
-
     drop(reach_span);
 
     // --- (b) may-uninitialized register reads ---
@@ -512,15 +490,6 @@ pub fn verify_with_analysis(prog: &Program, analysis: &Analysis, config: &Verify
             }
             _ => {}
         }
-        if config.expect_halt && b.succs == [bi] {
-            push(
-                &mut findings,
-                Lint::SelfLoopNoExit,
-                last,
-                "this block's only successor is itself; execution can never leave it"
-                    .to_string(),
-            );
-        }
     }
 
     drop(structural_span);
@@ -673,11 +642,6 @@ mod tests {
             a.jmp(top);
         };
         assert!(report(endless).findings.is_empty());
-        let cfg = VerifyConfig { expect_halt: true, ..VerifyConfig::default() };
-        let r = report_with(endless, &cfg);
-        assert!(lints(&r).contains(&Lint::NoReachableHalt), "{r}");
-        assert!(r.findings.iter().all(|f| f.severity == Severity::Warn));
-        assert!(r.is_clean());
     }
 
     #[test]
@@ -807,7 +771,6 @@ mod tests {
         let cfg = VerifyConfig {
             entry_regs: vec![RegRef::Int(1)], // A0 preset: the branch is undecided
             segments: vec![Segment { name: "data", start: 0x7000, len: 0x100 }],
-            ..VerifyConfig::default()
         };
         let r = report_with(
             |a| {
@@ -892,11 +855,8 @@ mod tests {
             a.addi(T0, T0, 1);
             a.jmp(spin);
         };
-        // Endless loops are the intended kernel shape by default.
+        // Endless loops are the intended kernel shape.
         assert!(report(spin).findings.is_empty());
-        let cfg = VerifyConfig { expect_halt: true, ..VerifyConfig::default() };
-        let r = report_with(spin, &cfg);
-        assert!(lints(&r).contains(&Lint::SelfLoopNoExit), "{r}");
     }
 
     #[test]
@@ -949,7 +909,6 @@ mod tests {
         let config = VerifyConfig {
             entry_regs: vec![RegRef::Int(1)], // A0 preset by the harness
             segments: vec![Segment { name: "data", start: 0x8000, len: 0x100 }],
-            ..VerifyConfig::default()
         };
         let r = report_with(
             |a| {
