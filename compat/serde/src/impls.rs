@@ -1,12 +1,27 @@
 //! `Serialize`/`Deserialize` implementations for primitives and containers.
 
-use crate::{DeError, Deserialize, Number, Serialize, Value};
+use crate::{json, DeError, Deserialize, Number, Serialize, Value};
+
+/// `[a,b,...]`, each item written directly.
+fn write_items<T: Serialize>(out: &mut String, items: &[T]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
 
 macro_rules! ser_de_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Number(Number::U64(*self as u64))
+            }
+            fn write_json(&self, out: &mut String) {
+                json::write_u64(out, *self as u64);
             }
         }
         impl Deserialize for $t {
@@ -34,6 +49,9 @@ macro_rules! ser_de_int {
                 } else {
                     Value::Number(Number::I64(x))
                 }
+            }
+            fn write_json(&self, out: &mut String) {
+                json::write_i64(out, *self as i64);
             }
         }
         impl Deserialize for $t {
@@ -63,6 +81,9 @@ macro_rules! ser_de_float {
                     Value::Null
                 }
             }
+            fn write_json(&self, out: &mut String) {
+                json::write_f64(out, *self as f64);
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -81,6 +102,9 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl Deserialize for bool {
@@ -95,6 +119,9 @@ impl Deserialize for bool {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_str(out, self);
     }
 }
 
@@ -111,6 +138,9 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
     }
+    fn write_json(&self, out: &mut String) {
+        json::write_str(out, self);
+    }
 }
 
 /// A [`Value`] is its own representation, so `serde_json::from_str::<Value>`
@@ -119,6 +149,9 @@ impl Serialize for str {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_value(out, self, None);
     }
 }
 
@@ -132,11 +165,17 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_items(out, self);
     }
 }
 
@@ -153,6 +192,9 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_items(out, self);
     }
 }
 
@@ -211,6 +253,12 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(x) => x.to_value(),
             None => Value::Null,
+        }
+    }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }

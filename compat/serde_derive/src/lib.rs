@@ -13,6 +13,12 @@
 //! Field types never need to be parsed: the generated code calls
 //! `Serialize::to_value` / `Deserialize::from_value` and lets type
 //! inference resolve the implementation from the struct definition.
+//!
+//! For named structs and newtypes, `Serialize` also generates
+//! `write_json`: a named struct appends each field's name as a literal
+//! `{"field":` (or `,"field":`) piece and has the field write itself, so
+//! compact output builds no value tree. The other shapes keep the trait's
+//! default, which renders `to_value`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -183,19 +189,40 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     )
                 })
                 .collect();
+            // A field name is an identifier, so it needs no JSON escape;
+            // `{:?}` quotes each piece as a Rust string literal.
+            let writes: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    let piece = format!("{}\"{f}\":", if i == 0 { '{' } else { ',' });
+                    format!(
+                        "out.push_str({piece:?}); \
+                         ::serde::Serialize::write_json(&self.{f}, out);"
+                    )
+                })
+                .collect();
+            let close = if fields.is_empty() { "{}" } else { "}" };
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{\n\
                          ::serde::Value::Object(::std::vec![{}])\n\
                      }}\n\
+                     fn write_json(&self, out: &mut ::std::string::String) {{\n\
+                         {} out.push_str({close:?});\n\
+                     }}\n\
                  }}",
-                entries.join(", ")
+                entries.join(", "),
+                writes.join(" ")
             )
         }
         Shape::Tuple { name, arity: 1 } => format!(
             "impl ::serde::Serialize for {name} {{\n\
                  fn to_value(&self) -> ::serde::Value {{\n\
                      ::serde::Serialize::to_value(&self.0)\n\
+                 }}\n\
+                 fn write_json(&self, out: &mut ::std::string::String) {{\n\
+                     ::serde::Serialize::write_json(&self.0, out)\n\
                  }}\n\
              }}"
         ),

@@ -1,9 +1,11 @@
 //! Offline stand-in for `serde_json`.
 //!
 //! Provides [`to_string`], [`to_string_pretty`] and [`from_str`] over the
-//! in-repo serde stand-in's value tree. The writer is deterministic: a
-//! given value tree always renders to the same bytes (object fields keep
-//! insertion order, floats print their shortest round-trip form), which the
+//! in-repo serde stand-in. [`to_string`] has each type write itself
+//! ([`Serialize::write_json`]); [`to_string_pretty`] and [`from_str`] go
+//! through the value tree. The writers are deterministic: a value always
+//! renders to the same bytes (object fields keep declaration or insertion
+//! order, floats print their shortest round-trip form), which the
 //! workspace's determinism tests rely on.
 
 use serde::{Deserialize, Number, Serialize, Value};
@@ -39,11 +41,10 @@ impl From<serde::DeError> for Error {
 ///
 /// # Errors
 ///
-/// Never fails for the value trees the stand-in produces; the `Result`
-/// mirrors the upstream signature.
+/// Never fails; the `Result` mirrors the upstream signature.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -54,7 +55,7 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
 /// Never fails; see [`to_string`].
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some("  "), 0);
+    serde::json::write_value(&mut out, &value.to_value(), Some("  "));
     Ok(out)
 }
 
@@ -72,92 +73,6 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
         return Err(Error::new(format!("trailing characters at byte {}", parser.pos)));
     }
     Ok(T::from_value(&value)?)
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<&str>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(Number::U64(n)) => out.push_str(&n.to_string()),
-        Value::Number(Number::I64(n)) => out.push_str(&n.to_string()),
-        Value::Number(Number::F64(x)) => write_f64(out, *x),
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            if !items.is_empty() {
-                newline(out, indent, depth);
-            }
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, indent, depth + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            if !fields.is_empty() {
-                newline(out, indent, depth);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn newline(out: &mut String, indent: Option<&str>, depth: usize) {
-    if let Some(pad) = indent {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str(pad);
-        }
-    }
-}
-
-/// Shortest round-trip float formatting; integral floats keep a `.0` suffix
-/// so they parse back as `F64`, preserving `Number` variant round-trips.
-fn write_f64(out: &mut String, x: f64) {
-    if !x.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let s = x.to_string();
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -401,6 +316,133 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(from_str::<u64>("12 34").is_err());
         assert!(from_str::<u64>("{").is_err());
+    }
+
+    /// `to_string` of `x`, checked against rendering its value tree.
+    fn direct_equals_tree<T: Serialize>(x: &T) -> String {
+        let direct = to_string(x).unwrap();
+        assert_eq!(direct, to_string(&x.to_value()).unwrap());
+        direct
+    }
+
+    #[test]
+    fn direct_writer_matches_the_tree_on_floats() {
+        let subnormal = f64::from_bits(1);
+        assert!(subnormal.is_subnormal());
+        let cases = [
+            (-0.0, "-0.0"),
+            (0.0, "0.0"),
+            (42.0, "42.0"),
+            (-3.0, "-3.0"),
+            (1e-7, "0.0000001"),
+            (f64::MIN_POSITIVE, ""),
+            (subnormal, ""),
+            (1e300, ""),
+            (0.1, "0.1"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ];
+        for (x, want) in cases {
+            let got = direct_equals_tree(&x);
+            if !want.is_empty() {
+                assert_eq!(got, want, "{x:?}");
+            }
+            if x.is_finite() {
+                let back: f64 = from_str(&got).unwrap();
+                assert_eq!(back.to_bits(), x.to_bits(), "{x:?} round-trips");
+            }
+        }
+        assert!(direct_equals_tree(&1e300).ends_with(".0"));
+        assert_eq!(direct_equals_tree(&1.5f32), "1.5");
+        assert_eq!(direct_equals_tree(&f32::NAN), "null");
+    }
+
+    #[test]
+    fn direct_writer_matches_the_tree_on_integers() {
+        assert_eq!(direct_equals_tree(&u64::MAX), "18446744073709551615");
+        assert_eq!(direct_equals_tree(&i64::MIN), "-9223372036854775808");
+        assert_eq!(direct_equals_tree(&i64::MAX), "9223372036854775807");
+        assert_eq!(direct_equals_tree(&0u8), "0");
+        assert_eq!(direct_equals_tree(&-1i32), "-1");
+        assert_eq!(direct_equals_tree(&7usize), "7");
+        assert_eq!(direct_equals_tree(&true), "true");
+    }
+
+    #[test]
+    fn direct_writer_matches_the_tree_on_strings() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let got = direct_equals_tree(&controls);
+        assert!(got.starts_with(r#""\u0000\u0001"#), "{got}");
+        assert!(got.contains(r#"\u0008\t\n\u000b\u000c\r\u000e"#), "{got}");
+        assert!(got.ends_with(r#"\u001f""#), "{got}");
+        assert_eq!(from_str::<String>(&got).unwrap(), controls);
+
+        let cases = [
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            ("a\"b", r#""a\"b""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("line\nbreak", r#""line\nbreak""#),
+            ("\u{7f}", "\"\u{7f}\""),
+            ("é ü → 中文 🦀", "\"é ü → 中文 🦀\""),
+            ("\"\u{1}中\\", r#""\"\u0001中\\""#),
+        ];
+        for (s, want) in cases {
+            assert_eq!(direct_equals_tree(&s), want);
+            assert_eq!(direct_equals_tree(&s.to_string()), want);
+            assert_eq!(from_str::<String>(want).unwrap(), s);
+        }
+    }
+
+    #[derive(serde::Serialize)]
+    struct Empty {}
+
+    #[derive(serde::Serialize)]
+    struct Wrapper(Vec<f64>);
+
+    #[derive(serde::Serialize)]
+    struct Nested {
+        name: String,
+        series: Option<Vec<Option<f64>>>,
+        absent: Option<Vec<Option<f64>>>,
+        wrapped: Wrapper,
+        table: std::collections::BTreeMap<String, u64>,
+        empty: Empty,
+    }
+
+    #[test]
+    fn direct_writer_matches_the_tree_on_containers_and_derives() {
+        assert_eq!(direct_equals_tree(&Empty {}), "{}");
+        assert_eq!(direct_equals_tree(&Vec::<u64>::new()), "[]");
+        assert_eq!(direct_equals_tree(&[1u8, 2]), "[1,2]");
+        let series = Some(vec![Some(1.0), None, Some(f64::NAN), Some(-2.5e-9)]);
+        assert_eq!(direct_equals_tree(&series), "[1.0,null,null,-0.0000000025]");
+        let table = [("b".to_string(), 2u64), ("a\n".to_string(), 1)].into_iter().collect();
+        let nested = Nested {
+            name: "n\"1".into(),
+            series,
+            absent: None,
+            wrapped: Wrapper(vec![0.5]),
+            table,
+            empty: Empty {},
+        };
+        assert_eq!(
+            direct_equals_tree(&nested),
+            r#"{"name":"n\"1","series":[1.0,null,null,-0.0000000025],"absent":null,"#.to_owned()
+                + r#""wrapped":[0.5],"table":{"a\n":1,"b":2},"empty":{}}"#
+        );
+        assert_eq!(direct_equals_tree(&&nested), direct_equals_tree(&nested));
+    }
+
+    #[test]
+    fn pretty_output_indents_the_tree() {
+        let v: Value = from_str(r#"{"a":[1,2.5],"b":{},"c":[]}"#).unwrap();
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"a\": [\n    1,\n    2.5\n  ],\n  \"b\": {},\n  \"c\": []\n}"
+        );
+        assert_eq!(to_string(&v).unwrap(), r#"{"a":[1,2.5],"b":{},"c":[]}"#);
     }
 
     #[test]

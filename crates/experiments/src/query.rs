@@ -173,18 +173,30 @@ impl QuerySpace {
     /// ascending by distance; ties broken by name so the answer is
     /// total-ordered and scheduling-independent. `k` is clamped to the
     /// reference count.
+    ///
+    /// Ranks `(distance, row)` pairs, partitions the `k` nearest to the
+    /// front, sorts only those, and clones only their names.
     pub fn neighbors(&self, point: &[f64], k: usize, metric: DistanceMetric) -> Vec<Neighbor> {
-        let mut all: Vec<Neighbor> = self
-            .points
-            .iter()
-            .zip(&self.names)
-            .map(|(p, name)| Neighbor { name: name.clone(), distance: metric.distance(point, p) })
-            .collect();
-        all.sort_by(|a, b| {
-            a.distance.total_cmp(&b.distance).then_with(|| a.name.cmp(&b.name))
-        });
-        all.truncate(k);
-        all
+        let mut ranked: Vec<(f64, usize)> =
+            self.points.iter().map(|p| metric.distance(point, p)).zip(0..).collect();
+        let order = |a: &(f64, usize), b: &(f64, usize)| {
+            a.0.total_cmp(&b.0).then_with(|| self.names[a.1].cmp(&self.names[b.1]))
+        };
+        let k = k.min(ranked.len());
+        if k == 0 {
+            return Vec::new();
+        }
+        if k < ranked.len() {
+            ranked.select_nth_unstable_by(k - 1, order);
+            ranked.truncate(k);
+        }
+        // Pairs that compare equal have equal distances and names, so an
+        // unstable sort returns the same neighbors as a stable one.
+        ranked.sort_unstable_by(order);
+        ranked
+            .into_iter()
+            .map(|(distance, row)| Neighbor { name: self.names[row].clone(), distance })
+            .collect()
     }
 }
 

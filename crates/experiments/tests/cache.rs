@@ -182,10 +182,16 @@ fn rejected_cache_emits_structured_warn() {
     let _ = mica_experiments::profile::load_or_profile_all(&path, 1e-9).unwrap();
     mica_obs::remove_sink(id);
 
+    // The sink is process-wide, and sibling tests reject caches of their
+    // own at the same time: count only the warnings about this path.
     let warns: Vec<_> = mem
         .events()
         .into_iter()
-        .filter(|e| e.level == mica_obs::Level::Warn && e.message.contains("re-profiling"))
+        .filter(|e| {
+            e.level == mica_obs::Level::Warn
+                && e.message.contains("re-profiling")
+                && e.message.contains("warned.json")
+        })
         .collect();
     assert_eq!(warns.len(), 1, "exactly one cache-rejection warning");
     let reason = warns[0]

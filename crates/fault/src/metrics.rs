@@ -18,11 +18,6 @@ macro_rules! fault_counters {
             v.sort_unstable_by_key(|&(name, _)| name);
             v
         }
-
-        /// Zero every fault counter (tests).
-        pub fn reset() {
-            $( $name.store(0, Ordering::Relaxed); )+
-        }
     };
 }
 

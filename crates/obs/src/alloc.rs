@@ -124,13 +124,6 @@ pub(crate) fn thread_totals() -> (u64, u64) {
     (THREAD_COUNT.with(Cell::get), THREAD_BYTES.with(Cell::get))
 }
 
-/// Zero the process totals (tests). Thread-local cells keep counting —
-/// span deltas are differences, so absolute values never matter to them.
-pub(crate) fn reset_totals() {
-    TOTAL_COUNT.store(0, Ordering::Relaxed);
-    TOTAL_BYTES.store(0, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

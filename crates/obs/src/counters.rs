@@ -222,39 +222,12 @@ pub fn histograms() -> Vec<HistogramSnapshot> {
         .collect()
 }
 
-/// Zero every registered counter and histogram (tests; run summaries of
-/// sequential runs in one process). Also zeros the merged `fault.*`
-/// counters.
-pub fn reset_metrics() {
-    mica_fault::metrics::reset();
-    crate::alloc::reset_totals();
-    for (_, cell) in counter_table().lock().expect("counter table poisoned").iter() {
-        cell.store(0, Ordering::Relaxed);
-    }
-    for (_, cells) in histogram_table().lock().expect("histogram table poisoned").iter() {
-        for b in &cells.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        cells.count.store(0, Ordering::Relaxed);
-        cells.sum.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serializes the tests that assert exact cell values against the one
-    /// that zeroes every cell: [`reset_metrics`] is process-wide.
-    static EXACT_VALUES: Mutex<()> = Mutex::new(());
-
-    fn exact_values() -> std::sync::MutexGuard<'static, ()> {
-        EXACT_VALUES.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn same_name_shares_a_cell() {
-        let _exact = exact_values();
         static A: Counter = Counter::new("obs.test.shared");
         static B: Counter = Counter::new("obs.test.shared");
         let before = A.get();
@@ -275,7 +248,6 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_bit_length() {
-        let _exact = exact_values();
         static H: Histogram = Histogram::new("obs.test.hist");
         for v in [0u64, 1, 2, 3, 1000] {
             H.record(v);
@@ -306,7 +278,6 @@ mod tests {
 
     #[test]
     fn quantile_edge_cases_are_pinned() {
-        let _exact = exact_values();
         static H: Histogram = Histogram::new("obs.test.hist.quantile");
         for v in [1u64, 2, 3, 1000] {
             H.record(v);
@@ -341,7 +312,6 @@ mod tests {
 
     #[test]
     fn lifetime_cells_stay_exact_under_concurrent_writers() {
-        let _exact = exact_values();
         static C: Counter = Counter::new("obs.test.concurrent");
         static H: Histogram = Histogram::new("obs.test.concurrent_h");
         let threads = 8;
@@ -361,20 +331,6 @@ mod tests {
         let snap = H.snapshot();
         assert_eq!(snap.count, total);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count, "buckets drifted from count");
-    }
-
-    #[test]
-    fn reset_metrics_zeroes_counters_and_histograms() {
-        let _exact = exact_values();
-        static C: Counter = Counter::new("obs.test.reset");
-        static H: Histogram = Histogram::new("obs.test.reset_h");
-        C.add(5);
-        H.record(1000);
-        reset_metrics();
-        assert_eq!(C.get(), 0);
-        let snap = H.snapshot();
-        assert_eq!((snap.count, snap.sum), (0, 0));
-        assert!(snap.buckets.iter().all(|&n| n == 0), "{snap:?}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use chrome::ChromeTraceSink;
 pub use context::{
     current_context, install_context, next_span_id, ContextGuard, TraceContext,
 };
-pub use counters::{counters, histograms, reset_metrics, Counter, Histogram, HistogramSnapshot};
+pub use counters::{counters, histograms, Counter, Histogram, HistogramSnapshot};
 pub use sink::{MemorySink, Record, Sink, StderrSink};
 
 use std::cell::Cell;

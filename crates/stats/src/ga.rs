@@ -190,6 +190,9 @@ impl GeneticSelector {
                     .collect()
             })
             .collect();
+        // The reads below rely on this, once per batch, instead of a bounds
+        // check per column of every block.
+        assert!(cols.iter().flatten().all(|col| col.len() == stride), "padded columns");
         let mut sub = Vec::with_capacity(self.full_dev.len());
         // One block's distances, pair by pair. Lanes past the batch stay 0.
         let mut block = [[0.0; LANES]; BLOCK];
@@ -200,9 +203,12 @@ impl GeneticSelector {
                     // padding feeds sums that no pair keeps.
                     let mut sums = [0.0; BLOCK];
                     for col in cols {
-                        let zi = col[i];
-                        let zj: &[f64; BLOCK] =
-                            col[j..j + BLOCK].try_into().expect("padded column");
+                        // SAFETY: `col` is `stride = n + BLOCK - 1` long
+                        // (asserted above), `i < n`, and `j < n`, so
+                        // `j + BLOCK <= stride`.
+                        let (zi, zj) =
+                            unsafe { (*col.get_unchecked(i), col.get_unchecked(j..j + BLOCK)) };
+                        let zj: &[f64; BLOCK] = zj.try_into().expect("BLOCK values");
                         for (s, zj) in sums.iter_mut().zip(zj) {
                             let d = zi - zj;
                             *s += d * d;

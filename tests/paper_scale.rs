@@ -34,6 +34,17 @@ fn committed_profiles_match_the_current_fingerprint() {
 }
 
 #[test]
+fn committed_profiles_serialize_to_their_own_bytes() {
+    // About 7,300 floats and every record's strings: the writer must
+    // reproduce the cache byte for byte, or `profile` would rewrite it.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/profiles.json");
+    let text = std::fs::read_to_string(path).expect("committed profiles.json");
+    let set: ProfileSet = serde_json::from_str(&text).expect("profiles.json parses");
+    let written = serde_json::to_string(&set).expect("set serializes");
+    assert!(written == text, "profiles.json does not reproduce its own bytes");
+}
+
+#[test]
 fn sampled_kernels_reproduce_their_committed_profiles() {
     let committed = committed();
     assert_eq!(committed.scale, 1.0, "the committed profiles are the paper-scale ones");
