@@ -276,7 +276,6 @@ mod tests {
             "prof.baseline",
             "serve-index",
             "serve-access",
-            "serve-drain",
             "serve-client",
         ];
         for site in sites {

@@ -52,10 +52,12 @@
 //!
 //! Known sites: `cache-write` (the profile cache / `profiles.json`),
 //! `results` (CSV/SVG/markdown artifacts), `run-summary`
-//! (`run-<bin>.json`), `obs.trace` (`MICA_TRACE`), `serve-index` (the
-//! server's sharded profile index), `serve-drain` (the server's drain
-//! summary), `serve.request` (request execution, `slow:` only) and
-//! `respond` (the server's response writes, `io:`/`slow:`).
+//! (`run-<bin>.json`), `obs.trace` (`MICA_TRACE`), `lint-json` and
+//! `lint-static` (`mica-lint`'s findings and static reports),
+//! `prof.baseline` (`mica-prof record`'s baseline file), `serve-index`
+//! (the server's submission index, one file), `serve-access` (the
+//! server's access log), `serve.request` (request execution, `slow:`
+//! only) and `respond` (the server's response writes, `io:`/`slow:`).
 
 pub mod io;
 pub mod metrics;

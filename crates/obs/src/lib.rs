@@ -459,7 +459,7 @@ pub fn set_worker(index: usize) {
 }
 
 /// Claim a *stable* logical thread id for a long-lived service thread
-/// (daemon dispatcher, watchdog, accept loop) and name its trace track.
+/// (a daemon's accept loop or dispatcher) and name its trace track.
 /// Slots are caller-assigned and map to tids `900 + slot`, a range
 /// disjoint from the main thread (0), pool workers (1+) and anonymous
 /// threads (1000+), so the same service lands on the same Chrome-trace

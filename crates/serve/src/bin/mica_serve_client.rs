@@ -40,7 +40,7 @@ fn usage() -> ! {
            --seed N             zoo data-seed override\n\
            --scale X            zoo budget-scale override\n\
            --asm-file PATH      tinyisa assembly listing (asm); `-` for stdin\n\
-           --budget N           asm dynamic-instruction budget\n\
+           --budget N           asm dynamic-instruction budget (default: run to halt)\n\
            --deadline-ms N      per-request deadline\n\
            --k N                neighbors to return (default 5)\n\
            --metric NAME        euclidean (default) or cosine\n\

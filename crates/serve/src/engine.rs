@@ -179,15 +179,15 @@ impl Engine {
         }
     }
 
-    /// Run one submission to an [`Outcome`]. Runs under panic isolation;
-    /// cooperative cancellation via `cancel` (set by the watchdog when
-    /// `deadline_at` passes).
+    /// Run one submission to an [`Outcome`]. Runs under panic isolation.
+    /// A simulation stops between fuel slices once `deadline_at` passes or
+    /// `cancel` is set, and answers `deadline`.
     pub fn execute(
         &self,
         req: &Request,
         deadline_at: Instant,
         cancel: &AtomicBool,
-        cfg: &ServeConfig,
+        _cfg: &ServeConfig,
     ) -> Outcome {
         let mut span = obs::span("serve", format!("req:{}", req.id));
         span.attr("kind", req.kind.name());
@@ -220,9 +220,8 @@ impl Engine {
             return Outcome::deadline(0, "expired before execution");
         }
 
-        let (name, vector, executed, cached) = match self.resolve(req, deadline_at, cancel, cfg) {
-            Ok(Some(parts)) => parts,
-            Ok(None) => return Outcome::deadline(0, "expired before execution"),
+        let (name, vector, executed, cached) = match self.resolve(req, deadline_at, cancel) {
+            Ok(parts) => parts,
             Err(outcome) => return *outcome,
         };
 
@@ -253,15 +252,12 @@ impl Engine {
     }
 
     /// Resolve the submission to `(name, raw vector, executed, cached)`.
-    /// `Ok(None)` means the run was cancelled cleanly (deadline).
-    #[allow(clippy::type_complexity)]
     fn resolve(
         &self,
         req: &Request,
         deadline_at: Instant,
         cancel: &AtomicBool,
-        cfg: &ServeConfig,
-    ) -> Result<Option<(String, Vec<f64>, u64, bool)>, Box<Outcome>> {
+    ) -> Result<(String, Vec<f64>, u64, bool), Box<Outcome>> {
         match req.kind {
             RequestKind::Table => {
                 let name = req.name.as_deref().ok_or_else(|| {
@@ -272,12 +268,7 @@ impl Engine {
                 })?;
                 let rec = &self.set.records[i];
                 CACHE_HITS.incr();
-                Ok(Some((
-                    rec.name.clone(),
-                    rec.mica.values().to_vec(),
-                    rec.executed_instructions,
-                    true,
-                )))
+                Ok((rec.name.clone(), rec.mica.values().to_vec(), rec.executed_instructions, true))
             }
             RequestKind::Zoo => {
                 let name = req.name.as_deref().ok_or_else(|| {
@@ -294,14 +285,14 @@ impl Engine {
                 let budget = scaled_budget(spec, scale);
                 let key = submission_key(req).expect("zoo key");
                 if let Some(hit) = self.index_get(&key) {
-                    return Ok(Some((hit.name, hit.vector, hit.executed_instructions, true)));
+                    return Ok((hit.name, hit.vector, hit.executed_instructions, true));
                 }
                 let mut vm = spec
                     .kernel
                     .build_vm(seed)
                     .map_err(|e| Outcome::fail(format!("kernel failed to assemble: {e}")))?;
                 let display = format!("{name}?seed={seed}&scale={scale}");
-                self.simulate(&mut vm, Some(budget), deadline_at, cancel, cfg, key, display)
+                self.simulate(&mut vm, budget, deadline_at, cancel, key, display)
             }
             RequestKind::Asm => {
                 let text = req
@@ -311,11 +302,12 @@ impl Engine {
                 let prog = asmtext::assemble(text).map_err(|e| Outcome::fail(e.to_string()))?;
                 let key = submission_key(req).expect("asm key");
                 if let Some(hit) = self.index_get(&key) {
-                    return Ok(Some((hit.name, hit.vector, hit.executed_instructions, true)));
+                    return Ok((hit.name, hit.vector, hit.executed_instructions, true));
                 }
                 let mut vm = tinyisa::Vm::new(prog);
                 let display = format!("asm:{:016x}", fnv1a(text.as_bytes()));
-                self.simulate(&mut vm, req.budget, deadline_at, cancel, cfg, key, display)
+                let budget = req.budget.unwrap_or(u64::MAX).max(1);
+                self.simulate(&mut vm, budget, deadline_at, cancel, key, display)
             }
             // The server answers ops on the reader thread; one slipping
             // through to the engine is a dispatch bug, answered loudly.
@@ -325,38 +317,27 @@ impl Engine {
         }
     }
 
-    /// Run a VM under the deadline-derived fuel budget and record the
-    /// answer in the submission index. `requested: None` (budget-less
-    /// `asm`) spends exactly the deadline's remaining fuel allowance.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    /// Run a VM for up to `budget` instructions (or to `halt`) and record
+    /// the answer in the submission index. The clock is read between fuel
+    /// slices: a run still going at `deadline_at` is cancelled, never
+    /// answered with a truncated (incomparable) vector.
     fn simulate(
         &self,
         vm: &mut tinyisa::Vm,
-        requested: Option<u64>,
+        budget: u64,
         deadline_at: Instant,
         cancel: &AtomicBool,
-        cfg: &ServeConfig,
         key: String,
         name: String,
-    ) -> Result<Option<(String, Vec<f64>, u64, bool)>, Box<Outcome>> {
-        let allowance = fuel_allowance(deadline_at, cfg);
-        let budget = requested.unwrap_or(allowance).max(1);
-        if budget > allowance {
-            // The deadline cannot pay for this budget; refuse up front
-            // instead of running a truncated (incomparable) simulation.
-            return Err(Box::new(Outcome::deadline(
-                0,
-                &format!("budget {budget} exceeds the deadline's fuel allowance {allowance}"),
-            )));
-        }
+    ) -> Result<(String, Vec<f64>, u64, bool), Box<Outcome>> {
         SIMULATED.incr();
-        let run =
-            characterize_vm_sliced(vm, budget, crate::SLICE, || cancel.load(Ordering::Relaxed))
-                .map_err(|e| Outcome::fail(e.to_string()))?;
+        let expired = || cancel.load(Ordering::Relaxed) || Instant::now() >= deadline_at;
+        let run = characterize_vm_sliced(vm, budget, crate::SLICE, expired)
+            .map_err(|e| Outcome::fail(e.to_string()))?;
         match run {
             SlicedRun::Cancelled { executed } => {
                 INSTS.add(executed);
-                Err(Box::new(Outcome::deadline(executed, "cancelled by watchdog")))
+                Err(Box::new(Outcome::deadline(executed, "cancelled at the deadline")))
             }
             SlicedRun::Done { mica, executed } => {
                 INSTS.add(executed);
@@ -368,7 +349,7 @@ impl Engine {
                     executed_instructions: executed,
                 };
                 self.index.lock().expect("index poisoned").insert(key, entry);
-                Ok(Some((name, vector, executed, false)))
+                Ok((name, vector, executed, false))
             }
         }
     }
@@ -381,16 +362,12 @@ impl Engine {
         hit
     }
 
-    /// Flush the submission index to `serve-index.json`. Returns the
-    /// entries written, 0 when the write fails.
-    pub fn flush_index(&self) -> u64 {
+    /// Flush the submission index to `serve-index.json`; a failed write
+    /// is warned about.
+    pub fn flush_index(&self) {
         let index = self.index.lock().expect("index poisoned");
-        match write_index(&self.index_path, self.set.fingerprint, &index) {
-            Ok(()) => index.len() as u64,
-            Err(e) => {
-                obs::warn!("cannot write submission index {}: {e}", self.index_path.display());
-                0
-            }
+        if let Err(e) = write_index(&self.index_path, self.set.fingerprint, &index) {
+            obs::warn!("cannot write submission index {}: {e}", self.index_path.display());
         }
     }
 }
@@ -413,16 +390,10 @@ fn submission_key(req: &Request) -> Option<String> {
             Some(format!(
                 "asm|{:016x}|{}",
                 fnv1a(text.as_bytes()),
-                req.budget.map(|b| b.to_string()).unwrap_or_else(|| "auto".into())
+                req.budget.map(|b| b.to_string()).unwrap_or_else(|| "halt".into())
             ))
         }
     }
-}
-
-/// Instructions the remaining time to `deadline_at` can pay for.
-fn fuel_allowance(deadline_at: Instant, cfg: &ServeConfig) -> u64 {
-    let remaining_ms = deadline_at.saturating_duration_since(Instant::now()).as_millis() as u64;
-    remaining_ms.saturating_mul(cfg.fuel_per_ms).max(1)
 }
 
 /// Write `index` to `path` via [`mica_fault::atomic_write_retry`] (site
@@ -488,6 +459,11 @@ mod tests {
         let mut asm = Request::new("b", RequestKind::Asm);
         asm.asm = Some("halt".into());
         let k3 = submission_key(&asm).unwrap();
+        // A budget-less run goes to `halt`, so its key can never name a
+        // run truncated at some deadline's worth of fuel.
+        assert!(k3.ends_with("|halt"), "{k3}");
+        asm.budget = Some(500);
+        assert!(submission_key(&asm).unwrap().ends_with("|500"));
         asm.asm = Some("ret".into());
         assert_ne!(k3, submission_key(&asm).unwrap());
 
@@ -518,15 +494,5 @@ mod tests {
         std::fs::write(&path, "{\"fingerprint\": 7, \"entries\": [").unwrap();
         assert!(load_index(&path, 7).is_empty(), "a garbage file is discarded");
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn fuel_allowance_scales_with_remaining_time() {
-        let cfg = ServeConfig { fuel_per_ms: 1_000, ..ServeConfig::default() };
-        let far = Instant::now() + std::time::Duration::from_millis(100);
-        let a = fuel_allowance(far, &cfg);
-        assert!((90_000..=100_000).contains(&a), "allowance {a}");
-        // An expired deadline still allows the minimum 1 instruction.
-        assert_eq!(fuel_allowance(Instant::now(), &cfg), 1);
     }
 }

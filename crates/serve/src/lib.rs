@@ -13,26 +13,28 @@
 //!
 //! - **Admission control + backpressure** ([`server`]): a bounded request
 //!   queue (`MICA_SERVE_QUEUE`) with explicit `overloaded` rejections
-//!   carrying a `retry_after_ms` hint, plus a load-shedding watermark
-//!   (`MICA_SERVE_WATERMARK`) above which expensive submissions are shed
-//!   while cheap cache-served lookups still pass. Memory use is bounded by
-//!   construction.
-//! - **Per-request deadlines** ([`engine`]): each request's VM fuel budget
-//!   is capped by what its deadline can justify
-//!   (`MICA_SERVE_FUEL_PER_MS`) and clamped to [`MAX_DEADLINE_MS`],
-//!   execution is sliced every [`SLICE`] instructions
-//!   ([`mica_experiments::profile::characterize_vm_sliced`]) and a
-//!   wall-clock watchdog cancels work past its deadline — timed-out work
-//!   is reported with a structured `deadline` status, never leaked.
+//!   carrying a `retry_after_ms` hint, plus a load-shedding watermark at
+//!   3/4 of the queue above which expensive submissions are shed while
+//!   cheap cache-served lookups still pass. Memory use is bounded by
+//!   construction: a request line longer than [`MAX_LINE_BYTES`] is
+//!   answered as a bad line and closes its connection.
+//! - **Per-request deadlines** ([`engine`]): a request's deadline
+//!   (default [`DEFAULT_DEADLINE_MS`], clamped to [`MAX_DEADLINE_MS`])
+//!   starts at admission; execution runs in fuel slices of [`SLICE`]
+//!   instructions ([`mica_experiments::profile::characterize_vm_sliced`])
+//!   and reads the clock between slices, so work past its deadline is
+//!   cancelled and reported with a structured `deadline` status, never
+//!   leaked. An `asm` without `budget` runs to `halt` within its deadline.
 //! - **Per-request quarantine**: submissions run under
 //!   [`mica_par::par_map_isolated`], so a panicking kernel (including one
 //!   injected via `MICA_FAULTS=panic:request=N`) returns a structured
 //!   `panic` response while the pool and the server keep serving.
 //! - **Graceful drain**: SIGTERM / ctrl-c stops admission (`draining`
-//!   rejections), finishes in-flight work, flushes the observability
-//!   sinks, the submission index (`<results>/serve-index.json`), and a
-//!   schema-stable drain summary via [`mica_fault::atomic_write_retry`],
-//!   then exits 0.
+//!   rejections), finishes in-flight work, flushes the submission index
+//!   (`<results>/serve-index.json`) and the access log via
+//!   [`mica_fault::atomic_write_retry`], writes the run summary
+//!   (`<results>/run-serve.json`, every `serve.*` counter included) as the
+//!   closing account, flushes the observability sinks, then exits 0.
 //! - **A live ops plane** ([`server`]): `ops` requests
 //!   (`health`/`ready`/`metrics`/`stats`) bypass the queue and keep
 //!   answering during a drain; every response echoes a `trace` id tying
@@ -53,11 +55,7 @@
 //! | variable | default | meaning |
 //! |---|---|---|
 //! | `MICA_SERVE_ADDR` | `127.0.0.1:7033` | listen address |
-//! | `MICA_SERVE_QUEUE` | 32 | admission queue capacity |
-//! | `MICA_SERVE_WATERMARK` | 3/4 of queue | shed expensive work above this depth |
-//! | `MICA_SERVE_DEADLINE_MS` | 2000 | default per-request deadline |
-//! | `MICA_SERVE_FUEL_PER_MS` | 20000 | VM instructions a deadline millisecond buys |
-//! | `MICA_SERVE_RETRY_MS` | 25 | base `retry_after_ms` backpressure hint |
+//! | `MICA_SERVE_QUEUE` | 32 | admission queue capacity; expensive work is shed past 3/4 of it |
 //!
 //! The profile cache, budget scale, and thread pool are shared with the
 //! batch pipeline (`MICA_RESULTS_DIR`, `MICA_SCALE`, `MICA_THREADS`), so a
@@ -70,12 +68,20 @@ pub mod engine;
 pub mod protocol;
 pub mod server;
 
+/// Deadline of a request that sets no `deadline_ms`, in milliseconds.
+pub const DEFAULT_DEADLINE_MS: u64 = 2_000;
+
 /// Ceiling a request's deadline is clamped to, in milliseconds.
 pub const MAX_DEADLINE_MS: u64 = 30_000;
 
-/// Fuel slice between cancellation checks: the sliced VM loop reads the
-/// watchdog's flag every this many instructions.
+/// Fuel slice between deadline checks: the sliced VM loop reads the clock
+/// every this many instructions.
 pub const SLICE: u64 = 50_000;
+
+/// Longest request line a connection reads, in bytes, newline excluded.
+/// An `asm` listing of [`asmtext::MAX_INSTS`] instructions is far below
+/// it.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Read a `u64` environment knob, warning on (and ignoring) garbage.
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -100,54 +106,26 @@ pub struct ServeConfig {
     pub addr: String,
     /// Admission queue capacity (`MICA_SERVE_QUEUE`).
     pub queue_cap: usize,
-    /// Queue depth at which expensive submissions are shed
-    /// (`MICA_SERVE_WATERMARK`).
+    /// Queue depth at which expensive submissions are shed; `from_env`
+    /// sets 3/4 of `queue_cap`.
     pub watermark: usize,
-    /// Default deadline for requests that don't set one
-    /// (`MICA_SERVE_DEADLINE_MS`).
-    pub default_deadline_ms: u64,
-    /// VM instructions one deadline millisecond buys
-    /// (`MICA_SERVE_FUEL_PER_MS`) — the deadline-derived fuel budget.
-    pub fuel_per_ms: u64,
-    /// Base backpressure hint in `retry_after_ms` (`MICA_SERVE_RETRY_MS`).
-    pub retry_ms: u64,
 }
 
 impl ServeConfig {
     /// Resolve every knob from the environment.
     pub fn from_env() -> ServeConfig {
         let queue_cap = env_u64("MICA_SERVE_QUEUE", 32) as usize;
-        let watermark = match std::env::var("MICA_SERVE_WATERMARK") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!("warning: ignoring invalid MICA_SERVE_WATERMARK={v:?}");
-                    queue_cap * 3 / 4
-                }
-            },
-            Err(_) => queue_cap * 3 / 4,
-        };
         ServeConfig {
             addr: std::env::var("MICA_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7033".into()),
             queue_cap,
-            watermark: watermark.clamp(1, queue_cap),
-            default_deadline_ms: env_u64("MICA_SERVE_DEADLINE_MS", 2_000),
-            fuel_per_ms: env_u64("MICA_SERVE_FUEL_PER_MS", 20_000),
-            retry_ms: env_u64("MICA_SERVE_RETRY_MS", 25),
+            watermark: (queue_cap * 3 / 4).max(1),
         }
     }
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig {
-            addr: "127.0.0.1:7033".into(),
-            queue_cap: 32,
-            watermark: 24,
-            default_deadline_ms: 2_000,
-            fuel_per_ms: 20_000,
-            retry_ms: 25,
-        }
+        ServeConfig { addr: "127.0.0.1:7033".into(), queue_cap: 32, watermark: 24 }
     }
 }
 
@@ -159,8 +137,6 @@ mod tests {
     fn default_config_is_sane() {
         let c = ServeConfig::default();
         assert!(c.watermark <= c.queue_cap);
-        assert!(c.default_deadline_ms <= MAX_DEADLINE_MS);
-        assert!(c.fuel_per_ms >= 1);
     }
 
     #[test]

@@ -90,11 +90,13 @@ pub struct Request {
     pub scale: Option<f64>,
     /// `asm`: the assembly listing.
     pub asm: Option<String>,
-    /// `asm`: dynamic-instruction budget (defaults to the deadline-derived
-    /// fuel allowance).
+    /// `asm`: dynamic-instruction budget (by default the program runs to
+    /// `halt`, bounded by its deadline).
     pub budget: Option<u64>,
-    /// Per-request deadline in milliseconds (defaults to the server's
-    /// `MICA_SERVE_DEADLINE_MS`, clamped to [`crate::MAX_DEADLINE_MS`]).
+    /// Per-request deadline in milliseconds, counted from admission
+    /// (defaults to [`crate::DEFAULT_DEADLINE_MS`], clamped to
+    /// [`crate::MAX_DEADLINE_MS`]). Work still running at the deadline is
+    /// cancelled and answered `deadline`.
     pub deadline_ms: Option<u64>,
     /// Neighbors to return (default 5).
     pub k: Option<u64>,

@@ -1,4 +1,4 @@
-//! The daemon: accept loop, admission control, dispatch, watchdog, drain.
+//! The daemon: accept loop, admission control, dispatch, drain.
 //!
 //! Thread layout (all std):
 //!
@@ -14,15 +14,13 @@
 //!   answered right here (bypassing the queue, even mid-drain),
 //!   `draining` and `overloaded` rejections are written right here
 //!   without ever touching the queue, everything admitted is pushed onto
-//!   the bounded queue with its deadline registered at the watchdog — a
-//!   request's deadline clock starts at admission, queueing time counts
-//!   against it;
+//!   the bounded queue with its deadline — a request's deadline clock
+//!   starts at admission, queueing time counts against it;
 //! - the **dispatcher** pops batches off the queue and runs them through
 //!   [`mica_par::par_map_isolated`], so one panicking submission becomes
-//!   one structured `panic` response while its batch-mates complete;
-//! - the **watchdog** ticks every few milliseconds and flips the cancel
-//!   flag of any registered request past its deadline — the sliced VM
-//!   loop observes the flag between fuel slices and stops.
+//!   one structured `panic` response while its batch-mates complete; the
+//!   sliced VM loop reads the clock between fuel slices and stops a
+//!   request at its deadline.
 //!
 //! Every answered request becomes (a) one connected trace — a synthetic
 //! root `request` span (admission → response written) with a `queue` span
@@ -33,24 +31,25 @@
 //!
 //! Drain: stop admission (readers answer `draining`; `ops` stays live so
 //! `ready` can report the drain), let the dispatcher finish the queue and
-//! in-flight batches, flush the submission index, the access log,
-//! and the [`DrainSummary`] (all via [`mica_fault::atomic_write_retry`]),
-//! write the run summary, flush the observability sinks, and return — the
-//! binary then exits 0.
+//! in-flight batches, flush the submission index and the access log (both
+//! via [`mica_fault::atomic_write_retry`]), write the run summary
+//! (`run-serve.json`, every `serve.*` counter: the server's closing
+//! account), flush the observability sinks, and return it — the binary
+//! then exits 0.
 
 use crate::engine::Engine;
 use crate::protocol::{
     parse_request, render_response, salvage_id, status, EnvEntry, Provenance, Request,
     RequestKind, Response,
 };
-use crate::ServeConfig;
-use mica_experiments::runner::Runner;
+use crate::{ServeConfig, MAX_LINE_BYTES};
+use mica_experiments::runner::{RunSummary, Runner};
 use mica_obs as obs;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -66,6 +65,9 @@ static SHED: obs::Counter = obs::Counter::new("serve.shed");
 static BAD_LINES: obs::Counter = obs::Counter::new("serve.bad_lines");
 /// Control-plane (`ops`) queries answered.
 static OPS: obs::Counter = obs::Counter::new("serve.ops");
+/// Requests still queued or executing when the drain began, all finished
+/// (never dropped) before the run summary is written.
+static DRAINED_IN_FLIGHT: obs::Counter = obs::Counter::new("serve.drained_in_flight");
 /// Admission-to-dispatch wait.
 static QUEUE_US: obs::Histogram = obs::Histogram::new("serve.queue_us");
 /// Admission-to-response-written latency.
@@ -74,8 +76,11 @@ static LATENCY_US: obs::Histogram = obs::Histogram::new("serve.latency_us");
 /// Stable Chrome-trace tracks for the daemon's long-lived threads
 /// ([`obs::set_service_thread`] slots).
 const TRACK_DISPATCH: u64 = 0;
-const TRACK_WATCHDOG: u64 = 1;
-const TRACK_ACCEPT: u64 = 2;
+const TRACK_ACCEPT: u64 = 1;
+
+/// Base backpressure hint in milliseconds: an `overloaded` refusal hints
+/// this much per request ahead of it, a `draining` one four times it.
+const RETRY_MS: u64 = 25;
 
 fn register_counters() {
     for c in [
@@ -89,47 +94,10 @@ fn register_counters() {
         &SHED,
         &BAD_LINES,
         &OPS,
+        &DRAINED_IN_FLIGHT,
     ] {
         c.register();
     }
-}
-
-/// What the drain writes to `serve-drain.json` — the server's closing
-/// account of everything it did. Schema-stable: every field always
-/// present, derived serde both ways so consumers can round-trip it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DrainSummary {
-    /// Requests that passed admission.
-    pub accepted: u64,
-    /// Answered `ok`.
-    pub ok: u64,
-    /// Answered `error` (bad request or failed execution).
-    pub errors: u64,
-    /// Quarantined panicking submissions (`panic`).
-    pub panics: u64,
-    /// Cancelled past their deadline (`deadline`).
-    pub deadline_exceeded: u64,
-    /// Rejected `overloaded` at the queue-full limit.
-    pub rejected_overloaded: u64,
-    /// Expensive submissions shed above the watermark (counted inside
-    /// `rejected_overloaded` on the wire, separated here).
-    pub shed: u64,
-    /// Rejected `draining` during shutdown.
-    pub rejected_draining: u64,
-    /// Request lines that did not parse.
-    pub bad_lines: u64,
-    /// Requests still queued or executing when drain began, all of which
-    /// were finished (never dropped) before this summary was written.
-    pub drained_in_flight: u64,
-    /// Submission-index entries written to `serve-index.json` (0 when
-    /// the write failed).
-    pub index_entries: u64,
-    /// Access-log lines flushed to `serve-access.jsonl`.
-    pub access_log_lines: u64,
-    /// Server uptime in seconds.
-    pub wall_s: f64,
-    /// The same provenance block every `ok` answer carried.
-    pub provenance: Provenance,
 }
 
 /// One line of the JSONL access log (`<results>/serve-access.jsonl`).
@@ -175,82 +143,20 @@ struct Job {
     /// `queue` spans line up with the engine's real ones.
     admitted_us: u64,
     deadline_at: Instant,
-    cancel: Arc<AtomicBool>,
     conn: Arc<Mutex<TcpStream>>,
-}
-
-/// Deadline registry the watchdog sweeps.
-struct Watchdog {
-    entries: Mutex<Vec<(Instant, Arc<AtomicBool>)>>,
-}
-
-impl Watchdog {
-    fn register(&self, deadline_at: Instant, cancel: Arc<AtomicBool>) {
-        self.entries.lock().expect("watchdog poisoned").push((deadline_at, cancel));
-    }
-
-    /// Fire expired deadlines; forget fired and orphaned entries.
-    fn sweep(&self, now: Instant) {
-        self.entries.lock().expect("watchdog poisoned").retain(|(deadline_at, cancel)| {
-            if *deadline_at <= now {
-                cancel.store(true, Ordering::Relaxed);
-                return false;
-            }
-            // Strong count 1 means the job finished and dropped its clone;
-            // nothing left to cancel.
-            Arc::strong_count(cancel) > 1
-        });
-    }
-}
-
-struct Stats {
-    accepted: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
-    panics: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    rejected_overloaded: AtomicU64,
-    shed: AtomicU64,
-    rejected_draining: AtomicU64,
-    bad_lines: AtomicU64,
-    drained_in_flight: AtomicU64,
-}
-
-impl Stats {
-    fn new() -> Stats {
-        Stats {
-            accepted: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            rejected_overloaded: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rejected_draining: AtomicU64::new(0),
-            bad_lines: AtomicU64::new(0),
-            drained_in_flight: AtomicU64::new(0),
-        }
-    }
-}
-
-fn bump(cell: &AtomicU64, counter: &obs::Counter) {
-    cell.fetch_add(1, Ordering::Relaxed);
-    counter.incr();
 }
 
 struct Shared {
     cfg: ServeConfig,
     engine: Engine,
     provenance: Provenance,
-    /// Boot instant; `ops` uptime and the drain summary's `wall_s`.
+    /// Boot instant; `ops` uptime.
     started: Instant,
     queue: Mutex<VecDeque<Job>>,
     work_cv: Condvar,
     draining: AtomicBool,
     done: AtomicBool,
     inflight: AtomicUsize,
-    watchdog: Watchdog,
-    stats: Stats,
     /// Pre-rendered access-log lines, flushed to `serve-access.jsonl`
     /// (one atomic write) at drain.
     access: Mutex<Vec<String>>,
@@ -340,14 +246,14 @@ fn admit(
 ) -> Option<Response> {
     let id = req.id.clone();
     if shared.draining.load(Ordering::SeqCst) {
-        bump(&shared.stats.rejected_draining, &REJECTED_DRAINING);
+        REJECTED_DRAINING.incr();
         let mut resp = Response::refusal(&id, status::DRAINING, "server is draining");
-        resp.retry_after_ms = Some(shared.cfg.retry_ms * 4);
+        resp.retry_after_ms = Some(RETRY_MS * 4);
         return Some(resp);
     }
 
     let deadline_ms =
-        req.deadline_ms.unwrap_or(shared.cfg.default_deadline_ms).clamp(1, crate::MAX_DEADLINE_MS);
+        req.deadline_ms.unwrap_or(crate::DEFAULT_DEADLINE_MS).clamp(1, crate::MAX_DEADLINE_MS);
     let admitted = Instant::now();
     let admitted_us = obs::timestamp_us();
     let deadline_at = admitted + Duration::from_millis(deadline_ms);
@@ -355,63 +261,65 @@ fn admit(
     let mut queue = shared.queue.lock().expect("queue poisoned");
     let depth = queue.len() + shared.inflight.load(Ordering::Relaxed);
     if depth >= shared.cfg.queue_cap {
-        bump(&shared.stats.rejected_overloaded, &REJECTED_OVERLOADED);
+        REJECTED_OVERLOADED.incr();
         let mut resp = Response::refusal(&id, status::OVERLOADED, "admission queue is full");
-        resp.retry_after_ms = Some(shared.cfg.retry_ms * (1 + depth as u64));
+        resp.retry_after_ms = Some(RETRY_MS * (1 + depth as u64));
         return Some(resp);
     }
     if depth >= shared.cfg.watermark && !shared.engine.is_cheap(&req) {
-        bump(&shared.stats.shed, &SHED);
-        bump(&shared.stats.rejected_overloaded, &REJECTED_OVERLOADED);
+        SHED.incr();
+        REJECTED_OVERLOADED.incr();
         let mut resp = Response::refusal(
             &id,
             status::OVERLOADED,
             "load shedding: queue past watermark, submission needs simulation",
         );
-        resp.retry_after_ms = Some(shared.cfg.retry_ms * (1 + depth as u64));
+        resp.retry_after_ms = Some(RETRY_MS * (1 + depth as u64));
         return Some(resp);
     }
 
-    let cancel = Arc::new(AtomicBool::new(false));
-    shared.watchdog.register(deadline_at, Arc::clone(&cancel));
-    queue.push_back(Job {
-        req,
-        ctx,
-        admitted,
-        admitted_us,
-        deadline_at,
-        cancel,
-        conn: Arc::clone(conn),
-    });
+    queue.push_back(Job { req, ctx, admitted, admitted_us, deadline_at, conn: Arc::clone(conn) });
     drop(queue);
-    bump(&shared.stats.accepted, &ACCEPTED);
+    ACCEPTED.incr();
     shared.work_cv.notify_one();
     None
 }
 
 /// One connection: read request lines until EOF; each line gets a fresh
 /// [`obs::TraceContext`] (echoed as `trace` in the response), then either
-/// an immediate `ops` answer, an admission rejection, or a queue slot.
+/// an immediate `ops` answer, an admission rejection, or a queue slot. A
+/// line longer than [`MAX_LINE_BYTES`] is answered as a bad line and ends
+/// the connection, so no client can make its reader buffer without limit.
 fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
         Err(_) => return,
     };
     let conn = Arc::new(Mutex::new(stream));
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an overlong line from one that fits.
+        match reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
+        let overlong = buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n');
+        let parsed = if overlong {
+            Err(("?".to_string(), format!("request line exceeds {MAX_LINE_BYTES} bytes")))
+        } else {
+            let Ok(line) = std::str::from_utf8(&buf) else { break };
+            if line.trim().is_empty() {
+                continue;
+            }
+            parse_request(line).map_err(|e| (salvage_id(line), e))
+        };
         let ctx = obs::TraceContext::fresh();
         let trace_hex = ctx.trace_hex();
-        match parse_request(&line) {
+        match parsed {
             // Control plane: answered right here, never queued, and still
             // answered mid-drain so `ready` can report the drain itself.
             Ok(req) if req.kind == RequestKind::Ops => {
@@ -456,9 +364,9 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
                     );
                 }
             }
-            Err(e) => {
-                bump(&shared.stats.bad_lines, &BAD_LINES);
-                let mut resp = Response::refusal(&salvage_id(&line), status::ERROR, e);
+            Err((id, e)) => {
+                BAD_LINES.incr();
+                let mut resp = Response::refusal(&id, status::ERROR, e);
                 resp.trace = Some(trace_hex.clone());
                 write_response(&conn, &resp);
                 log_access(
@@ -475,6 +383,9 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
                         deadline_slack_ms: 0,
                     },
                 );
+                if overlong {
+                    break;
+                }
             }
         }
     }
@@ -550,6 +461,9 @@ fn metrics_text(shared: &Shared) -> String {
 /// The dispatcher: pop batches, execute under panic isolation, respond.
 fn dispatch_loop(shared: &Arc<Shared>) {
     let batch_cap = mica_par::num_threads().max(1);
+    // `execute` stops a request at its deadline by reading the clock;
+    // nothing cancels one earlier, so this flag is never set.
+    let never_cancelled = AtomicBool::new(false);
     loop {
         let batch: Vec<Job> = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -590,7 +504,8 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 attrs: vec![("id", job.req.id.as_str().into())],
             });
             let exec_started = Instant::now();
-            let outcome = shared.engine.execute(&job.req, job.deadline_at, &job.cancel, &shared.cfg);
+            let outcome =
+                shared.engine.execute(&job.req, job.deadline_at, &never_cancelled, &shared.cfg);
             (outcome, wait_us, exec_started.elapsed().as_micros() as u64)
         });
 
@@ -598,9 +513,9 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             let (resp, queue_wait_us, exec_us) = match result {
                 Ok((out, wait_us, exec_us)) => {
                     match out.status {
-                        status::OK => bump(&shared.stats.ok, &OK),
-                        status::DEADLINE => bump(&shared.stats.deadline_exceeded, &DEADLINES),
-                        _ => bump(&shared.stats.errors, &ERRORS),
+                        status::OK => OK.incr(),
+                        status::DEADLINE => DEADLINES.incr(),
+                        _ => ERRORS.incr(),
                     }
                     let resp = Response {
                         id: job.req.id.clone(),
@@ -619,7 +534,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     (resp, wait_us, exec_us)
                 }
                 Err(panic) => {
-                    bump(&shared.stats.panics, &PANICS);
+                    PANICS.incr();
                     let mut resp = Response::refusal(
                         &job.req.id,
                         status::PANIC,
@@ -695,7 +610,7 @@ fn build_provenance(engine: &Engine) -> Provenance {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    thread: thread::JoinHandle<std::io::Result<DrainSummary>>,
+    thread: thread::JoinHandle<std::io::Result<RunSummary>>,
 }
 
 impl ServerHandle {
@@ -710,12 +625,13 @@ impl ServerHandle {
         self.shared.work_cv.notify_all();
     }
 
-    /// Wait for the drain to finish and return its summary.
+    /// Wait for the drain to finish and return the run summary it wrote
+    /// to `run-serve.json`.
     ///
     /// # Errors
     ///
     /// Propagates listener errors from the accept loop.
-    pub fn join(self) -> std::io::Result<DrainSummary> {
+    pub fn join(self) -> std::io::Result<RunSummary> {
         self.thread.join().expect("server thread panicked")
     }
 }
@@ -739,13 +655,14 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
 }
 
 /// Run the server on the calling thread until a signal (or
-/// [`ServerHandle::shutdown`] from elsewhere) drains it. This is the
-/// binary's whole life.
+/// [`ServerHandle::shutdown`] from elsewhere) drains it, and return the
+/// run summary the drain wrote to `run-serve.json`. This is the binary's
+/// whole life.
 ///
 /// # Errors
 ///
 /// Binding or engine boot failures.
-pub fn serve(cfg: ServeConfig) -> std::io::Result<DrainSummary> {
+pub fn serve(cfg: ServeConfig) -> std::io::Result<RunSummary> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let shared = boot_shared(cfg)?;
     run(shared, listener)
@@ -765,13 +682,11 @@ fn boot_shared(cfg: ServeConfig) -> std::io::Result<Arc<Shared>> {
         draining: AtomicBool::new(false),
         done: AtomicBool::new(false),
         inflight: AtomicUsize::new(0),
-        watchdog: Watchdog { entries: Mutex::new(Vec::new()) },
-        stats: Stats::new(),
         access: Mutex::new(Vec::new()),
     }))
 }
 
-fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<DrainSummary> {
+fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<RunSummary> {
     // A stable, named Chrome-trace track for the accept loop (the other
     // service threads claim theirs when they start).
     obs::set_service_thread(TRACK_ACCEPT, "mica-serve-accept");
@@ -795,19 +710,6 @@ fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<DrainSumma
             })
             .expect("spawn dispatcher")
     };
-    let watchdog = {
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("mica-serve-watchdog".into())
-            .spawn(move || {
-                obs::set_service_thread(TRACK_WATCHDOG, "mica-serve-watchdog");
-                while !shared.done.load(Ordering::SeqCst) {
-                    shared.watchdog.sweep(Instant::now());
-                    thread::sleep(Duration::from_millis(5));
-                }
-            })
-            .expect("spawn watchdog")
-    };
 
     // The listener stays open *through* the drain: new data requests are
     // refused `draining` by the readers, but `ops` scrapes on fresh
@@ -825,10 +727,8 @@ fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<DrainSumma
                     drain_announced = true;
                     let backlog = shared.queue.lock().expect("queue poisoned").len();
                     obs::info!("draining: {backlog} queued, finishing in-flight work");
-                    shared.stats.drained_in_flight.fetch_add(
-                        backlog as u64 + shared.inflight.load(Ordering::SeqCst) as u64,
-                        Ordering::Relaxed,
-                    );
+                    DRAINED_IN_FLIGHT
+                        .add(backlog as u64 + shared.inflight.load(Ordering::SeqCst) as u64);
                 }
                 let empty = shared.queue.lock().expect("queue poisoned").is_empty();
                 if empty && shared.inflight.load(Ordering::SeqCst) == 0 {
@@ -870,76 +770,29 @@ fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<DrainSumma
         shared.work_cv.notify_all();
     });
     dispatcher.join().expect("dispatcher panicked");
-    watchdog.join().expect("watchdog panicked");
 
-    let index_entries = runner.stage("flush-index", || shared.engine.flush_index());
+    runner.stage("flush-index", || shared.engine.flush_index());
 
-    let access_log_lines = runner.stage("flush-access-log", || {
+    runner.stage("flush-access-log", || {
         let lines = shared.access.lock().expect("access log poisoned");
         if lines.is_empty() {
-            return 0;
+            return;
         }
         let mut body = lines.join("\n");
         body.push('\n');
         let path = mica_experiments::results_dir().join("serve-access.jsonl");
         if let Err(e) = mica_fault::atomic_write_retry("serve-access", &path, body.as_bytes()) {
             obs::warn!("cannot write access log {}: {e}", path.display());
-            0
         } else {
             obs::info!("access log ({} lines) written to {}", lines.len(), path.display());
-            lines.len() as u64
         }
     });
-
-    let stats = &shared.stats;
-    let summary = DrainSummary {
-        accepted: stats.accepted.load(Ordering::Relaxed),
-        ok: stats.ok.load(Ordering::Relaxed),
-        errors: stats.errors.load(Ordering::Relaxed),
-        panics: stats.panics.load(Ordering::Relaxed),
-        deadline_exceeded: stats.deadline_exceeded.load(Ordering::Relaxed),
-        rejected_overloaded: stats.rejected_overloaded.load(Ordering::Relaxed),
-        shed: stats.shed.load(Ordering::Relaxed),
-        rejected_draining: stats.rejected_draining.load(Ordering::Relaxed),
-        bad_lines: stats.bad_lines.load(Ordering::Relaxed),
-        drained_in_flight: stats.drained_in_flight.load(Ordering::Relaxed),
-        index_entries,
-        access_log_lines,
-        wall_s: shared.started.elapsed().as_secs_f64(),
-        provenance: shared.provenance.clone(),
-    };
-    runner.stage("drain-summary", || {
-        let path = mica_experiments::results_dir().join("serve-drain.json");
-        let json = serde_json::to_string_pretty(&summary).expect("DrainSummary serializes");
-        if let Err(e) = mica_fault::atomic_write_retry("serve-drain", &path, json.as_bytes()) {
-            obs::warn!("cannot write drain summary {}: {e}", path.display());
-        } else {
-            obs::info!("drain summary written to {}", path.display());
-        }
-    });
-    runner.finish();
-    Ok(summary)
+    Ok(runner.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn watchdog_fires_expired_and_forgets_orphans() {
-        let wd = Watchdog { entries: Mutex::new(Vec::new()) };
-        let now = Instant::now();
-        let expired = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(AtomicBool::new(false));
-        wd.register(now - Duration::from_millis(1), Arc::clone(&expired));
-        wd.register(now + Duration::from_secs(60), Arc::clone(&live));
-        // An orphan: the job finished and dropped its clone already.
-        wd.register(now + Duration::from_secs(60), Arc::new(AtomicBool::new(false)));
-        wd.sweep(Instant::now());
-        assert!(expired.load(Ordering::Relaxed));
-        assert!(!live.load(Ordering::Relaxed));
-        assert_eq!(wd.entries.lock().unwrap().len(), 1);
-    }
 
     #[test]
     fn deadline_slack_is_signed() {
@@ -964,37 +817,5 @@ mod tests {
         let json = serde_json::to_string(&entry).unwrap();
         let back: AccessEntry = serde_json::from_str(&json).unwrap();
         assert_eq!(back, entry);
-    }
-
-    #[test]
-    fn drain_summary_round_trips() {
-        let summary = DrainSummary {
-            accepted: 5,
-            ok: 3,
-            errors: 1,
-            panics: 1,
-            deadline_exceeded: 0,
-            rejected_overloaded: 2,
-            shed: 1,
-            rejected_draining: 1,
-            bad_lines: 0,
-            drained_in_flight: 2,
-            index_entries: 7,
-            access_log_lines: 9,
-            wall_s: 1.25,
-            provenance: Provenance {
-                server: "mica-serve test".into(),
-                table_fingerprint: 1,
-                profile_fingerprint: 2,
-                scale: 1.0,
-                threads: 4,
-                selected_metrics: vec![0, 3],
-                ga_rho: 0.8,
-                env: vec![],
-            },
-        };
-        let json = serde_json::to_string(&summary).unwrap();
-        let back: DrainSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, summary);
     }
 }
