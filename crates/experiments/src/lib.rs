@@ -29,9 +29,9 @@
 //! Observability (`MICA_LOG`, `MICA_TRACE`) is provided by [`mica_obs`];
 //! every binary drives a [`runner::Runner`] that times its stages and
 //! writes a machine-readable `run-<bin>.json` report next to its outputs
-//! (override with `--report PATH`). One deeper profiling knob feeds
-//! `mica-prof`: `MICA_ALLOC=1` counts allocations and bytes per span via
-//! the process-wide tracking allocator installed below.
+//! (override with `--report PATH`). A traced run also counts allocations
+//! and bytes per span, for `mica-prof`, via the process-wide tracking
+//! allocator installed below.
 
 pub mod analysis;
 pub mod commands;
@@ -45,8 +45,8 @@ use std::path::PathBuf;
 
 /// Allocation profiling needs the tracking allocator installed for the
 /// whole process; every experiment binary and test links this crate, so
-/// installing it here covers them all. Disabled (`MICA_ALLOC` unset) it
-/// costs one relaxed atomic load per allocation.
+/// installing it here covers them all. In an untraced process it costs
+/// one relaxed atomic load per allocation.
 #[global_allocator]
 static ALLOC: mica_obs::alloc::TrackingAllocator = mica_obs::alloc::TrackingAllocator;
 

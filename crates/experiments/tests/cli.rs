@@ -21,7 +21,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// observability and fault knobs cleared unless `env` sets them.
 fn run(bin: &str, dir: &Path, scale: &str, env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(bin);
-    for knob in ["MICA_TRACE", "MICA_FAULTS", "MICA_ALLOC"] {
+    for knob in ["MICA_TRACE", "MICA_FAULTS"] {
         cmd.env_remove(knob);
     }
     cmd.env("MICA_RESULTS_DIR", dir)
@@ -109,6 +109,7 @@ fn all_loads_the_cache_once_and_runs_the_k8_ga_once() {
     assert_eq!(all["profile.cache.hit"], 1);
     let misses: Vec<_> = all.iter().filter(|(k, _)| k.starts_with("profile.cache.miss.")).collect();
     assert!(!misses.is_empty() && misses.iter().all(|(_, &v)| v == 0), "{misses:?}");
+    assert_eq!(all["alloc.count"], 0, "an untraced run tracks no allocations");
 
     // Table IV runs the free GA and the k = 8 one; so does `all`, whose
     // Figs. 4-6 read the k = 8 selection it already made. Breeding is

@@ -30,7 +30,10 @@ fn parallel_profile_all_is_byte_identical_to_serial() {
 /// a Chrome-trace sink attached — under an installed
 /// request-style [`mica_obs::TraceContext`], with concurrent ops-plane
 /// scrapes (counter/histogram snapshots, the reads `ops metrics`
-/// performs) — cannot change a single byte of the scientific output.
+/// performs) — cannot change a single byte of the scientific output. The
+/// sink alone turns allocation tracking on (the test binary links
+/// mica_experiments, whose `#[global_allocator]` is the tracking one), so
+/// the tracker must count the sweep and charge every kernel span.
 #[test]
 fn tracing_does_not_change_results() {
     std::env::set_var("MICA_THREADS", "4");
@@ -41,6 +44,7 @@ fn tracing_does_not_change_results() {
 
     let quiet = profile_all(1e-9).expect("untraced profiling succeeds").set;
 
+    let (count_before, bytes_before) = mica_obs::alloc::totals();
     // The sink is installed programmatically (not via MICA_TRACE) because
     // the env-driven init already ran for this process.
     let trace = mica_obs::add_sink(Box::new(mica_obs::ChromeTraceSink::create(trace_path.clone())));
@@ -71,15 +75,21 @@ fn tracing_does_not_change_results() {
     };
     mica_obs::flush();
     mica_obs::remove_sink(trace);
+    let (count_after, bytes_after) = mica_obs::alloc::totals();
 
     assert_eq!(
         serde_json::to_string(&quiet).expect("serializes"),
         serde_json::to_string(&traced).expect("serializes"),
         "tracing changed the profile artifact"
     );
+    assert!(
+        count_after > count_before && bytes_after > bytes_before,
+        "the trace sink did not turn allocation tracking on ({count_before}..{count_after} allocs)"
+    );
 
     // And the observer actually observed: the trace is valid Chrome-trace
-    // JSON with a span per kernel, and its otherData counts the spans.
+    // JSON with a span per kernel, each charged its allocations, and its
+    // otherData counts the spans.
     let doc: serde::Value = serde_json::from_str(
         &std::fs::read_to_string(&trace_path).expect("trace written"),
     )
@@ -88,25 +98,31 @@ fn tracing_does_not_change_results() {
     fn is(e: &serde::Value, key: &str, want: &str) -> bool {
         matches!(e.field(key), Some(serde::Value::String(s)) if s == want)
     }
-    let kernels = events
+    let as_u64 = |v: Option<&serde::Value>| match v {
+        Some(serde::Value::Number(n)) => n.as_u64(),
+        _ => None,
+    };
+    let kernels: Vec<&serde::Value> = events
         .iter()
         .filter(|e| is(e, "ph", "X") && is(e, "cat", "profile") && !is(e, "name", "profile_all"))
-        .count();
-    assert!(kernels >= 122, "expected per-kernel spans, got {kernels}");
+        .collect();
+    assert!(kernels.len() >= 122, "expected per-kernel spans, got {}", kernels.len());
+    for k in &kernels {
+        let alloc_b = as_u64(k.field("args").and_then(|a| a.field("attrs")?.field("alloc_b")));
+        assert!(alloc_b.is_some_and(|b| b > 0), "kernel span without allocations: {k:?}");
+    }
     let spans = events.iter().filter(|e| is(e, "ph", "X")).count() as u64;
-    let counted = doc.field("otherData").and_then(|o| o.field("spans")).and_then(|n| match n {
-        serde::Value::Number(n) => n.as_u64(),
-        _ => None,
-    });
+    let counted = as_u64(doc.field("otherData").and_then(|o| o.field("spans")));
     assert_eq!(counted, Some(spans), "otherData counts every span in the file");
 
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// Allocation profiling must be a pure observer too: the identical sweep
-/// with `MICA_ALLOC`-style tracking on cannot change a byte of the
-/// scientific output, while the tracker itself demonstrably counted the
-/// run's allocations.
+/// Allocation profiling must be a pure observer too, and it follows any
+/// span-recording sink, not only the Chrome-trace file: with an in-memory
+/// capture sink installed, the identical sweep cannot change a byte of the
+/// scientific output, while the tracker demonstrably counted the run and
+/// charged its kernel spans.
 #[test]
 fn alloc_tracking_does_not_change_results() {
     std::env::set_var("MICA_THREADS", "4");
@@ -114,14 +130,13 @@ fn alloc_tracking_does_not_change_results() {
 
     let untracked = profile_all(1e-9).expect("untracked profiling succeeds").set;
 
-    // Enabled programmatically (not via MICA_ALLOC) because the env-driven
-    // init already ran for this process. The test binary links
-    // mica_experiments, so its #[global_allocator] is the tracking one.
-    mica_obs::alloc::set_enabled(true);
+    let capture = mica_obs::MemorySink::new();
+    let sink = mica_obs::add_sink(Box::new(capture.clone()));
+    assert!(mica_obs::alloc::enabled(), "a span-recording sink turns tracking on");
     let (count_before, bytes_before) = mica_obs::alloc::totals();
     let tracked = profile_all(1e-9).expect("tracked profiling succeeds").set;
     let (count_after, bytes_after) = mica_obs::alloc::totals();
-    mica_obs::alloc::set_enabled(false);
+    mica_obs::remove_sink(sink);
 
     assert_eq!(
         serde_json::to_string(&untracked).expect("serializes"),
@@ -132,6 +147,20 @@ fn alloc_tracking_does_not_change_results() {
         count_after > count_before && bytes_after > bytes_before,
         "the tracker observed nothing ({count_before}..{count_after} allocs)"
     );
+
+    let kernels: Vec<mica_obs::SpanRecord> = capture
+        .spans()
+        .into_iter()
+        .filter(|s| s.cat == "profile" && s.name != "profile_all")
+        .collect();
+    assert!(kernels.len() >= 122, "expected per-kernel spans, got {}", kernels.len());
+    for k in &kernels {
+        let alloc_b = k.attrs.iter().find_map(|(key, v)| match (key, v) {
+            (&"alloc_b", mica_obs::Attr::U64(b)) => Some(*b),
+            _ => None,
+        });
+        assert!(alloc_b.is_some_and(|b| b > 0), "kernel span without allocations: {}", k.name);
+    }
 }
 
 #[test]

@@ -273,9 +273,7 @@ mod tests {
             "lint-json",
             "lint-static",
             "obs.trace",
-            "prof.baseline",
             "serve-index",
-            "serve-access",
             "serve-client",
         ];
         for site in sites {

@@ -54,10 +54,9 @@
 //! `results` (CSV/SVG/markdown artifacts), `run-summary`
 //! (`run-<bin>.json`), `obs.trace` (`MICA_TRACE`), `lint-json` and
 //! `lint-static` (`mica-lint`'s findings and static reports),
-//! `prof.baseline` (`mica-prof record`'s baseline file), `serve-index`
-//! (the server's submission index, one file), `serve-access` (the
-//! server's access log), `serve.request` (request execution, `slow:`
-//! only) and `respond` (the server's response writes, `io:`/`slow:`).
+//! `serve-index` (the server's submission index, one file),
+//! `serve.request` (request execution, `slow:` only) and `respond` (the
+//! server's response writes, `io:`/`slow:`).
 
 pub mod io;
 pub mod metrics;

@@ -1,14 +1,14 @@
 //! Allocation profiling: a `GlobalAlloc` wrapper that charges allocation
-//! counts and bytes to the active span (`MICA_ALLOC=1`).
+//! counts and bytes to the active span whenever spans are recorded.
 //!
 //! [`TrackingAllocator`] forwards every request to the system allocator
 //! and, while tracking is enabled, bumps two process-wide totals and two
 //! thread-local cells. [`crate::span`] snapshots the thread-local cells at
 //! open, and the closing guard attaches the delta as `alloc_n` /
-//! `alloc_b` span attributes — so a Chrome trace or JSONL stream shows
-//! which kernel or stage allocated how much. Attribution is *inclusive*:
-//! a parent span's delta covers its children, the same convention pprof
-//! uses for cumulative values.
+//! `alloc_b` span attributes — so the Chrome trace shows which kernel or
+//! stage allocated how much. Attribution is *inclusive*: a parent span's
+//! delta covers its children, the same convention pprof uses for
+//! cumulative values.
 //!
 //! The binary (not this crate) must install the allocator:
 //!
@@ -18,15 +18,18 @@
 //! ```
 //!
 //! `mica-experiments` does this in its library root, so every experiment
-//! binary and test inherits it. When tracking is disabled (the default)
-//! the only cost per allocation is one relaxed atomic load.
+//! binary and test inherits it. Tracking follows the trace: the sink
+//! registry turns it on while some installed sink records spans
+//! (`MICA_TRACE`, or a sink added in-process) and off otherwise, so an
+//! untraced process pays one relaxed atomic load per allocation.
 //!
 //! Known observer effects, accepted by design: the obs layer's own
 //! allocations (record rendering, sink buffers) are charged to whatever
 //! span is active when they happen, and allocations on threads with no
 //! open span count only toward the process totals. Tracking never touches
-//! computed results — the experiments' determinism tests profile with
-//! `MICA_ALLOC` on and off and require byte-identical artifacts.
+//! computed results — the experiments' determinism tests profile with a
+//! trace sink installed and without, and require byte-identical
+//! artifacts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,25 +95,10 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn tracking on or off programmatically (tests; embedders). The
-/// environment path is `MICA_ALLOC=1`, read once at `mica-obs` init.
-pub fn set_enabled(on: bool) {
+/// Turn tracking on or off. The sink registry calls this whenever the
+/// set of sinks changes, on exactly when some sink records spans.
+pub(crate) fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Read `MICA_ALLOC` and enable tracking for truthy values. Called at the
-/// end of the global init — the env read itself allocates, and running it
-/// before the flag flips keeps that allocation untracked instead of
-/// recursive.
-pub(crate) fn init_from_env() {
-    if let Some(v) = std::env::var_os("MICA_ALLOC") {
-        let v = v.to_string_lossy();
-        match v.trim() {
-            "1" | "true" | "on" | "yes" => set_enabled(true),
-            "0" | "false" | "off" | "no" | "" => {}
-            other => eprintln!("warning: unrecognized MICA_ALLOC={other:?}; tracking is off"),
-        }
-    }
 }
 
 /// Process-wide (allocations, bytes) since tracking was first enabled.
@@ -131,9 +119,13 @@ mod tests {
     // The test binary for this crate does not install the allocator, so
     // `note` is exercised directly; end-to-end coverage (real allocations
     // landing in span attrs) lives in mica-experiments, whose binaries do.
-    // One test, because the enable flag is process-global.
+    // One test, because the enable flag is process-global; it holds the
+    // sink registry's write lock so that no sibling test adding or
+    // removing a sink flips the flag mid-test.
     #[test]
     fn tracking_flag_gates_both_totals() {
+        let _registry = crate::state().sinks.write().expect("sink registry poisoned");
+        let was = enabled();
         set_enabled(false);
         let before_thread = thread_totals();
         note(128);
@@ -149,6 +141,6 @@ mod tests {
         let (tc1, tb1) = thread_totals();
         assert_eq!(tc1 - tc0, 2);
         assert_eq!(tb1 - tb0, 96);
-        set_enabled(false);
+        set_enabled(was);
     }
 }

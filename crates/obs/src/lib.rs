@@ -30,7 +30,8 @@
 //! - `MICA_LOG=error|warn|info|debug|trace|off` — stderr verbosity
 //!   (default `info`);
 //! - `MICA_TRACE=out.json` — write a Chrome-trace file of every event
-//!   and span.
+//!   and span. While any sink records spans, [`alloc`] charges
+//!   allocations to them (`alloc_n` / `alloc_b`).
 //!
 //! The trace sink buffers; call [`flush`] (the experiments' `Runner` does)
 //! to finalize output.
@@ -293,9 +294,6 @@ fn state() -> &'static State {
         }
 
         recompute_caps(&sinks);
-        // Deliberately last: the env reads above allocate, and the alloc
-        // flag must stay off until they are done.
-        alloc::init_from_env();
         State {
             sinks: RwLock::new(sinks),
             next_sink_id: AtomicU64::new(next_id),
@@ -305,6 +303,8 @@ fn state() -> &'static State {
     })
 }
 
+/// Recompute the fast-path caps from the sink set. Allocation tracking
+/// ([`alloc`]) follows `SPANS_ON`, so every traced run carries it.
 fn recompute_caps(sinks: &[(u64, Box<dyn Sink>)]) {
     let max = sinks
         .iter()
@@ -313,6 +313,9 @@ fn recompute_caps(sinks: &[(u64, Box<dyn Sink>)]) {
         .max()
         .unwrap_or(0);
     let spans = sinks.iter().any(|(_, s)| s.wants_spans());
+    // Tracking flips before `SPANS_ON` is released, so a span that sees
+    // spans on also sees tracking on and records its delta.
+    alloc::set_enabled(spans);
     MAX_LEVEL.store(max, Ordering::Release);
     SPANS_ON.store(spans, Ordering::Release);
 }
@@ -580,7 +583,7 @@ struct SpanInner {
     /// at close.
     prev_ctx: Option<TraceContext>,
     attrs: Vec<(&'static str, Attr)>,
-    /// Thread (allocations, bytes) at open time, when `MICA_ALLOC`
+    /// Thread (allocations, bytes) at open time, when allocation
     /// tracking was on; the close attaches the delta as `alloc_n` /
     /// `alloc_b` attributes (inclusive of children).
     alloc0: Option<(u64, u64)>,

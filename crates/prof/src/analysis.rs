@@ -83,9 +83,10 @@ pub struct KernelCost {
     pub name: String,
     /// Profiling duration, microseconds.
     pub dur_us: u64,
-    /// Allocations charged to the span (`MICA_ALLOC=1` runs only).
+    /// Allocations charged to the span (its `alloc_n` attribute, which
+    /// every span of a traced run carries).
     pub alloc_n: Option<u64>,
-    /// Bytes charged to the span (`MICA_ALLOC=1` runs only).
+    /// Bytes charged to the span (its `alloc_b` attribute).
     pub alloc_b: Option<u64>,
 }
 
@@ -155,19 +156,6 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
-}
-
-fn median_f64(values: &mut [f64]) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = values.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
 }
 
 /// Analyze one run from whichever halves are available.
@@ -529,9 +517,18 @@ pub fn render(a: &Analysis) -> String {
     out
 }
 
-/// Median of `values` (0.0 when empty); used by the regression gate and
-/// exposed for its tests.
+/// Median of the finite `values` (0.0 when there are none); the
+/// benchmark harness under `perfbench/` takes its medians from here.
 pub fn median(values: &[f64]) -> f64 {
     let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    median_f64(&mut v)
+    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let n = v.len();
+    if n == 0 {
+        return 0.0;
+    }
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
 }

@@ -2,34 +2,27 @@
 //!
 //! ```text
 //! mica-prof analyze --trace FILE [--summary FILE] [--out FILE]
-//! mica-prof record  --summary FILE --baseline FILE [--label STR]
-//! mica-prof check   --summary FILE --baseline FILE
-//!                   [--max-ratio R] [--min-abs-s S]
 //! mica-prof slo     ACCESS_LOG [--slo-ms N] [--target X]
 //! ```
 //!
-//! Exit codes: 0 success / gate passed, 1 usage or I/O error, 2 the gate
-//! found a performance regression or `slo` found the latency objective
-//! breached.
+//! Exit codes: 0 success, 1 usage or I/O error, 2 `slo` found the latency
+//! objective breached.
 
 use mica_experiments::runner::RunSummary;
 use mica_prof::analysis;
-use mica_prof::baseline::{check, has_regression, render_findings, Baseline, CheckConfig};
 use mica_prof::trace::Trace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
   mica-prof analyze --trace FILE [--summary FILE] [--out FILE]
-  mica-prof record  --summary FILE --baseline FILE [--label STR]
-  mica-prof check   --summary FILE --baseline FILE [--max-ratio R] [--min-abs-s S]
   mica-prof slo     ACCESS_LOG [--slo-ms N] [--target X]
 
 slo counts an answer good when it is ok within N ms of queue wait plus
 execution, and breaches when under a fraction X of answers are good
 (defaults: --slo-ms 1000 --target 0.99).
 
-exit codes: 0 ok, 1 usage/io error, 2 performance regression / SLO breach";
+exit codes: 0 ok, 1 usage/io error, 2 SLO breach";
 
 /// Flag parser over `--key value` / `--key=value` pairs, plus bare
 /// positional operands (`slo ACCESS_LOG`).
@@ -104,52 +97,6 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-fn cmd_record(args: &Args) -> Result<ExitCode, String> {
-    args.no_free()?;
-    let summary = load_summary(&args.require_path("summary")?)?;
-    let path = args.require_path("baseline")?;
-    let label = args.get("label").unwrap_or("local");
-    let mut base = Baseline::load_or_empty(&path);
-    let seq = base.record(summary, label, unix_now());
-    base.save(&path).map_err(|e| format!("cannot write baseline {}: {e}", path.display()))?;
-    println!(
-        "recorded entry seq={seq} label={label} into {} ({} entries)",
-        path.display(),
-        base.entries.len()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_check(args: &Args) -> Result<ExitCode, String> {
-    args.no_free()?;
-    let summary = load_summary(&args.require_path("summary")?)?;
-    let path = args.require_path("baseline")?;
-    let mut cfg = CheckConfig::default();
-    if let Some(r) = args.get("max-ratio") {
-        cfg.max_ratio = r.parse().map_err(|_| format!("bad --max-ratio {r:?}"))?;
-    }
-    if let Some(s) = args.get("min-abs-s") {
-        cfg.min_abs_s = s.parse().map_err(|_| format!("bad --min-abs-s {s:?}"))?;
-    }
-    let base = Baseline::load_or_empty(&path);
-    let findings = check(&base, &summary, &cfg);
-    print!("{}", render_findings(&findings));
-    if has_regression(&findings) {
-        eprintln!("mica-prof: performance regression detected");
-        Ok(ExitCode::from(2))
-    } else {
-        println!("mica-prof: gate passed");
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
 /// Audit a serve access log against the latency objective given by
 /// `--slo-ms` (default 1000) and `--target` (default 0.99). A 0 ms
 /// objective is refused: it would count as good only the answers the log
@@ -194,8 +141,6 @@ fn main() -> ExitCode {
     };
     let run = Args::parse(rest).and_then(|args| match cmd.as_str() {
         "analyze" => cmd_analyze(&args),
-        "record" => cmd_record(&args),
-        "check" => cmd_check(&args),
         "slo" => cmd_slo(&args),
         other => Err(format!("unknown command {other:?}")),
     });

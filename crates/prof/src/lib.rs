@@ -1,4 +1,4 @@
-//! `mica-prof` — offline trace analytics and the CI performance gate.
+//! `mica-prof` — offline trace analytics and the SLO audit.
 //!
 //! The pipeline's observability layer (`mica-obs`) leaves two artifacts
 //! behind: the `MICA_TRACE` Chrome-trace file (every event and closed
@@ -11,21 +11,19 @@
 //! - [`analysis`] computes the critical-path decomposition, `par_map`
 //!   pool utilization / steal imbalance / idle gaps, per-kernel latency
 //!   quantiles (exact from spans, bucket bounds from histograms), and
-//!   allocation attribution from `MICA_ALLOC` span deltas;
-//! - [`baseline`] maintains the `BENCH_pipeline.json` performance
-//!   trajectory and implements the noise-aware regression gate
-//!   (median-of-N baseline, relative × absolute thresholds);
+//!   allocation attribution from the span deltas every traced run
+//!   carries;
 //! - [`slo`] replays the serve daemon's access log
 //!   (`results/serve-access.jsonl`) and scores latency-objective
 //!   attainment, the one place an SLO is scored.
 //!
-//! The `mica-prof` binary fronts them with four commands: `analyze`
-//! renders a report, `record` appends a run to the trajectory, `check`
-//! gates CI, and `slo` audits an access log against the latency objective
-//! (exit 0 clean, 1 usage/IO error, 2 regression/breach).
+//! The `mica-prof` binary fronts them with two commands: `analyze`
+//! renders a report, and `slo` audits an access log against the latency
+//! objective (exit 0 clean, 1 usage/IO error, 2 breach). It only reads
+//! artifacts; performance is gated by the benchmark under `perfbench/`,
+//! which compares alternating runs of two builds on one host.
 
 pub mod analysis;
-pub mod baseline;
 pub mod slo;
 pub mod trace;
 

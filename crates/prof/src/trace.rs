@@ -35,7 +35,8 @@ pub struct SpanRec {
     pub cat: String,
     /// Span name (stage name, kernel name, …).
     pub name: String,
-    /// Structured attributes (`alloc_n`/`alloc_b` when `MICA_ALLOC` was on).
+    /// Structured attributes (`alloc_n`/`alloc_b` on every span: the
+    /// allocation tracker is on whenever spans are recorded).
     pub attrs: Vec<(String, Value)>,
 }
 

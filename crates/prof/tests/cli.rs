@@ -1,6 +1,5 @@
-//! End-to-end tests of the `mica-prof` binary's non-gate commands:
-//! `analyze` error handling and report, and `slo`'s check of its latency
-//! objective.
+//! End-to-end tests of the `mica-prof` binary's two commands: `analyze`
+//! error handling and report, and `slo`'s check of its latency objective.
 
 use std::path::PathBuf;
 use std::process::Command;

@@ -30,25 +30,28 @@
 //!   injected via `MICA_FAULTS=panic:request=N`) returns a structured
 //!   `panic` response while the pool and the server keep serving.
 //! - **Graceful drain**: SIGTERM / ctrl-c stops admission (`draining`
-//!   rejections), finishes in-flight work, flushes the submission index
-//!   (`<results>/serve-index.json`) and the access log via
-//!   [`mica_fault::atomic_write_retry`], writes the run summary
-//!   (`<results>/run-serve.json`, every `serve.*` counter included) as the
-//!   closing account, flushes the observability sinks, then exits 0.
+//!   rejections), finishes in-flight work, writes the submission index
+//!   (`<results>/serve-index.json`) via
+//!   [`mica_fault::atomic_write_retry`], flushes the access log's buffer,
+//!   writes the run summary (`<results>/run-serve.json`, every `serve.*`
+//!   counter included) as the closing account, flushes the observability
+//!   sinks, then exits 0.
 //! - **A live ops plane** ([`server`]): `ops` requests
 //!   (`health`/`ready`/`metrics`/`stats`) bypass the queue and keep
 //!   answering during a drain; every response echoes a `trace` id tying
 //!   it to its span tree in the `MICA_TRACE` file; and every served
 //!   request lands in a JSONL access log (`<results>/serve-access.jsonl`),
-//!   which `mica-prof slo` scores against a latency objective.
+//!   written as requests are answered, which `mica-prof slo` scores
+//!   against a latency objective.
 //! - **A retrying client** ([`client`], `mica-serve-client`): capped
 //!   exponential backoff with deterministic site-seeded jitter
 //!   ([`mica_fault::io::backoff_ms`]), honoring `retry_after_ms` hints.
 //!
 //! Every answer carries a sprout-style [`protocol::Provenance`] block —
-//! table fingerprint, profile fingerprint, budget scale, thread count, GA
-//! selection, and the `MICA_*` environment — so two answers taken months
-//! apart compare honestly or visibly don't.
+//! server build, table fingerprint, profile fingerprint, budget scale,
+//! thread count and GA selection — so two answers taken months apart
+//! compare honestly or visibly don't. Deployment settings (listen
+//! address, results directory, log level) stay out of it.
 //!
 //! Environment knobs (all optional):
 //!

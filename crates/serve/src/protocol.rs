@@ -248,15 +248,6 @@ pub struct QueryResult {
     pub cached: bool,
 }
 
-/// One `MICA_*` environment variable captured in the provenance block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnvEntry {
-    /// Variable name.
-    pub name: String,
-    /// Its value at server start.
-    pub value: String,
-}
-
 /// The sprout-style provenance block: everything needed to decide whether
 /// two answers, possibly taken months apart, are comparable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -275,8 +266,6 @@ pub struct Provenance {
     pub selected_metrics: Vec<u64>,
     /// The GA's correlation fitness ρ for that selection.
     pub ga_rho: f64,
-    /// `MICA_*` environment at server start, sorted by name.
-    pub env: Vec<EnvEntry>,
 }
 
 /// One server reply. Every field is always present on the wire.
@@ -411,7 +400,6 @@ mod tests {
                 threads: 4,
                 selected_metrics: vec![1, 5],
                 ga_rho: 0.9,
-                env: vec![EnvEntry { name: "MICA_SCALE".into(), value: "1.0".into() }],
             }),
             trace: Some("00000000deadbeef".into()),
             ops: None,

@@ -25,29 +25,31 @@
 //! Every answered request becomes (a) one connected trace — a synthetic
 //! root `request` span (admission → response written) with a `queue` span
 //! and the engine's execution spans parented under it, all sharing the
-//! request's trace id — and (b) one line of the JSONL access log flushed
-//! to `<results>/serve-access.jsonl` on drain, which `mica-prof slo`
-//! scores against a latency objective.
+//! request's trace id — and (b) one line of the JSONL access log
+//! `<results>/serve-access.jsonl`, appended through a buffered writer as
+//! the request is answered, which `mica-prof slo` scores against a
+//! latency objective.
 //!
 //! Drain: stop admission (readers answer `draining`; `ops` stays live so
 //! `ready` can report the drain), let the dispatcher finish the queue and
-//! in-flight batches, flush the submission index and the access log (both
-//! via [`mica_fault::atomic_write_retry`]), write the run summary
-//! (`run-serve.json`, every `serve.*` counter: the server's closing
-//! account), flush the observability sinks, and return it — the binary
-//! then exits 0.
+//! in-flight batches, flush the submission index (via
+//! [`mica_fault::atomic_write_retry`]) and the access log's buffer, write
+//! the run summary (`run-serve.json`, every `serve.*` counter: the
+//! server's closing account), flush the observability sinks, and return
+//! it — the binary then exits 0.
 
 use crate::engine::Engine;
 use crate::protocol::{
-    parse_request, render_response, salvage_id, status, EnvEntry, Provenance, Request,
-    RequestKind, Response,
+    parse_request, render_response, salvage_id, status, Provenance, Request, RequestKind,
+    Response,
 };
 use crate::{ServeConfig, MAX_LINE_BYTES};
 use mica_experiments::runner::{RunSummary, Runner};
 use mica_obs as obs;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -157,15 +159,37 @@ struct Shared {
     draining: AtomicBool,
     done: AtomicBool,
     inflight: AtomicUsize,
-    /// Pre-rendered access-log lines, flushed to `serve-access.jsonl`
-    /// (one atomic write) at drain.
-    access: Mutex<Vec<String>>,
+    /// `serve-access.jsonl`, created at boot; `None` once creating or
+    /// writing it failed.
+    access: Mutex<Option<BufWriter<File>>>,
 }
 
-/// Append one line to the in-memory access log (flushed at drain).
+/// Append one line to the access log. Each line goes to the writer in one
+/// call, so its buffer reaches the file in whole lines; the drain flushes
+/// the rest. A failed write is warned about once and ends the log, and
+/// serving goes on.
 fn log_access(shared: &Shared, entry: &AccessEntry) {
-    let line = serde_json::to_string(entry).expect("AccessEntry serializes");
-    shared.access.lock().expect("access log poisoned").push(line);
+    let mut line = serde_json::to_string(entry).expect("AccessEntry serializes");
+    line.push('\n');
+    let mut log = shared.access.lock().expect("access log poisoned");
+    if let Some(Err(e)) = log.as_mut().map(|w| w.write_all(line.as_bytes())) {
+        obs::warn!("access log write failed, logging stops: {e}");
+        *log = None;
+    }
+}
+
+/// Create (or truncate) `<results>/serve-access.jsonl`. A failure is
+/// warned about and the server runs without an access log.
+fn create_access_log() -> Option<BufWriter<File>> {
+    let dir = mica_experiments::results_dir();
+    let path = dir.join("serve-access.jsonl");
+    match std::fs::create_dir_all(&dir).and_then(|()| File::create(&path)) {
+        Ok(file) => Some(BufWriter::new(file)),
+        Err(e) => {
+            obs::warn!("cannot create access log {}: {e}", path.display());
+            None
+        }
+    }
 }
 
 /// Signed deadline headroom in milliseconds (negative = already past).
@@ -589,11 +613,6 @@ fn dispatch_loop(shared: &Arc<Shared>) {
 }
 
 fn build_provenance(engine: &Engine) -> Provenance {
-    let mut env: Vec<EnvEntry> = std::env::vars()
-        .filter(|(k, _)| k.starts_with("MICA_"))
-        .map(|(name, value)| EnvEntry { name, value })
-        .collect();
-    env.sort_by(|a, b| a.name.cmp(&b.name));
     Provenance {
         server: format!("{} {}", env!("CARGO_PKG_NAME"), env!("CARGO_PKG_VERSION")),
         table_fingerprint: engine.table_fingerprint(),
@@ -602,7 +621,6 @@ fn build_provenance(engine: &Engine) -> Provenance {
         threads: mica_par::num_threads() as u64,
         selected_metrics: engine.space().selected().iter().map(|&i| i as u64).collect(),
         ga_rho: engine.space().rho(),
-        env,
     }
 }
 
@@ -682,7 +700,7 @@ fn boot_shared(cfg: ServeConfig) -> std::io::Result<Arc<Shared>> {
         draining: AtomicBool::new(false),
         done: AtomicBool::new(false),
         inflight: AtomicUsize::new(0),
-        access: Mutex::new(Vec::new()),
+        access: Mutex::new(create_access_log()),
     }))
 }
 
@@ -774,17 +792,10 @@ fn run(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<RunSummary
     runner.stage("flush-index", || shared.engine.flush_index());
 
     runner.stage("flush-access-log", || {
-        let lines = shared.access.lock().expect("access log poisoned");
-        if lines.is_empty() {
-            return;
-        }
-        let mut body = lines.join("\n");
-        body.push('\n');
-        let path = mica_experiments::results_dir().join("serve-access.jsonl");
-        if let Err(e) = mica_fault::atomic_write_retry("serve-access", &path, body.as_bytes()) {
-            obs::warn!("cannot write access log {}: {e}", path.display());
-        } else {
-            obs::info!("access log ({} lines) written to {}", lines.len(), path.display());
+        let mut log = shared.access.lock().expect("access log poisoned");
+        if let Some(Err(e)) = log.as_mut().map(BufWriter::flush) {
+            obs::warn!("cannot flush the access log: {e}");
+            *log = None;
         }
     });
     Ok(runner.finish())

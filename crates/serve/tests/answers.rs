@@ -11,7 +11,7 @@
 use mica_experiments::query::{DistanceMetric, Neighbor, QuerySpace};
 use mica_experiments::results::ProfileSet;
 use mica_serve::protocol::{
-    render_response, status, EnvEntry, NeighborEntry, Provenance, QueryResult, Response,
+    render_response, status, NeighborEntry, Provenance, QueryResult, Response,
 };
 use serde::Serialize;
 use std::path::Path;
@@ -132,18 +132,15 @@ fn answer(
             cached: true,
         }),
         provenance: Some(Provenance {
-            server: "mica-serve 0.1.0".to_string(),
+            // Text the writer must escape (quotes, a backslash, a tab, a
+            // control character) or pass through as UTF-8.
+            server: "mica-serve 0.1.0 \"q\" tab\there\\\u{1}é".to_string(),
             table_fingerprint: u64::MAX,
             profile_fingerprint: set.fingerprint,
             scale: set.scale,
             threads: 2,
             selected_metrics: space.selected().iter().map(|&i| i as u64).collect(),
             ga_rho: space.rho(),
-            env: vec![
-                EnvEntry { name: "MICA_RESULTS_DIR".into(), value: "/tmp/a b/\"q\"".into() },
-                EnvEntry { name: "MICA_SCALE".into(), value: "1".into() },
-                EnvEntry { name: "MICA_X".into(), value: "tab\there\\\u{1}é".into() },
-            ],
         }),
         trace: Some(format!("{:016x}", row as u64 * 0x9e37_79b9)),
         ops: None,

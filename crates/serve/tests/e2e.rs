@@ -180,7 +180,7 @@ fn robustness_envelope_end_to_end() {
         assert_eq!(prov.table_fingerprint, table_fp);
         assert_eq!(prov.profile_fingerprint, profile_fp);
         assert_eq!(prov.selected_metrics.len(), 8);
-        assert!(prov.env.iter().any(|e| e.name == "MICA_SCALE"));
+        assert_eq!(prov.scale, reference.scale, "provenance records the set's budget scale");
     }
 
     // -- zoo: parameterized instances simulate once, then hit the index --

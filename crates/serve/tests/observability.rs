@@ -11,7 +11,9 @@
 //!   byte-identical to the batch pipeline's profile of the same kernel;
 //! - the access log records every request line with the schema-stable
 //!   [`AccessEntry`] shape, including the outcomes `mica-prof slo` scores
-//!   (data-plane answers) and excludes (ops scrapes, refusals).
+//!   (data-plane answers) and excludes (ops scrapes, refusals), and is
+//!   written as requests are answered: whole lines reach the file before
+//!   any drain, and each request is logged exactly once.
 //!
 //! One `#[test]` on purpose: the scenario owns the process environment
 //! (`MICA_RESULTS_DIR`, `MICA_SCALE`, `MICA_THREADS`), which does not
@@ -200,6 +202,21 @@ fn observability_end_to_end() {
     let unknown = conn.roundtrip(&ops_request("o5", "nonsense"));
     assert_eq!(unknown.status, status::ERROR, "{unknown:?}");
 
+    // -- the access log streams: pings worth well over one writer buffer
+    //    (std's `BufWriter` holds 8 KiB; a line is ~140 bytes) reach the
+    //    file while the server still runs, in whole lines only -----------
+    const PINGS: usize = 128;
+    for i in 0..PINGS {
+        let ping = conn.roundtrip(&ops_request(&format!("p{i}"), "health"));
+        assert_eq!(ping.status, status::OK, "{ping:?}");
+    }
+    let live = std::fs::read_to_string(results.join("serve-access.jsonl"))
+        .expect("the access log exists before the drain");
+    assert!(!live.is_empty() && live.ends_with('\n'), "whole lines written: {live:?}");
+    for line in live.lines() {
+        let _: AccessEntry = serde_json::from_str(line).expect("a complete access entry");
+    }
+
     // -- observation is pure: the traced, scraped answer equals the batch
     //    pipeline's own profile of the same kernel ------------------------
     let reference =
@@ -228,8 +245,10 @@ fn observability_end_to_end() {
     let rejected = conn.roundtrip(&Request::new("late", RequestKind::Table));
     assert_eq!(rejected.status, status::DRAINING, "{rejected:?}");
     assert_trace_hex(&rejected);
-    drop(conn);
 
+    // `conn` stays open through the drain: its reader thread keeps the
+    // server's state alive, so only the drain's own flush can put the
+    // last access-log lines in the file.
     let summary = handle.join().expect("clean drain");
     let counter = |name: &str| summary.counters.iter().find(|c| c.name == name).map(|c| c.value);
     assert_eq!(counter("serve.error"), Some(1));
@@ -238,17 +257,26 @@ fn observability_end_to_end() {
     // -- the access log: one line per request line, schema-stable --------
     let access_text =
         std::fs::read_to_string(results.join("serve-access.jsonl")).expect("access log written");
+    drop(conn);
     let entries: Vec<AccessEntry> = access_text
         .lines()
         .map(|l| serde_json::from_str(l).expect("access entry parses strictly"))
         .collect();
-    assert_eq!(entries.len(), 10, "t1, a1, b1, o1-o6 and late: {entries:?}");
+    assert_eq!(entries.len(), 10 + PINGS, "t1, a1, b1, o1-o6, late and the pings");
     let by_kind: BTreeMap<&str, usize> =
         entries.iter().fold(BTreeMap::new(), |mut m, e| {
             *m.entry(e.kind.as_str()).or_insert(0) += 1;
             m
         });
-    assert_eq!(by_kind.get("ops"), Some(&6), "o1-o6 (unknown op included): {by_kind:?}");
+    assert_eq!(
+        by_kind.get("ops"),
+        Some(&(6 + PINGS)),
+        "o1-o6 (unknown op included) and the pings: {by_kind:?}"
+    );
+    for i in 0..PINGS {
+        let id = format!("p{i}");
+        assert_eq!(entries.iter().filter(|e| e.id == id).count(), 1, "{id} logged once");
+    }
     assert_eq!(by_kind.get("table"), Some(&3), "t1, b1, late: {by_kind:?}");
     assert_eq!(by_kind.get("asm"), Some(&1), "{by_kind:?}");
     let t1 = entries.iter().find(|e| e.id == "t1").expect("t1 logged");
