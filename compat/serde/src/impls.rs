@@ -179,6 +179,15 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
+impl<T: Serialize> Serialize for [T] {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_items(out, self);
+    }
+}
+
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         v.as_array()

@@ -3,12 +3,15 @@
 //! Provides [`to_string`], [`to_string_pretty`] and [`from_str`] over the
 //! in-repo serde stand-in. [`to_string`] has each type write itself
 //! ([`Serialize::write_json`]); [`to_string_pretty`] and [`from_str`] go
-//! through the value tree. The writers are deterministic: a value always
+//! through the value tree. [`walk_fields`] reads an object's fields in one
+//! pass with no tree, on the same grammar and error texts as [`from_str`].
+//! The writers are deterministic: a value always
 //! renders to the same bytes (object fields keep declaration or insertion
 //! order, floats print their shortest round-trip form), which the
 //! workspace's determinism tests rely on.
 
 use serde::{Deserialize, Number, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Serialization or parse failure.
@@ -65,22 +68,94 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 ///
 /// Returns [`Error`] on malformed JSON or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
-    parser.skip_ws();
+    let mut parser = Parser::new(text);
     let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {}", parser.pos)));
-    }
+    parser.finish()?;
     Ok(T::from_value(&value)?)
 }
 
+/// One JSON value as [`walk_fields`] reads it: scalars whole, a string
+/// borrowed from the text unless it holds an escape, and an array or an
+/// object by its kind alone.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any number.
+    Number(Number),
+    /// A string.
+    String(Cow<'a, str>),
+    /// An array, contents checked and skipped.
+    Array,
+    /// An object, contents checked and skipped.
+    Object,
+}
+
+impl Scalar<'_> {
+    /// The name [`Value::kind`] gives the same value.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Scalar::Null => "null",
+            Scalar::Bool(_) => "bool",
+            Scalar::Number(_) => "number",
+            Scalar::String(_) => "string",
+            Scalar::Array => "array",
+            Scalar::Object => "object",
+        }
+    }
+}
+
+/// Read `text` as one JSON value in a single pass, building no value
+/// tree. When the value is an object, `field` sees each of its fields in
+/// order, duplicates included; a field holding an array or an object gets
+/// its kind, its contents checked and skipped. Returns the value itself,
+/// an object as [`Scalar::Object`].
+///
+/// # Errors
+///
+/// Malformed JSON, with the texts [`from_str`] gives.
+pub fn walk_fields<'a>(
+    text: &'a str,
+    mut field: impl FnMut(&str, Scalar<'a>),
+) -> Result<Scalar<'a>, Error> {
+    let mut parser = Parser::new(text);
+    parser.skip_ws();
+    let value = if parser.peek() == Some(b'{') {
+        parser.object(|p, key| {
+            let value = p.parse_scalar()?;
+            field(&key, value);
+            Ok(())
+        })?;
+        Scalar::Object
+    } else {
+        parser.parse_scalar()?
+    };
+    parser.finish()?;
+    Ok(value)
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser { text, bytes: text.as_bytes(), pos: 0 }
+    }
+
+    /// Accept only whitespace after the value.
+    fn finish(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(Error::new(format!("trailing characters at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -121,13 +196,49 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.parse_value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|p, key| {
+                    fields.push((key.into_owned(), p.parse_value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(fields))
+            }
+            _ => Ok(match self.parse_scalar()? {
+                Scalar::Null => Value::Null,
+                Scalar::Bool(b) => Value::Bool(b),
+                Scalar::Number(n) => Value::Number(n),
+                Scalar::String(s) => Value::String(s.into_owned()),
+                Scalar::Array | Scalar::Object => unreachable!("containers are parsed above"),
+            }),
+        }
+    }
+
+    /// One value; an array or an object is checked and skipped.
+    fn parse_scalar(&mut self) -> Result<Scalar<'a>, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') if self.eat_keyword("null") => Ok(Scalar::Null),
+            Some(b't') if self.eat_keyword("true") => Ok(Scalar::Bool(true)),
+            Some(b'f') if self.eat_keyword("false") => Ok(Scalar::Bool(false)),
+            Some(b'"') => Ok(Scalar::String(self.parse_string()?)),
+            Some(b'[') => {
+                self.array(|p| p.parse_scalar().map(drop))?;
+                Ok(Scalar::Array)
+            }
+            Some(b'{') => {
+                self.object(|p, _| p.parse_scalar().map(drop))?;
+                Ok(Scalar::Object)
+            }
+            Some(b) if b == b'-' || b.is_ascii_digit() => Ok(Scalar::Number(self.parse_number()?)),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|c| c as char),
@@ -136,16 +247,16 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<Value, Error> {
+    /// An array, each element read by `item`.
+    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Result<(), Error>) -> Result<(), Error> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(());
         }
         loop {
-            items.push(self.parse_value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -153,27 +264,30 @@ impl Parser<'_> {
                 }
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(Error::new(format!("expected `,` or `]` at byte {}", self.pos))),
             }
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, Error> {
+    /// An object, each value read by `field` after its key.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
             self.expect(b':')?;
-            fields.push((key, self.parse_value()?));
+            field(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -181,16 +295,17 @@ impl Parser<'_> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(fields));
+                    return Ok(());
                 }
                 _ => return Err(Error::new(format!("expected `,` or `}}` at byte {}", self.pos))),
             }
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    /// A string, borrowed from the text when it holds no escape.
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
             let start = self.pos;
             while let Some(&b) = self.bytes.get(self.pos) {
@@ -199,10 +314,14 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?,
-            );
+            // `start` and `pos` sit next to ASCII quotes or backslashes (or
+            // at the end), so both are char boundaries.
+            let run = &self.text[start..self.pos];
+            if out.is_empty() {
+                out = Cow::Borrowed(run);
+            } else {
+                out.to_mut().push_str(run);
+            }
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -214,6 +333,7 @@ impl Parser<'_> {
                         .peek()
                         .ok_or_else(|| Error::new("unterminated escape sequence"))?;
                     self.pos += 1;
+                    let out = out.to_mut();
                     match esc {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
@@ -252,7 +372,7 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn parse_number(&mut self) -> Result<Number, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -268,17 +388,15 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
-        let number = if float {
-            Number::F64(text.parse().map_err(|_| Error::new(format!("bad number `{text}`")))?)
-        } else if let Some(rest) = text.strip_prefix('-') {
-            let _ = rest;
-            Number::I64(text.parse().map_err(|_| Error::new(format!("bad number `{text}`")))?)
+        let text = &self.text[start..self.pos];
+        let bad = || Error::new(format!("bad number `{text}`"));
+        Ok(if float {
+            Number::F64(text.parse().map_err(|_| bad())?)
+        } else if text.starts_with('-') {
+            Number::I64(text.parse().map_err(|_| bad())?)
         } else {
-            Number::U64(text.parse().map_err(|_| Error::new(format!("bad number `{text}`")))?)
-        };
-        Ok(Value::Number(number))
+            Number::U64(text.parse().map_err(|_| bad())?)
+        })
     }
 }
 
@@ -443,6 +561,68 @@ mod tests {
             "{\n  \"a\": [\n    1,\n    2.5\n  ],\n  \"b\": {},\n  \"c\": []\n}"
         );
         assert_eq!(to_string(&v).unwrap(), r#"{"a":[1,2.5],"b":{},"c":[]}"#);
+    }
+
+    #[test]
+    fn walk_fields_reads_the_top_level_in_order() {
+        let text =
+            r#" {"a":1,"b":"x\"y","c":[1,{"d":null}],"a":{"e":[]},"f":null,"g":-2.5e3,"h":true} "#;
+        let mut seen = Vec::new();
+        let top = walk_fields(text, |key, value| seen.push((key.to_string(), value))).unwrap();
+        assert_eq!(top, Scalar::Object);
+        let want = [
+            ("a", Scalar::Number(Number::U64(1))),
+            ("b", Scalar::String("x\"y".into())),
+            ("c", Scalar::Array),
+            ("a", Scalar::Object),
+            ("f", Scalar::Null),
+            ("g", Scalar::Number(Number::F64(-2500.0))),
+            ("h", Scalar::Bool(true)),
+        ];
+        let want: Vec<(String, Scalar)> = want.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        assert_eq!(seen, want);
+
+        // A string with no escape is borrowed; an escaped key is decoded.
+        let mut keys = Vec::new();
+        walk_fields(r#"{"\u0069d":"plain"}"#, |key, value| {
+            assert!(matches!(value, Scalar::String(Cow::Borrowed("plain"))), "{value:?}");
+            keys.push(key.to_string());
+        })
+        .unwrap();
+        assert_eq!(keys, ["id"]);
+
+        // Other values come back whole, and reach no field.
+        let none = |_: &str, v: Scalar| panic!("no fields expected, got {v:?}");
+        assert_eq!(walk_fields("[1,{}]", none).unwrap(), Scalar::Array);
+        assert_eq!(walk_fields(" 7 ", none).unwrap(), Scalar::Number(Number::U64(7)));
+        assert_eq!(walk_fields("\"s\"", none).unwrap().kind(), "string");
+    }
+
+    #[test]
+    fn walk_fields_fails_with_the_texts_of_from_str() {
+        let cases = [
+            "",
+            "{",
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            r#"{"a":1 "b":2}"#,
+            "[1,",
+            r#"{"a":[1,}"#,
+            r#"{"a":{"b":}}"#,
+            r#"{"a":1} x"#,
+            r#"{"a":1.2.3}"#,
+            r#"{"a":-}"#,
+            r#"{"a":"\q"}"#,
+            r#"{"a":"\u12"}"#,
+            r#"{"a":"abc"#,
+            r#"{"a":nul}"#,
+            "nul",
+            r#"{"a":18446744073709551616}"#,
+        ];
+        for text in cases {
+            let want = from_str::<Value>(text).unwrap_err();
+            assert_eq!(walk_fields(text, |_, _| {}).unwrap_err(), want, "{text}");
+        }
     }
 
     #[test]

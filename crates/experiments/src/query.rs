@@ -172,11 +172,19 @@ impl QuerySpace {
     /// The `k` nearest reference benchmarks to a projected `point`,
     /// ascending by distance; ties broken by name so the answer is
     /// total-ordered and scheduling-independent. `k` is clamped to the
-    /// reference count.
-    ///
-    /// Ranks `(distance, row)` pairs, partitions the `k` nearest to the
-    /// front, sorts only those, and clones only their names.
+    /// reference count. [`nearest`](Self::nearest) with the names cloned.
     pub fn neighbors(&self, point: &[f64], k: usize, metric: DistanceMetric) -> Vec<Neighbor> {
+        self.nearest(point, k, metric)
+            .into_iter()
+            .map(|(distance, row)| Neighbor { name: self.names[row].clone(), distance })
+            .collect()
+    }
+
+    /// The ranking of [`neighbors`](Self::neighbors) as `(distance, row)`
+    /// pairs, rows indexing [`names`](Self::names).
+    ///
+    /// Partitions the `k` nearest to the front and sorts only those.
+    pub fn nearest(&self, point: &[f64], k: usize, metric: DistanceMetric) -> Vec<(f64, usize)> {
         let mut ranked: Vec<(f64, usize)> =
             self.points.iter().map(|p| metric.distance(point, p)).zip(0..).collect();
         let order = |a: &(f64, usize), b: &(f64, usize)| {
@@ -194,9 +202,6 @@ impl QuerySpace {
         // unstable sort returns the same neighbors as a stable one.
         ranked.sort_unstable_by(order);
         ranked
-            .into_iter()
-            .map(|(distance, row)| Neighbor { name: self.names[row].clone(), distance })
-            .collect()
     }
 }
 

@@ -3,9 +3,10 @@
 //! The engine owns everything immutable a query needs — the warm
 //! [`ProfileSet`] (the same `profiles.json` cache the batch pipeline
 //! writes, so `table` answers are byte-identical to it), the
-//! [`QuerySpace`], and the provenance block — plus the mutable submission
-//! index that caches computed `zoo`/`asm` answers across requests and is
-//! flushed to `<results>/serve-index.json` on drain.
+//! [`QuerySpace`], and the JSON every answer shares, rendered at boot
+//! (each reference kernel and the provenance block) — plus the mutable
+//! submission index that caches computed `zoo`/`asm` answers across
+//! requests and is flushed to `<results>/serve-index.json` on drain.
 //!
 //! [`Engine::execute`] runs *inside* the server's
 //! [`mica_par::par_map_isolated`] dispatch, so a panic anywhere in here —
@@ -13,7 +14,7 @@
 //! and turned into a structured `panic` response by the caller, never
 //! killing the server.
 
-use crate::protocol::{status, NeighborEntry, QueryResult, Request, RequestKind};
+use crate::protocol::{status, Answer, AnswerJson, KernelJson, Provenance, Request, RequestKind};
 use crate::{asmtext, ServeConfig};
 use mica_experiments::profile::{
     characterize_vm_sliced, load_or_profile_all, scaled_budget,
@@ -24,6 +25,7 @@ use mica_experiments::results::ProfileSet;
 use mica_obs as obs;
 use mica_workloads::{benchmark_table, BenchmarkSpec};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,28 +71,36 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// What `execute` decided, before the server stamps id/provenance.
-pub struct Outcome {
+/// What `execute` decided, before the server stamps id and trace.
+pub struct Outcome<'e> {
     /// Status code for the response.
     pub status: &'static str,
     /// Diagnostics for non-`ok` statuses.
     pub error: Option<String>,
     /// The answer, on `ok`.
-    pub result: Option<QueryResult>,
+    pub result: Option<Answer<'e>>,
 }
 
-impl Outcome {
-    fn fail(message: impl Into<String>) -> Outcome {
+impl Outcome<'_> {
+    fn fail(message: impl Into<String>) -> Self {
         Outcome { status: status::ERROR, error: Some(message.into()), result: None }
     }
 
-    fn deadline(executed: u64, detail: &str) -> Outcome {
+    fn deadline(executed: u64, detail: &str) -> Self {
         Outcome {
             status: status::DEADLINE,
             error: Some(format!("deadline exceeded ({detail}; executed {executed} instructions)")),
             result: None,
         }
     }
+}
+
+/// What a submission resolved to.
+enum Resolved {
+    /// Row `i` of the reference set.
+    Reference(usize),
+    /// A kernel characterized for a submission, now or earlier.
+    Fresh { name: String, vector: Vec<f64>, executed: u64, cached: bool },
 }
 
 /// The immutable query core plus the submission index.
@@ -103,6 +113,7 @@ pub struct Engine {
     index: Mutex<BTreeMap<String, IndexEntry>>,
     index_path: PathBuf,
     table_fingerprint: u64,
+    json: AnswerJson,
 }
 
 impl Engine {
@@ -137,6 +148,15 @@ impl Engine {
         if !index.is_empty() {
             obs::info!("warmed submission index with {} entries", index.len());
         }
+        let provenance = Provenance {
+            server: format!("{} {}", env!("CARGO_PKG_NAME"), env!("CARGO_PKG_VERSION")),
+            table_fingerprint: outcome.table_fingerprint,
+            profile_fingerprint: set.fingerprint,
+            scale: set.scale,
+            selected_metrics: space.selected().iter().map(|&i| i as u64).collect(),
+            ga_rho: space.rho(),
+        };
+        let json = AnswerJson::new(reference_json(&set, &space), &provenance);
         Ok(Engine {
             set,
             space,
@@ -146,11 +166,13 @@ impl Engine {
             index: Mutex::new(index),
             index_path,
             table_fingerprint: outcome.table_fingerprint,
+            json,
         })
     }
 
     /// The table fingerprint the boot checked the profile cache against
-    /// (provenance and the run summary reuse it).
+    /// (the provenance, the run summary and the `metrics` payload carry
+    /// it).
     pub fn table_fingerprint(&self) -> u64 {
         self.table_fingerprint
     }
@@ -158,11 +180,6 @@ impl Engine {
     /// The warm reference set (tests compare response vectors against it).
     pub fn profiles(&self) -> &ProfileSet {
         &self.set
-    }
-
-    /// The query space (provenance reads the GA selection from it).
-    pub fn space(&self) -> &QuerySpace {
-        &self.space
     }
 
     /// Whether this request can be answered without simulation — used by
@@ -188,8 +205,11 @@ impl Engine {
         deadline_at: Instant,
         cancel: &AtomicBool,
         _cfg: &ServeConfig,
-    ) -> Outcome {
-        let mut span = obs::span("serve", format!("req:{}", req.id));
+    ) -> Outcome<'_> {
+        // Name the span only when a sink records it: formatting allocates.
+        let span_name =
+            if obs::spans_enabled() { format!("req:{}", req.id) } else { String::new() };
+        let mut span = obs::span("serve", span_name);
         span.attr("kind", req.kind.name());
 
         // Fault injection: latency first (it can push the request past its
@@ -220,44 +240,45 @@ impl Engine {
             return Outcome::deadline(0, "expired before execution");
         }
 
-        let (name, vector, executed, cached) = match self.resolve(req, deadline_at, cancel) {
-            Ok(parts) => parts,
+        let (kernel, neighbors, cached) = match self.resolve(req, deadline_at, cancel) {
+            Ok(Resolved::Reference(row)) => (
+                Cow::Borrowed(self.json.reference(row)),
+                self.space.nearest(self.space.point(row), k, metric),
+                true,
+            ),
+            Ok(Resolved::Fresh { name, vector, executed, cached }) => {
+                let Some(projection) = self.space.project(&vector) else {
+                    return Outcome::fail("characterization has unexpected dimensionality");
+                };
+                let neighbors = self.space.nearest(&projection, k, metric);
+                (
+                    Cow::Owned(KernelJson::new(&name, &vector, &projection, executed)),
+                    neighbors,
+                    cached,
+                )
+            }
             Err(outcome) => return *outcome,
         };
-
-        let projection = match self.space.project(&vector) {
-            Some(p) => p,
-            None => return Outcome::fail("characterization has unexpected dimensionality"),
-        };
-        let neighbors = self
-            .space
-            .neighbors(&projection, k, metric)
-            .into_iter()
-            .map(|nb| NeighborEntry { name: nb.name, distance: nb.distance })
-            .collect();
         span.attr("cached", u64::from(cached));
         Outcome {
             status: status::OK,
             error: None,
-            result: Some(QueryResult {
-                name,
-                vector,
-                projection,
-                neighbors,
-                metric: metric.name().to_string(),
-                executed_instructions: executed,
-                cached,
-            }),
+            result: Some(Answer { kernel, neighbors, metric: metric.name(), cached }),
         }
     }
 
-    /// Resolve the submission to `(name, raw vector, executed, cached)`.
+    /// The wire line of an `ok` answer: see [`AnswerJson::render`].
+    pub(crate) fn render(&self, id: &str, trace: &str, answer: &Answer) -> String {
+        self.json.render(id, trace, answer)
+    }
+
+    /// Resolve the submission to a reference row or a characterized kernel.
     fn resolve(
         &self,
         req: &Request,
         deadline_at: Instant,
         cancel: &AtomicBool,
-    ) -> Result<(String, Vec<f64>, u64, bool), Box<Outcome>> {
+    ) -> Result<Resolved, Box<Outcome<'static>>> {
         match req.kind {
             RequestKind::Table => {
                 let name = req.name.as_deref().ok_or_else(|| {
@@ -266,9 +287,8 @@ impl Engine {
                 let &i = self.by_name.get(name).ok_or_else(|| {
                     Outcome::fail(format!("unknown benchmark `{name}`"))
                 })?;
-                let rec = &self.set.records[i];
                 CACHE_HITS.incr();
-                Ok((rec.name.clone(), rec.mica.values().to_vec(), rec.executed_instructions, true))
+                Ok(Resolved::Reference(i))
             }
             RequestKind::Zoo => {
                 let name = req.name.as_deref().ok_or_else(|| {
@@ -285,7 +305,7 @@ impl Engine {
                 let budget = scaled_budget(spec, scale);
                 let key = submission_key(req).expect("zoo key");
                 if let Some(hit) = self.index_get(&key) {
-                    return Ok((hit.name, hit.vector, hit.executed_instructions, true));
+                    return Ok(hit);
                 }
                 let mut vm = spec
                     .kernel
@@ -302,7 +322,7 @@ impl Engine {
                 let prog = asmtext::assemble(text).map_err(|e| Outcome::fail(e.to_string()))?;
                 let key = submission_key(req).expect("asm key");
                 if let Some(hit) = self.index_get(&key) {
-                    return Ok((hit.name, hit.vector, hit.executed_instructions, true));
+                    return Ok(hit);
                 }
                 let mut vm = tinyisa::Vm::new(prog);
                 let display = format!("asm:{:016x}", fnv1a(text.as_bytes()));
@@ -329,7 +349,7 @@ impl Engine {
         cancel: &AtomicBool,
         key: String,
         name: String,
-    ) -> Result<(String, Vec<f64>, u64, bool), Box<Outcome>> {
+    ) -> Result<Resolved, Box<Outcome<'static>>> {
         SIMULATED.incr();
         let expired = || cancel.load(Ordering::Relaxed) || Instant::now() >= deadline_at;
         let run = characterize_vm_sliced(vm, budget, crate::SLICE, expired)
@@ -349,17 +369,21 @@ impl Engine {
                     executed_instructions: executed,
                 };
                 self.index.lock().expect("index poisoned").insert(key, entry);
-                Ok((name, vector, executed, false))
+                Ok(Resolved::Fresh { name, vector, executed, cached: false })
             }
         }
     }
 
-    fn index_get(&self, key: &str) -> Option<IndexEntry> {
-        let hit = self.index.lock().expect("index poisoned").get(key).cloned();
-        if hit.is_some() {
-            CACHE_HITS.incr();
-        }
-        hit
+    fn index_get(&self, key: &str) -> Option<Resolved> {
+        let index = self.index.lock().expect("index poisoned");
+        let hit = index.get(key)?;
+        CACHE_HITS.incr();
+        Some(Resolved::Fresh {
+            name: hit.name.clone(),
+            vector: hit.vector.clone(),
+            executed: hit.executed_instructions,
+            cached: true,
+        })
     }
 
     /// Flush the submission index to `serve-index.json`; a failed write
@@ -370,6 +394,24 @@ impl Engine {
             obs::warn!("cannot write submission index {}: {e}", self.index_path.display());
         }
     }
+}
+
+/// Each reference kernel of `set`, by row, as an answer carries it. Its
+/// projection is its point in `space`, which equals `space.project` of
+/// its own vector.
+pub fn reference_json(set: &ProfileSet, space: &QuerySpace) -> Vec<KernelJson> {
+    set.records
+        .iter()
+        .enumerate()
+        .map(|(row, rec)| {
+            KernelJson::new(
+                &rec.name,
+                rec.mica.values(),
+                space.point(row),
+                rec.executed_instructions,
+            )
+        })
+        .collect()
 }
 
 /// The canonical cache key of a submission, or `None` for kinds that are

@@ -48,10 +48,11 @@
 //!   ([`mica_fault::io::backoff_ms`]), honoring `retry_after_ms` hints.
 //!
 //! Every answer carries a sprout-style [`protocol::Provenance`] block —
-//! server build, table fingerprint, profile fingerprint, budget scale,
-//! thread count and GA selection — so two answers taken months apart
-//! compare honestly or visibly don't. Deployment settings (listen
-//! address, results directory, log level) stay out of it.
+//! server build, table fingerprint, profile fingerprint, budget scale
+//! and GA selection — so two answers taken months apart compare honestly
+//! or visibly don't. The pool width and the deployment settings (listen
+//! address, results directory, log level) stay out of it: none of them
+//! changes an answer.
 //!
 //! Environment knobs (all optional):
 //!

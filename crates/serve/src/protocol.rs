@@ -1,10 +1,13 @@
 //! The wire protocol: one JSON object per line, both directions.
 //!
-//! Requests are parsed **leniently** by hand (unknown fields ignored,
-//! optional fields defaulted) so old clients keep working as the protocol
-//! grows; responses are emitted with *every* field present (`null` for
-//! absent options) so the strict derived deserializer on the client side
-//! — and any other consumer — can rely on the full shape.
+//! Requests are parsed **leniently** by hand, in one pass over their
+//! fields (unknown fields ignored, optional fields defaulted), so old
+//! clients keep working as the protocol grows; responses are emitted with
+//! *every* field present (`null` for absent options) so the strict derived
+//! deserializer on the client side — and any other consumer — can rely on
+//! the full shape. [`Response`] defines that shape; an `ok` answer is
+//! written by [`AnswerJson::render`], which copies JSON rendered at boot
+//! into the same bytes.
 //!
 //! ```text
 //! → {"id":"q1","kind":"table","name":"MiBench/sha/large","k":3}
@@ -32,8 +35,10 @@
 //! hex digits) identifying the request's span tree in the `MICA_TRACE`
 //! file, so client logs correlate with server traces.
 
-use serde::value::Value;
-use serde::{DeError, Deserialize, Serialize};
+use serde::value::{Number, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::Scalar;
+use std::borrow::Cow;
 
 /// What kind of submission a request carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,59 +131,6 @@ impl Request {
     }
 }
 
-fn get_str(v: &Value, field: &str) -> Result<Option<String>, DeError> {
-    match v.field(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::String(s)) => Ok(Some(s.clone())),
-        Some(other) => Err(DeError::new(format!("`{field}` must be a string, got {}", other.kind()))),
-    }
-}
-
-fn get_u64(v: &Value, field: &str) -> Result<Option<u64>, DeError> {
-    match v.field(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Number(n)) => n
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| DeError::new(format!("`{field}` must be a non-negative integer"))),
-        Some(other) => Err(DeError::new(format!("`{field}` must be a number, got {}", other.kind()))),
-    }
-}
-
-fn get_f64(v: &Value, field: &str) -> Result<Option<f64>, DeError> {
-    match v.field(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Number(n)) => Ok(Some(n.as_f64())),
-        Some(other) => Err(DeError::new(format!("`{field}` must be a number, got {}", other.kind()))),
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        if v.as_object().is_none() {
-            return Err(DeError::new(format!("request must be an object, got {}", v.kind())));
-        }
-        let id = get_str(v, "id")?.ok_or_else(|| DeError::new("request is missing `id`"))?;
-        let kind = get_str(v, "kind")?.ok_or_else(|| DeError::new("request is missing `kind`"))?;
-        let kind = RequestKind::parse(&kind).ok_or_else(|| {
-            DeError::new(format!("unknown kind `{kind}` (want table, zoo, asm or ops)"))
-        })?;
-        Ok(Request {
-            id,
-            kind,
-            name: get_str(v, "name")?,
-            seed: get_u64(v, "seed")?,
-            scale: get_f64(v, "scale")?,
-            asm: get_str(v, "asm")?,
-            budget: get_u64(v, "budget")?,
-            deadline_ms: get_u64(v, "deadline_ms")?,
-            k: get_u64(v, "k")?,
-            metric: get_str(v, "metric")?,
-            op: get_str(v, "op")?,
-        })
-    }
-}
-
 impl Serialize for Request {
     fn to_value(&self) -> Value {
         fn opt<T: Serialize>(v: &Option<T>) -> Value {
@@ -249,7 +201,9 @@ pub struct QueryResult {
 }
 
 /// The sprout-style provenance block: everything needed to decide whether
-/// two answers, possibly taken months apart, are comparable.
+/// two answers, possibly taken months apart, are comparable. It holds only
+/// what can change an answer: not the pool width (answers are
+/// byte-identical at any `MICA_THREADS`) and no deployment setting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Provenance {
     /// Server build: crate name and version.
@@ -260,8 +214,6 @@ pub struct Provenance {
     pub profile_fingerprint: u64,
     /// Budget scale of the warm profile set (`MICA_SCALE`).
     pub scale: f64,
-    /// Worker-pool width.
-    pub threads: u64,
     /// GA-selected metric indices defining the projection space.
     pub selected_metrics: Vec<u64>,
     /// The GA's correlation fitness ρ for that selection.
@@ -311,13 +263,96 @@ impl Response {
     }
 }
 
-/// Parse one request line.
+/// Parse one request line in one pass over its fields, building no value
+/// tree. Unknown fields are skipped, `null` counts as absent, and the first
+/// of duplicate keys wins.
 ///
 /// # Errors
 ///
 /// A rendered parse error; the caller turns it into an `error` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    serde_json::from_str::<Request>(line).map_err(|e| e.to_string())
+    let mut f = RequestFields::default();
+    let top = serde_json::walk_fields(line, |key, value| {
+        let slot = match key {
+            "id" => &mut f.id,
+            "kind" => &mut f.kind,
+            "name" => &mut f.name,
+            "seed" => &mut f.seed,
+            "scale" => &mut f.scale,
+            "asm" => &mut f.asm,
+            "budget" => &mut f.budget,
+            "deadline_ms" => &mut f.deadline_ms,
+            "k" => &mut f.k,
+            "metric" => &mut f.metric,
+            "op" => &mut f.op,
+            _ => return,
+        };
+        slot.get_or_insert(value);
+    })
+    .map_err(|e| e.to_string())?;
+    if top != Scalar::Object {
+        return Err(format!("request must be an object, got {}", top.kind()));
+    }
+    let id = text("id", f.id)?.ok_or("request is missing `id`")?;
+    let kind = text("kind", f.kind)?.ok_or("request is missing `kind`")?;
+    let kind = RequestKind::parse(&kind)
+        .ok_or_else(|| format!("unknown kind `{kind}` (want table, zoo, asm or ops)"))?;
+    let owned = |field, value| text(field, value).map(|s| s.map(Cow::into_owned));
+    Ok(Request {
+        id: id.into_owned(),
+        kind,
+        name: owned("name", f.name)?,
+        seed: unsigned("seed", f.seed)?,
+        scale: float("scale", f.scale)?,
+        asm: owned("asm", f.asm)?,
+        budget: unsigned("budget", f.budget)?,
+        deadline_ms: unsigned("deadline_ms", f.deadline_ms)?,
+        k: unsigned("k", f.k)?,
+        metric: owned("metric", f.metric)?,
+        op: owned("op", f.op)?,
+    })
+}
+
+/// The first value of each [`Request`] field on a line.
+#[derive(Default)]
+struct RequestFields<'a> {
+    id: Option<Scalar<'a>>,
+    kind: Option<Scalar<'a>>,
+    name: Option<Scalar<'a>>,
+    seed: Option<Scalar<'a>>,
+    scale: Option<Scalar<'a>>,
+    asm: Option<Scalar<'a>>,
+    budget: Option<Scalar<'a>>,
+    deadline_ms: Option<Scalar<'a>>,
+    k: Option<Scalar<'a>>,
+    metric: Option<Scalar<'a>>,
+    op: Option<Scalar<'a>>,
+}
+
+fn text<'a>(field: &str, value: Option<Scalar<'a>>) -> Result<Option<Cow<'a, str>>, String> {
+    match value {
+        None | Some(Scalar::Null) => Ok(None),
+        Some(Scalar::String(s)) => Ok(Some(s)),
+        Some(other) => Err(format!("`{field}` must be a string, got {}", other.kind())),
+    }
+}
+
+fn number(field: &str, value: Option<Scalar>) -> Result<Option<Number>, String> {
+    match value {
+        None | Some(Scalar::Null) => Ok(None),
+        Some(Scalar::Number(n)) => Ok(Some(n)),
+        Some(other) => Err(format!("`{field}` must be a number, got {}", other.kind())),
+    }
+}
+
+fn unsigned(field: &str, value: Option<Scalar>) -> Result<Option<u64>, String> {
+    number(field, value)?
+        .map(|n| n.as_u64().ok_or_else(|| format!("`{field}` must be a non-negative integer")))
+        .transpose()
+}
+
+fn float(field: &str, value: Option<Scalar>) -> Result<Option<f64>, String> {
+    Ok(number(field, value)?.map(Number::as_f64))
 }
 
 /// Best-effort extraction of the `id` from an unparseable request line, so
@@ -338,6 +373,123 @@ pub fn salvage_id(line: &str) -> String {
 /// Render a response as its wire line (no trailing newline).
 pub fn render_response(resp: &Response) -> String {
     serde_json::to_string(resp).expect("Response serializes")
+}
+
+/// `value` as compact JSON.
+fn json(value: &impl Serialize) -> String {
+    serde_json::to_string(value).expect("JSON rendering cannot fail")
+}
+
+/// A characterized kernel as an `ok` answer carries it: its name, raw
+/// vector and projection, each rendered once as JSON, and the instructions
+/// characterizing it executed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelJson {
+    name: String,
+    vector: String,
+    projection: String,
+    executed_instructions: u64,
+}
+
+impl KernelJson {
+    /// Render the parts of a [`QueryResult`] that no request changes.
+    pub fn new(
+        name: &str,
+        vector: &[f64],
+        projection: &[f64],
+        executed_instructions: u64,
+    ) -> KernelJson {
+        KernelJson {
+            name: json(&name),
+            vector: json(&vector),
+            projection: json(&projection),
+            executed_instructions,
+        }
+    }
+
+    /// [`QueryResult::executed_instructions`].
+    pub fn executed_instructions(&self) -> u64 {
+        self.executed_instructions
+    }
+}
+
+/// An `ok` answer as the server writes it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Answer<'a> {
+    /// What was characterized; a reference kernel is borrowed from the
+    /// boot-time [`AnswerJson`].
+    pub kernel: Cow<'a, KernelJson>,
+    /// The nearest references as `(distance, reference row)`, ascending.
+    pub neighbors: Vec<(f64, usize)>,
+    /// Wire name of the distance metric.
+    pub metric: &'static str,
+    /// [`QueryResult::cached`].
+    pub cached: bool,
+}
+
+/// What every `ok` answer of one server shares, rendered once at boot:
+/// each reference kernel (a table lookup's whole kernel, and every
+/// neighbor's name) and the provenance block.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnswerJson {
+    references: Vec<KernelJson>,
+    provenance: String,
+}
+
+impl AnswerJson {
+    /// The reference kernels by row, and the provenance every answer
+    /// carries.
+    pub fn new(references: Vec<KernelJson>, provenance: &Provenance) -> AnswerJson {
+        AnswerJson { references, provenance: json(provenance) }
+    }
+
+    /// Reference kernel `row`.
+    pub fn reference(&self, row: usize) -> &KernelJson {
+        &self.references[row]
+    }
+
+    /// The wire line of an `ok` answer (no trailing newline): the bytes
+    /// [`render_response`] writes for the same [`Response`], whose derived
+    /// layout this follows field for field. The boot-time JSON is copied
+    /// in, so only the neighbors' distances are formatted here.
+    pub fn render(&self, id: &str, trace: &str, answer: &Answer) -> String {
+        let kernel = &answer.kernel;
+        let mut out = String::with_capacity(
+            256 + kernel.vector.len()
+                + kernel.projection.len()
+                + self.provenance.len()
+                + 96 * answer.neighbors.len(),
+        );
+        out.push_str("{\"id\":");
+        id.write_json(&mut out);
+        out.push_str(",\"status\":\"ok\",\"error\":null,\"retry_after_ms\":null");
+        out.push_str(",\"result\":{\"name\":");
+        out.push_str(&kernel.name);
+        out.push_str(",\"vector\":");
+        out.push_str(&kernel.vector);
+        out.push_str(",\"projection\":");
+        out.push_str(&kernel.projection);
+        out.push_str(",\"neighbors\":[");
+        for (i, &(distance, row)) in answer.neighbors.iter().enumerate() {
+            out.push_str(if i == 0 { "{\"name\":" } else { ",{\"name\":" });
+            out.push_str(&self.references[row].name);
+            out.push_str(",\"distance\":");
+            distance.write_json(&mut out);
+            out.push('}');
+        }
+        out.push_str("],\"metric\":");
+        answer.metric.write_json(&mut out);
+        out.push_str(",\"executed_instructions\":");
+        kernel.executed_instructions.write_json(&mut out);
+        out.push_str(",\"cached\":");
+        answer.cached.write_json(&mut out);
+        out.push_str("},\"provenance\":");
+        out.push_str(&self.provenance);
+        out.push_str(",\"trace\":");
+        trace.write_json(&mut out);
+        out.push_str(",\"ops\":null}");
+        out
+    }
 }
 
 #[cfg(test)]
@@ -397,7 +549,6 @@ mod tests {
                 table_fingerprint: 7,
                 profile_fingerprint: 9,
                 scale: 1.0,
-                threads: 4,
                 selected_metrics: vec![1, 5],
                 ga_rho: 0.9,
             }),

@@ -40,8 +40,7 @@
 
 use crate::engine::Engine;
 use crate::protocol::{
-    parse_request, render_response, salvage_id, status, Provenance, Request, RequestKind,
-    Response,
+    parse_request, render_response, salvage_id, status, Request, RequestKind, Response,
 };
 use crate::{ServeConfig, MAX_LINE_BYTES};
 use mica_experiments::runner::{RunSummary, Runner};
@@ -151,7 +150,6 @@ struct Job {
 struct Shared {
     cfg: ServeConfig,
     engine: Engine,
-    provenance: Provenance,
     /// Boot instant; `ops` uptime.
     started: Instant,
     queue: Mutex<VecDeque<Job>>,
@@ -228,12 +226,13 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// Write one response line to a connection, honoring `respond` fault
-/// directives (`slow:respond` delays, `io:respond` / `torn:respond` drop
-/// the write so the client's retry path gets exercised).
-fn write_response(conn: &Mutex<TcpStream>, resp: &Response) {
+/// Write one response line, newline added here, to a connection, honoring
+/// `respond` fault directives (`slow:respond` delays, `io:respond` /
+/// `torn:respond` drop the write so the client's retry path gets
+/// exercised).
+fn write_response(conn: &Mutex<TcpStream>, id: &str, mut line: String) {
     if let Some(ms) = mica_fault::plan::slow_fault("respond") {
-        obs::warn!("injected latency: response {} delayed {ms}ms (MICA_FAULTS)", resp.id);
+        obs::warn!("injected latency: response {id} delayed {ms}ms (MICA_FAULTS)");
         thread::sleep(Duration::from_millis(ms));
     }
     if let Some(kind) = mica_fault::plan::io_fault("respond") {
@@ -245,19 +244,18 @@ fn write_response(conn: &Mutex<TcpStream>, resp: &Response) {
                 mica_fault::metrics::incr(&mica_fault::metrics::INJECTED_TORN)
             }
         }
-        obs::warn!("injected I/O fault: dropping response {} (MICA_FAULTS)", resp.id);
+        obs::warn!("injected I/O fault: dropping response {id} (MICA_FAULTS)");
         // Simulate the connection dying mid-response: the client sees EOF
         // and its retry path takes over.
         let stream = conn.lock().expect("connection poisoned");
         let _ = stream.shutdown(std::net::Shutdown::Both);
         return;
     }
-    let mut line = render_response(resp);
     line.push('\n');
     let mut stream = conn.lock().expect("connection poisoned");
     if let Err(e) = stream.write_all(line.as_bytes()) {
         // The client hung up; its loss, not ours.
-        obs::debug!("client write failed for {}: {e}", resp.id);
+        obs::debug!("client write failed for {id}: {e}");
     }
 }
 
@@ -318,6 +316,12 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
+    // Every answer is one write of one whole line, so Nagle's algorithm
+    // has nothing to merge: it would only hold an answer until the
+    // client's next request acknowledged the one before it.
+    if let Err(e) = stream.set_nodelay(true) {
+        obs::warn!("cannot set TCP_NODELAY, answers may wait for the next request: {e}");
+    }
     let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
         Err(_) => return,
@@ -350,7 +354,7 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
                 OPS.incr();
                 let mut resp = handle_ops(&shared, &req);
                 resp.trace = Some(trace_hex.clone());
-                write_response(&conn, &resp);
+                write_response(&conn, &req.id, render_response(&resp));
                 log_access(
                     &shared,
                     &AccessEntry {
@@ -371,7 +375,7 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
                 let id = req.id.clone();
                 if let Some(mut rejection) = admit(&shared, req, ctx, &conn) {
                     rejection.trace = Some(trace_hex.clone());
-                    write_response(&conn, &rejection);
+                    write_response(&conn, &id, render_response(&rejection));
                     log_access(
                         &shared,
                         &AccessEntry {
@@ -392,7 +396,7 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
                 BAD_LINES.incr();
                 let mut resp = Response::refusal(&id, status::ERROR, e);
                 resp.trace = Some(trace_hex.clone());
-                write_response(&conn, &resp);
+                write_response(&conn, &id, render_response(&resp));
                 log_access(
                     &shared,
                     &AccessEntry {
@@ -466,7 +470,8 @@ fn metrics_text(shared: &Shared) -> String {
     out.push_str("# mica-serve metrics\n");
     out.push_str(&format!(
         "# provenance table_fingerprint={} profile_fingerprint={}\n",
-        shared.provenance.table_fingerprint, shared.provenance.profile_fingerprint
+        shared.engine.table_fingerprint(),
+        shared.engine.profiles().fingerprint
     ));
     for (name, total) in obs::counters() {
         let metric = name.replace('.', "_");
@@ -516,17 +521,21 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             let _ctx = obs::install_context(Some(job.ctx));
             let wait_us = job.admitted.elapsed().as_micros() as u64;
             QUEUE_US.record(wait_us);
-            obs::emit_span_record(obs::SpanRecord {
-                ts_us: job.admitted_us,
-                dur_us: wait_us,
-                tid: obs::current_tid(),
-                trace_id: job.ctx.trace_id,
-                span_id: obs::next_span_id(),
-                parent_id: job.ctx.span_id,
-                cat: "serve",
-                name: "queue".into(),
-                attrs: vec![("id", job.req.id.as_str().into())],
-            });
+            // Build span records only when a sink takes them: their names
+            // and attributes allocate.
+            if obs::spans_enabled() {
+                obs::emit_span_record(obs::SpanRecord {
+                    ts_us: job.admitted_us,
+                    dur_us: wait_us,
+                    tid: obs::current_tid(),
+                    trace_id: job.ctx.trace_id,
+                    span_id: obs::next_span_id(),
+                    parent_id: job.ctx.span_id,
+                    cat: "serve",
+                    name: "queue".into(),
+                    attrs: vec![("id", job.req.id.as_str().into())],
+                });
+            }
             let exec_started = Instant::now();
             let outcome =
                 shared.engine.execute(&job.req, job.deadline_at, &never_cancelled, &shared.cfg);
@@ -534,28 +543,34 @@ fn dispatch_loop(shared: &Arc<Shared>) {
         });
 
         for (job, result) in batch.iter().zip(outcomes) {
-            let (resp, queue_wait_us, exec_us) = match result {
+            let trace = job.ctx.trace_hex();
+            let (outcome, line, fuel, queue_wait_us, exec_us) = match result {
                 Ok((out, wait_us, exec_us)) => {
                     match out.status {
                         status::OK => OK.incr(),
                         status::DEADLINE => DEADLINES.incr(),
                         _ => ERRORS.incr(),
                     }
-                    let resp = Response {
-                        id: job.req.id.clone(),
-                        status: out.status.to_string(),
-                        error: out.error,
-                        retry_after_ms: None,
-                        result: out.result,
-                        provenance: if out.status == status::OK {
-                            Some(shared.provenance.clone())
-                        } else {
-                            None
-                        },
-                        trace: Some(job.ctx.trace_hex()),
-                        ops: None,
+                    let (line, fuel) = match &out.result {
+                        Some(answer) => (
+                            shared.engine.render(&job.req.id, &trace, answer),
+                            answer.kernel.executed_instructions(),
+                        ),
+                        None => {
+                            let resp = Response {
+                                id: job.req.id.clone(),
+                                status: out.status.to_string(),
+                                error: out.error,
+                                retry_after_ms: None,
+                                result: None,
+                                provenance: None,
+                                trace: Some(trace.clone()),
+                                ops: None,
+                            };
+                            (render_response(&resp), 0)
+                        }
                     };
-                    (resp, wait_us, exec_us)
+                    (out.status, line, fuel, wait_us, exec_us)
                 }
                 Err(panic) => {
                     PANICS.incr();
@@ -564,42 +579,43 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                         status::PANIC,
                         format!("submission quarantined: {}", panic.payload),
                     );
-                    resp.trace = Some(job.ctx.trace_hex());
-                    (resp, 0, 0)
+                    resp.trace = Some(trace.clone());
+                    (status::PANIC, render_response(&resp), 0, 0, 0)
                 }
             };
-            write_response(&job.conn, &resp);
+            write_response(&job.conn, &job.req.id, line);
             let latency_us = job.admitted.elapsed().as_micros() as u64;
             LATENCY_US.record(latency_us);
 
             // The trace's root: one `request` span covering admission to
             // response written, with the `queue` and engine spans under it.
-            obs::emit_span_record(obs::SpanRecord {
-                ts_us: job.admitted_us,
-                dur_us: latency_us,
-                tid: obs::current_tid(),
-                trace_id: job.ctx.trace_id,
-                span_id: job.ctx.span_id,
-                parent_id: 0,
-                cat: "serve",
-                name: "request".into(),
-                attrs: vec![
-                    ("id", job.req.id.as_str().into()),
-                    ("kind", job.req.kind.name().into()),
-                    ("outcome", resp.status.as_str().into()),
-                    ("queue_wait_us", queue_wait_us.into()),
-                    ("exec_us", exec_us.into()),
-                ],
-            });
-            let fuel = resp.result.as_ref().map_or(0, |r| r.executed_instructions);
+            if obs::spans_enabled() {
+                obs::emit_span_record(obs::SpanRecord {
+                    ts_us: job.admitted_us,
+                    dur_us: latency_us,
+                    tid: obs::current_tid(),
+                    trace_id: job.ctx.trace_id,
+                    span_id: job.ctx.span_id,
+                    parent_id: 0,
+                    cat: "serve",
+                    name: "request".into(),
+                    attrs: vec![
+                        ("id", job.req.id.as_str().into()),
+                        ("kind", job.req.kind.name().into()),
+                        ("outcome", outcome.into()),
+                        ("queue_wait_us", queue_wait_us.into()),
+                        ("exec_us", exec_us.into()),
+                    ],
+                });
+            }
             log_access(
                 shared,
                 &AccessEntry {
                     ts_us: obs::timestamp_us(),
                     id: job.req.id.clone(),
-                    trace: job.ctx.trace_hex(),
+                    trace,
                     kind: job.req.kind.name().into(),
-                    outcome: resp.status.clone(),
+                    outcome: outcome.into(),
                     queue_wait_us,
                     exec_us,
                     fuel,
@@ -609,18 +625,6 @@ fn dispatch_loop(shared: &Arc<Shared>) {
         }
         shared.inflight.fetch_sub(batch.len(), Ordering::SeqCst);
         shared.work_cv.notify_all();
-    }
-}
-
-fn build_provenance(engine: &Engine) -> Provenance {
-    Provenance {
-        server: format!("{} {}", env!("CARGO_PKG_NAME"), env!("CARGO_PKG_VERSION")),
-        table_fingerprint: engine.table_fingerprint(),
-        profile_fingerprint: engine.profiles().fingerprint,
-        scale: engine.profiles().scale,
-        threads: mica_par::num_threads() as u64,
-        selected_metrics: engine.space().selected().iter().map(|&i| i as u64).collect(),
-        ga_rho: engine.space().rho(),
     }
 }
 
@@ -689,11 +693,9 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<RunSummary> {
 fn boot_shared(cfg: ServeConfig) -> std::io::Result<Arc<Shared>> {
     register_counters();
     let engine = Engine::boot().map_err(|e| std::io::Error::other(e.to_string()))?;
-    let provenance = build_provenance(&engine);
     Ok(Arc::new(Shared {
         cfg,
         engine,
-        provenance,
         started: Instant::now(),
         queue: Mutex::new(VecDeque::new()),
         work_cv: Condvar::new(),

@@ -6,14 +6,21 @@
 //!   for every reference, both metrics and k ∈ {1, 5, 10, 122}, and on a
 //!   set with duplicate points, whose ties break by name;
 //! - `render_response` (each type writing its own JSON) returns exactly
-//!   the bytes of rendering the response's value tree.
+//!   the bytes of rendering the response's value tree;
+//! - the served writer (`AnswerJson::render`, copying JSON rendered at
+//!   boot) returns exactly the bytes of `render_response`, for every
+//!   reference, both metrics and k ∈ {1, 5, 10, 122}, and for freshly
+//!   characterized kernels as `zoo` and `asm` answers carry them.
 
 use mica_experiments::query::{DistanceMetric, Neighbor, QuerySpace};
 use mica_experiments::results::ProfileSet;
+use mica_serve::engine::reference_json;
 use mica_serve::protocol::{
-    render_response, status, NeighborEntry, Provenance, QueryResult, Response,
+    render_response, status, Answer, AnswerJson, KernelJson, NeighborEntry, Provenance,
+    QueryResult, Response,
 };
 use serde::Serialize;
+use std::borrow::Cow;
 use std::path::Path;
 
 const KS: [usize; 4] = [1, 5, 10, 122];
@@ -102,7 +109,60 @@ fn duplicate_points_break_ties_by_name() {
     }
 }
 
-/// A successful answer to a `table` lookup, shaped as the server builds it.
+/// A provenance block with text the writer must escape (quotes, a
+/// backslash, a tab, a control character) or pass through as UTF-8.
+fn provenance(space: &QuerySpace, set: &ProfileSet) -> Provenance {
+    Provenance {
+        server: "mica-serve 0.1.0 \"q\" tab\there\\\u{1}é".to_string(),
+        table_fingerprint: u64::MAX,
+        profile_fingerprint: set.fingerprint,
+        scale: set.scale,
+        selected_metrics: space.selected().iter().map(|&i| i as u64).collect(),
+        ga_rho: space.rho(),
+    }
+}
+
+/// The trace id every answer here echoes.
+const TRACE: &str = "00000000deadbeef";
+
+/// A successful answer as the server built it before the served writer:
+/// every part of the kernel (name, raw vector, instructions executed,
+/// whether cached) cloned into a [`Response`].
+fn response(
+    space: &QuerySpace,
+    set: &ProfileSet,
+    id: &str,
+    (name, vector, executed_instructions, cached): (&str, &[f64], u64, bool),
+    k: usize,
+    metric: DistanceMetric,
+) -> Response {
+    let projection = space.project(vector).expect("47 metrics");
+    let neighbors = space
+        .neighbors(&projection, k, metric)
+        .into_iter()
+        .map(|nb| NeighborEntry { name: nb.name, distance: nb.distance })
+        .collect();
+    Response {
+        id: id.to_string(),
+        status: status::OK.to_string(),
+        error: None,
+        retry_after_ms: None,
+        result: Some(QueryResult {
+            name: name.to_string(),
+            vector: vector.to_vec(),
+            projection,
+            neighbors,
+            metric: metric.name().to_string(),
+            executed_instructions,
+            cached,
+        }),
+        provenance: Some(provenance(space, set)),
+        trace: Some(TRACE.to_string()),
+        ops: None,
+    }
+}
+
+/// A successful answer to a `table` lookup of reference `row`.
 fn answer(
     space: &QuerySpace,
     set: &ProfileSet,
@@ -111,40 +171,8 @@ fn answer(
     metric: DistanceMetric,
 ) -> Response {
     let rec = &set.records[row];
-    let projection = space.project(rec.mica.values()).expect("47 metrics");
-    let neighbors = space
-        .neighbors(&projection, k, metric)
-        .into_iter()
-        .map(|nb| NeighborEntry { name: nb.name, distance: nb.distance })
-        .collect();
-    Response {
-        id: format!("q{row}"),
-        status: status::OK.to_string(),
-        error: None,
-        retry_after_ms: None,
-        result: Some(QueryResult {
-            name: rec.name.clone(),
-            vector: rec.mica.values().to_vec(),
-            projection,
-            neighbors,
-            metric: metric.name().to_string(),
-            executed_instructions: rec.executed_instructions,
-            cached: true,
-        }),
-        provenance: Some(Provenance {
-            // Text the writer must escape (quotes, a backslash, a tab, a
-            // control character) or pass through as UTF-8.
-            server: "mica-serve 0.1.0 \"q\" tab\there\\\u{1}é".to_string(),
-            table_fingerprint: u64::MAX,
-            profile_fingerprint: set.fingerprint,
-            scale: set.scale,
-            threads: 2,
-            selected_metrics: space.selected().iter().map(|&i| i as u64).collect(),
-            ga_rho: space.rho(),
-        }),
-        trace: Some(format!("{:016x}", row as u64 * 0x9e37_79b9)),
-        ops: None,
-    }
+    let kernel = (rec.name.as_str(), rec.mica.values(), rec.executed_instructions, true);
+    response(space, set, &format!("q{row}"), kernel, k, metric)
 }
 
 #[test]
@@ -167,4 +195,53 @@ fn rendered_answers_equal_the_tree_rendering() {
     refusal.ops = Some("{\"ready\":true}".into());
     let tree = serde_json::to_string(&refusal.to_value()).expect("tree renders");
     assert_eq!(render_response(&refusal), tree);
+}
+
+#[test]
+fn served_answers_equal_the_rendered_response() {
+    let set = committed_profiles();
+    let space = QuerySpace::build(&set, 8);
+    let json = AnswerJson::new(reference_json(&set, &space), &provenance(&space, &set));
+    for (row, rec) in set.records.iter().enumerate() {
+        for metric in METRICS {
+            for k in KS {
+                let served = Answer {
+                    kernel: Cow::Borrowed(json.reference(row)),
+                    neighbors: space.nearest(space.point(row), k, metric),
+                    metric: metric.name(),
+                    cached: true,
+                };
+                let line = json.render(&format!("q{row}"), TRACE, &served);
+                let want = render_response(&answer(&space, &set, row, k, metric));
+                assert_eq!(line, want, "{}, {}, k = {k}", rec.name, metric.name());
+            }
+        }
+    }
+
+    // Kernels characterized for a submission render their vector once per
+    // answer: a zoo instance (every metric of a reference scaled), and an
+    // asm kernel whose metrics are all zero.
+    let scaled: Vec<f64> = set.records[7].mica.values().iter().map(|x| x * 1.0625 + 0.5).collect();
+    let zoo_name = format!("{}?seed=7&scale=0.5", set.records[7].name);
+    let zeros = vec![0.0; scaled.len()];
+    let fresh =
+        [(zoo_name.as_str(), &scaled[..], 123_456, false), ("asm:0123", &zeros[..], 22, true)];
+    for kernel in fresh {
+        let (name, vector, executed, cached) = kernel;
+        let projection = space.project(vector).expect("47 metrics");
+        for metric in METRICS {
+            for k in KS {
+                let served = Answer {
+                    kernel: Cow::Owned(KernelJson::new(name, vector, &projection, executed)),
+                    neighbors: space.nearest(&projection, k, metric),
+                    metric: metric.name(),
+                    cached,
+                };
+                let id = "zoo \"1\"\n";
+                let line = json.render(id, TRACE, &served);
+                let want = response(&space, &set, id, kernel, k, metric);
+                assert_eq!(line, render_response(&want), "{name}, {}, k = {k}", metric.name());
+            }
+        }
+    }
 }
