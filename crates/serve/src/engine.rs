@@ -8,11 +8,12 @@
 //! submission index that caches computed `zoo`/`asm` answers across
 //! requests and is flushed to `<results>/serve-index.json` on drain.
 //!
-//! [`Engine::execute`] runs *inside* the server's
-//! [`mica_par::par_map_isolated`] dispatch, so a panic anywhere in here —
-//! including one injected with `MICA_FAULTS=panic:request=N` — is caught
-//! and turned into a structured `panic` response by the caller, never
-//! killing the server.
+//! [`Engine::execute`] runs *inside* [`mica_par::par_map_isolated`],
+//! whether the dispatcher runs a batch of submissions or a reader thread
+//! runs its `table` lookup, so a panic anywhere in here — including one
+//! injected with `MICA_FAULTS=panic:request=N` — is caught and turned into
+//! a structured `panic` response by the caller, never killing the server
+//! or the thread.
 
 use crate::protocol::{status, Answer, AnswerJson, KernelJson, Provenance, Request, RequestKind};
 use crate::{asmtext, ServeConfig};
@@ -196,8 +197,11 @@ impl Engine {
         }
     }
 
-    /// Run one submission to an [`Outcome`]. Runs under panic isolation.
-    /// A simulation stops between fuel slices once `deadline_at` passes or
+    /// Run one submission to an [`Outcome`]. The server runs it under
+    /// panic isolation: on the dispatcher for a `zoo` or `asm` submission,
+    /// on the connection's reader thread for a `table` lookup. A request
+    /// already past `deadline_at` answers `deadline` before it runs, and a
+    /// simulation stops between fuel slices once `deadline_at` passes or
     /// `cancel` is set, and answers `deadline`.
     pub fn execute(
         &self,

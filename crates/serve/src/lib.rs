@@ -25,10 +25,12 @@
 //!   and reads the clock between slices, so work past its deadline is
 //!   cancelled and reported with a structured `deadline` status, never
 //!   leaked. An `asm` without `budget` runs to `halt` within its deadline.
-//! - **Per-request quarantine**: submissions run under
-//!   [`mica_par::par_map_isolated`], so a panicking kernel (including one
-//!   injected via `MICA_FAULTS=panic:request=N`) returns a structured
-//!   `panic` response while the pool and the server keep serving.
+//! - **Per-request quarantine**: a `zoo` or `asm` submission runs under
+//!   [`mica_par::par_map_isolated`] in the dispatcher's batch, and a
+//!   `table` lookup under it on its connection's reader thread, so a
+//!   panicking request (including one injected via
+//!   `MICA_FAULTS=panic:request=N`) returns a structured `panic` response
+//!   while the pool, the reader thread and the server keep serving.
 //! - **Graceful drain**: SIGTERM / ctrl-c stops admission (`draining`
 //!   rejections), finishes in-flight work, writes the submission index
 //!   (`<results>/serve-index.json`) via

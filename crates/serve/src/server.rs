@@ -13,14 +13,20 @@
 //!   every response) and run *admission*: `ops` control-plane queries are
 //!   answered right here (bypassing the queue, even mid-drain),
 //!   `draining` and `overloaded` rejections are written right here
-//!   without ever touching the queue, everything admitted is pushed onto
-//!   the bounded queue with its deadline — a request's deadline clock
-//!   starts at admission, queueing time counts against it;
-//! - the **dispatcher** pops batches off the queue and runs them through
-//!   [`mica_par::par_map_isolated`], so one panicking submission becomes
-//!   one structured `panic` response while its batch-mates complete; the
-//!   sliced VM loop reads the clock between fuel slices and stops a
-//!   request at its deadline.
+//!   without ever touching the queue, an admitted `table` lookup is
+//!   answered right here too (it counts in the in-flight depth while it
+//!   runs), and an admitted `zoo` or `asm` submission is pushed onto the
+//!   bounded queue — a request's deadline clock starts at admission, so
+//!   queueing time counts against it;
+//! - the **dispatcher** pops batches of submissions off the queue.
+//!
+//! Both answer through one path, `run_jobs`: it runs jobs through
+//! [`mica_par::par_map_isolated`], so one panicking request becomes one
+//! structured `panic` response while its batch-mates complete and its
+//! thread lives on, and the sliced VM loop reads the clock between fuel
+//! slices and stops a request at its deadline. A lookup takes a few
+//! microseconds, less than handing it to the dispatcher and waking it
+//! would cost.
 //!
 //! Every answered request becomes (a) one connected trace — a synthetic
 //! root `request` span (admission → response written) with a `queue` span
@@ -32,7 +38,7 @@
 //!
 //! Drain: stop admission (readers answer `draining`; `ops` stays live so
 //! `ready` can report the drain), let the dispatcher finish the queue and
-//! in-flight batches, flush the submission index (via
+//! the requests in flight complete, flush the submission index (via
 //! [`mica_fault::atomic_write_retry`]) and the access log's buffer, write
 //! the run summary (`run-serve.json`, every `serve.*` counter: the
 //! server's closing account), flush the observability sinks, and return
@@ -69,7 +75,7 @@ static OPS: obs::Counter = obs::Counter::new("serve.ops");
 /// Requests still queued or executing when the drain began, all finished
 /// (never dropped) before the run summary is written.
 static DRAINED_IN_FLIGHT: obs::Counter = obs::Counter::new("serve.drained_in_flight");
-/// Admission-to-dispatch wait.
+/// Admission-to-execution wait.
 static QUEUE_US: obs::Histogram = obs::Histogram::new("serve.queue_us");
 /// Admission-to-response-written latency.
 static LATENCY_US: obs::Histogram = obs::Histogram::new("serve.latency_us");
@@ -120,7 +126,9 @@ pub struct AccessEntry {
     pub kind: String,
     /// Response status written to the client.
     pub outcome: String,
-    /// Admission-to-dispatch wait (0 for anything never queued).
+    /// Admission-to-execution wait: a submission's time in the queue, and
+    /// about 0 for a `table` lookup, which its reader thread runs at once
+    /// (0 for refusals and ops).
     pub queue_wait_us: u64,
     /// Engine execution time (0 for refusals and ops).
     pub exec_us: u64,
@@ -153,9 +161,13 @@ struct Shared {
     /// Boot instant; `ops` uptime.
     started: Instant,
     queue: Mutex<VecDeque<Job>>,
+    /// Wakes the dispatcher, its only waiter: a push onto the queue, or
+    /// the drain.
     work_cv: Condvar,
     draining: AtomicBool,
     done: AtomicBool,
+    /// Requests running now: the dispatcher's batch and the lookups on
+    /// reader threads. Admission counts both in the depth.
     inflight: AtomicUsize,
     /// `serve-access.jsonl`, created at boot; `None` once creating or
     /// writing it failed.
@@ -259,21 +271,25 @@ fn write_response(conn: &Mutex<TcpStream>, id: &str, mut line: String) {
     }
 }
 
-/// Admission: either queue the request or return the rejection to write.
+/// What admission did with a request.
+enum Admission {
+    /// Pushed onto the queue for the dispatcher.
+    Queued,
+    /// A `table` lookup for its reader thread to answer now: it already
+    /// counts in `inflight`, and [`run_jobs`] takes it out.
+    Run(Job),
+    /// Refused; the response to write.
+    Refused(Response),
+}
+
+/// Admission: refuse the request, queue it, or hand a `table` lookup
+/// back to its reader thread.
 fn admit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     req: Request,
     ctx: obs::TraceContext,
     conn: &Arc<Mutex<TcpStream>>,
-) -> Option<Response> {
-    let id = req.id.clone();
-    if shared.draining.load(Ordering::SeqCst) {
-        REJECTED_DRAINING.incr();
-        let mut resp = Response::refusal(&id, status::DRAINING, "server is draining");
-        resp.retry_after_ms = Some(RETRY_MS * 4);
-        return Some(resp);
-    }
-
+) -> Admission {
     let deadline_ms =
         req.deadline_ms.unwrap_or(crate::DEFAULT_DEADLINE_MS).clamp(1, crate::MAX_DEADLINE_MS);
     let admitted = Instant::now();
@@ -281,37 +297,55 @@ fn admit(
     let deadline_at = admitted + Duration::from_millis(deadline_ms);
 
     let mut queue = shared.queue.lock().expect("queue poisoned");
+    // Read the flag under the queue lock, which the dispatcher holds when
+    // it finds nothing queued or in flight and exits. Read before the
+    // lock, the drain could start between the read and the push, and the
+    // dispatcher could exit in that gap. The job would then land on a
+    // queue that nothing runs: its client would never be answered, and
+    // the accept loop would wait forever for the queue to empty.
+    if shared.draining.load(Ordering::SeqCst) {
+        REJECTED_DRAINING.incr();
+        let mut resp = Response::refusal(&req.id, status::DRAINING, "server is draining");
+        resp.retry_after_ms = Some(RETRY_MS * 4);
+        return Admission::Refused(resp);
+    }
     let depth = queue.len() + shared.inflight.load(Ordering::Relaxed);
     if depth >= shared.cfg.queue_cap {
         REJECTED_OVERLOADED.incr();
-        let mut resp = Response::refusal(&id, status::OVERLOADED, "admission queue is full");
+        let mut resp = Response::refusal(&req.id, status::OVERLOADED, "admission queue is full");
         resp.retry_after_ms = Some(RETRY_MS * (1 + depth as u64));
-        return Some(resp);
+        return Admission::Refused(resp);
     }
     if depth >= shared.cfg.watermark && !shared.engine.is_cheap(&req) {
         SHED.incr();
         REJECTED_OVERLOADED.incr();
         let mut resp = Response::refusal(
-            &id,
+            &req.id,
             status::OVERLOADED,
             "load shedding: queue past watermark, submission needs simulation",
         );
         resp.retry_after_ms = Some(RETRY_MS * (1 + depth as u64));
-        return Some(resp);
+        return Admission::Refused(resp);
     }
 
-    queue.push_back(Job { req, ctx, admitted, admitted_us, deadline_at, conn: Arc::clone(conn) });
-    drop(queue);
     ACCEPTED.incr();
+    let job = Job { req, ctx, admitted, admitted_us, deadline_at, conn: Arc::clone(conn) };
+    if job.req.kind == RequestKind::Table {
+        shared.inflight.fetch_add(1, Ordering::SeqCst);
+        return Admission::Run(job);
+    }
+    queue.push_back(job);
+    drop(queue);
     shared.work_cv.notify_one();
-    None
+    Admission::Queued
 }
 
 /// One connection: read request lines until EOF; each line gets a fresh
 /// [`obs::TraceContext`] (echoed as `trace` in the response), then either
-/// an immediate `ops` answer, an admission rejection, or a queue slot. A
-/// line longer than [`MAX_LINE_BYTES`] is answered as a bad line and ends
-/// the connection, so no client can make its reader buffer without limit.
+/// an immediate `ops` answer, an admission rejection, an immediate lookup
+/// answer, or a queue slot. A line longer than [`MAX_LINE_BYTES`] is
+/// answered as a bad line and ends the connection, so no client can make
+/// its reader buffer without limit.
 fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
     if stream.set_nonblocking(false).is_err() {
         return;
@@ -346,77 +380,59 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream) {
             parse_request(line).map_err(|e| (salvage_id(line), e))
         };
         let ctx = obs::TraceContext::fresh();
-        let trace_hex = ctx.trace_hex();
         match parsed {
             // Control plane: answered right here, never queued, and still
             // answered mid-drain so `ready` can report the drain itself.
             Ok(req) if req.kind == RequestKind::Ops => {
                 OPS.incr();
-                let mut resp = handle_ops(&shared, &req);
-                resp.trace = Some(trace_hex.clone());
-                write_response(&conn, &req.id, render_response(&resp));
-                log_access(
-                    &shared,
-                    &AccessEntry {
-                        ts_us: obs::timestamp_us(),
-                        id: req.id,
-                        trace: trace_hex,
-                        kind: "ops".into(),
-                        outcome: resp.status,
-                        queue_wait_us: 0,
-                        exec_us: 0,
-                        fuel: 0,
-                        deadline_slack_ms: 0,
-                    },
-                );
+                write_unexecuted(&shared, &conn, ctx, "ops", handle_ops(&shared, &req));
             }
             Ok(req) => {
                 let kind = req.kind.name();
-                let id = req.id.clone();
-                if let Some(mut rejection) = admit(&shared, req, ctx, &conn) {
-                    rejection.trace = Some(trace_hex.clone());
-                    write_response(&conn, &id, render_response(&rejection));
-                    log_access(
-                        &shared,
-                        &AccessEntry {
-                            ts_us: obs::timestamp_us(),
-                            id,
-                            trace: trace_hex,
-                            kind: kind.into(),
-                            outcome: rejection.status,
-                            queue_wait_us: 0,
-                            exec_us: 0,
-                            fuel: 0,
-                            deadline_slack_ms: 0,
-                        },
-                    );
+                match admit(&shared, req, ctx, &conn) {
+                    Admission::Queued => {}
+                    Admission::Run(job) => run_jobs(&shared, std::slice::from_ref(&job)),
+                    Admission::Refused(resp) => write_unexecuted(&shared, &conn, ctx, kind, resp),
                 }
             }
             Err((id, e)) => {
                 BAD_LINES.incr();
-                let mut resp = Response::refusal(&id, status::ERROR, e);
-                resp.trace = Some(trace_hex.clone());
-                write_response(&conn, &id, render_response(&resp));
-                log_access(
-                    &shared,
-                    &AccessEntry {
-                        ts_us: obs::timestamp_us(),
-                        id: resp.id,
-                        trace: trace_hex,
-                        kind: "invalid".into(),
-                        outcome: resp.status,
-                        queue_wait_us: 0,
-                        exec_us: 0,
-                        fuel: 0,
-                        deadline_slack_ms: 0,
-                    },
-                );
+                let resp = Response::refusal(&id, status::ERROR, e);
+                write_unexecuted(&shared, &conn, ctx, "invalid", resp);
                 if overlong {
                     break;
                 }
             }
         }
     }
+}
+
+/// Write an answer the engine never ran for (an `ops` answer, a refusal
+/// or a bad line's error) with its trace id, and log it.
+fn write_unexecuted(
+    shared: &Shared,
+    conn: &Mutex<TcpStream>,
+    ctx: obs::TraceContext,
+    kind: &str,
+    mut resp: Response,
+) {
+    let trace = ctx.trace_hex();
+    resp.trace = Some(trace.clone());
+    write_response(conn, &resp.id, render_response(&resp));
+    log_access(
+        shared,
+        &AccessEntry {
+            ts_us: obs::timestamp_us(),
+            id: resp.id,
+            trace,
+            kind: kind.into(),
+            outcome: resp.status,
+            queue_wait_us: 0,
+            exec_us: 0,
+            fuel: 0,
+            deadline_slack_ms: 0,
+        },
+    );
 }
 
 /// Answer one control-plane (`ops`) query. Reads shared state and the
@@ -487,12 +503,9 @@ fn metrics_text(shared: &Shared) -> String {
     out
 }
 
-/// The dispatcher: pop batches, execute under panic isolation, respond.
-fn dispatch_loop(shared: &Arc<Shared>) {
+/// The dispatcher: pop batches of submissions and answer them.
+fn dispatch_loop(shared: &Shared) {
     let batch_cap = mica_par::num_threads().max(1);
-    // `execute` stops a request at its deadline by reading the clock;
-    // nothing cancels one earlier, so this flag is never set.
-    let never_cancelled = AtomicBool::new(false);
     loop {
         let batch: Vec<Job> = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -513,119 +526,130 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             shared.inflight.fetch_add(n, Ordering::SeqCst);
             queue.drain(..n).collect()
         };
-
-        let outcomes = mica_par::par_map_isolated(&batch, |job| {
-            // Install the request's context so the engine's spans (and any
-            // nested pool spans) parent into the request's trace, then
-            // backfill the queue wait as a span of that trace.
-            let _ctx = obs::install_context(Some(job.ctx));
-            let wait_us = job.admitted.elapsed().as_micros() as u64;
-            QUEUE_US.record(wait_us);
-            // Build span records only when a sink takes them: their names
-            // and attributes allocate.
-            if obs::spans_enabled() {
-                obs::emit_span_record(obs::SpanRecord {
-                    ts_us: job.admitted_us,
-                    dur_us: wait_us,
-                    tid: obs::current_tid(),
-                    trace_id: job.ctx.trace_id,
-                    span_id: obs::next_span_id(),
-                    parent_id: job.ctx.span_id,
-                    cat: "serve",
-                    name: "queue".into(),
-                    attrs: vec![("id", job.req.id.as_str().into())],
-                });
-            }
-            let exec_started = Instant::now();
-            let outcome =
-                shared.engine.execute(&job.req, job.deadline_at, &never_cancelled, &shared.cfg);
-            (outcome, wait_us, exec_started.elapsed().as_micros() as u64)
-        });
-
-        for (job, result) in batch.iter().zip(outcomes) {
-            let trace = job.ctx.trace_hex();
-            let (outcome, line, fuel, queue_wait_us, exec_us) = match result {
-                Ok((out, wait_us, exec_us)) => {
-                    match out.status {
-                        status::OK => OK.incr(),
-                        status::DEADLINE => DEADLINES.incr(),
-                        _ => ERRORS.incr(),
-                    }
-                    let (line, fuel) = match &out.result {
-                        Some(answer) => (
-                            shared.engine.render(&job.req.id, &trace, answer),
-                            answer.kernel.executed_instructions(),
-                        ),
-                        None => {
-                            let resp = Response {
-                                id: job.req.id.clone(),
-                                status: out.status.to_string(),
-                                error: out.error,
-                                retry_after_ms: None,
-                                result: None,
-                                provenance: None,
-                                trace: Some(trace.clone()),
-                                ops: None,
-                            };
-                            (render_response(&resp), 0)
-                        }
-                    };
-                    (out.status, line, fuel, wait_us, exec_us)
-                }
-                Err(panic) => {
-                    PANICS.incr();
-                    let mut resp = Response::refusal(
-                        &job.req.id,
-                        status::PANIC,
-                        format!("submission quarantined: {}", panic.payload),
-                    );
-                    resp.trace = Some(trace.clone());
-                    (status::PANIC, render_response(&resp), 0, 0, 0)
-                }
-            };
-            write_response(&job.conn, &job.req.id, line);
-            let latency_us = job.admitted.elapsed().as_micros() as u64;
-            LATENCY_US.record(latency_us);
-
-            // The trace's root: one `request` span covering admission to
-            // response written, with the `queue` and engine spans under it.
-            if obs::spans_enabled() {
-                obs::emit_span_record(obs::SpanRecord {
-                    ts_us: job.admitted_us,
-                    dur_us: latency_us,
-                    tid: obs::current_tid(),
-                    trace_id: job.ctx.trace_id,
-                    span_id: job.ctx.span_id,
-                    parent_id: 0,
-                    cat: "serve",
-                    name: "request".into(),
-                    attrs: vec![
-                        ("id", job.req.id.as_str().into()),
-                        ("kind", job.req.kind.name().into()),
-                        ("outcome", outcome.into()),
-                        ("queue_wait_us", queue_wait_us.into()),
-                        ("exec_us", exec_us.into()),
-                    ],
-                });
-            }
-            log_access(
-                shared,
-                &AccessEntry {
-                    ts_us: obs::timestamp_us(),
-                    id: job.req.id.clone(),
-                    trace,
-                    kind: job.req.kind.name().into(),
-                    outcome: outcome.into(),
-                    queue_wait_us,
-                    exec_us,
-                    fuel,
-                    deadline_slack_ms: deadline_slack_ms(job.deadline_at, Instant::now()),
-                },
-            );
-        }
-        shared.inflight.fetch_sub(batch.len(), Ordering::SeqCst);
-        shared.work_cv.notify_all();
+        run_jobs(shared, &batch);
     }
+}
+
+/// `execute` stops a request at its deadline by reading the clock; nothing
+/// cancels one earlier, so this flag is never set.
+static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);
+
+/// The one answer path, for the dispatcher's batches and the lookups
+/// reader threads run: execute `jobs` under panic isolation (on the pool
+/// when there are several), then write each answer, record its latency,
+/// emit its `queue` and `request` spans and log it. The caller counted
+/// `jobs` in `inflight`; this takes them out once they are answered.
+fn run_jobs(shared: &Shared, jobs: &[Job]) {
+    let outcomes = mica_par::par_map_isolated(jobs, |job| {
+        // Install the request's context so the engine's spans (and any
+        // nested pool spans) parent into the request's trace, then
+        // backfill the queue wait as a span of that trace.
+        let _ctx = obs::install_context(Some(job.ctx));
+        let wait_us = job.admitted.elapsed().as_micros() as u64;
+        QUEUE_US.record(wait_us);
+        // Build span records only when a sink takes them: their names
+        // and attributes allocate.
+        if obs::spans_enabled() {
+            obs::emit_span_record(obs::SpanRecord {
+                ts_us: job.admitted_us,
+                dur_us: wait_us,
+                tid: obs::current_tid(),
+                trace_id: job.ctx.trace_id,
+                span_id: obs::next_span_id(),
+                parent_id: job.ctx.span_id,
+                cat: "serve",
+                name: "queue".into(),
+                attrs: vec![("id", job.req.id.as_str().into())],
+            });
+        }
+        let exec_started = Instant::now();
+        let outcome =
+            shared.engine.execute(&job.req, job.deadline_at, &NEVER_CANCELLED, &shared.cfg);
+        (outcome, wait_us, exec_started.elapsed().as_micros() as u64)
+    });
+
+    for (job, result) in jobs.iter().zip(outcomes) {
+        let trace = job.ctx.trace_hex();
+        let (outcome, line, fuel, queue_wait_us, exec_us) = match result {
+            Ok((out, wait_us, exec_us)) => {
+                match out.status {
+                    status::OK => OK.incr(),
+                    status::DEADLINE => DEADLINES.incr(),
+                    _ => ERRORS.incr(),
+                }
+                let (line, fuel) = match &out.result {
+                    Some(answer) => (
+                        shared.engine.render(&job.req.id, &trace, answer),
+                        answer.kernel.executed_instructions(),
+                    ),
+                    None => {
+                        let resp = Response {
+                            id: job.req.id.clone(),
+                            status: out.status.to_string(),
+                            error: out.error,
+                            retry_after_ms: None,
+                            result: None,
+                            provenance: None,
+                            trace: Some(trace.clone()),
+                            ops: None,
+                        };
+                        (render_response(&resp), 0)
+                    }
+                };
+                (out.status, line, fuel, wait_us, exec_us)
+            }
+            Err(panic) => {
+                PANICS.incr();
+                let mut resp = Response::refusal(
+                    &job.req.id,
+                    status::PANIC,
+                    format!("submission quarantined: {}", panic.payload),
+                );
+                resp.trace = Some(trace.clone());
+                (status::PANIC, render_response(&resp), 0, 0, 0)
+            }
+        };
+        write_response(&job.conn, &job.req.id, line);
+        let latency_us = job.admitted.elapsed().as_micros() as u64;
+        LATENCY_US.record(latency_us);
+
+        // The trace's root: one `request` span covering admission to
+        // response written, with the `queue` and engine spans under it.
+        if obs::spans_enabled() {
+            obs::emit_span_record(obs::SpanRecord {
+                ts_us: job.admitted_us,
+                dur_us: latency_us,
+                tid: obs::current_tid(),
+                trace_id: job.ctx.trace_id,
+                span_id: job.ctx.span_id,
+                parent_id: 0,
+                cat: "serve",
+                name: "request".into(),
+                attrs: vec![
+                    ("id", job.req.id.as_str().into()),
+                    ("kind", job.req.kind.name().into()),
+                    ("outcome", outcome.into()),
+                    ("queue_wait_us", queue_wait_us.into()),
+                    ("exec_us", exec_us.into()),
+                ],
+            });
+        }
+        log_access(
+            shared,
+            &AccessEntry {
+                ts_us: obs::timestamp_us(),
+                id: job.req.id.clone(),
+                trace,
+                kind: job.req.kind.name().into(),
+                outcome: outcome.into(),
+                queue_wait_us,
+                exec_us,
+                fuel,
+                deadline_slack_ms: deadline_slack_ms(job.deadline_at, Instant::now()),
+            },
+        );
+    }
+    shared.inflight.fetch_sub(jobs.len(), Ordering::SeqCst);
 }
 
 /// A running in-process server (tests; the binary uses [`serve`]).

@@ -13,7 +13,7 @@ use mica_serve::server::spawn;
 use mica_serve::{ServeConfig, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A raw (non-retrying) connection: write request lines, read response
 /// lines, in whatever order the server produces them.
@@ -50,6 +50,22 @@ fn asm_request(id: &str, text: &str) -> Request {
     req
 }
 
+/// Whether an `ops` `stats` scrape on `conn` shows `n` requests in flight.
+fn inflight_is(conn: &mut RawConn, n: usize) -> bool {
+    let mut req = Request::new("stats", RequestKind::Ops);
+    req.op = Some("stats".into());
+    conn.send(&req);
+    conn.recv().ops.expect("a stats payload").contains(&format!("\"inflight\":{n},"))
+}
+
+/// Scrape `stats` on `conn` until it shows `n` requests in flight.
+fn await_inflight(conn: &mut RawConn, n: usize) {
+    let start = Instant::now();
+    while !inflight_is(conn, n) {
+        assert!(start.elapsed() < Duration::from_secs(10), "in flight never reached {n}");
+    }
+}
+
 /// A finite countdown kernel: distinct per `n`, so each is a distinct
 /// (expensive, uncached) submission.
 fn countdown_asm(n: u64) -> String {
@@ -81,6 +97,7 @@ fn robustness_envelope_end_to_end() {
         mica_experiments::profile::load_or_profile_all(&results.join("profiles.json"), 1e-9)
             .expect("reference profiles")
             .set;
+    let table_name = reference.records[0].name.clone();
 
     // -- deadline: injected latency pushes a request past its deadline ---
     install("slow:serve.request=600@1");
@@ -104,6 +121,25 @@ fn robustness_envelope_end_to_end() {
         "expected a cancellation at the deadline, got {resp:?}"
     );
 
+    // -- a lookup does not wait behind a simulation: while a runaway holds
+    //    the dispatcher, a lookup's reader thread answers it -------------
+    // The dispatcher counts `longrun` in flight until just after its answer
+    // is written; once that count is gone, only the occupant can show.
+    await_inflight(&mut conn, 0);
+    let mut occupant = RawConn::open(&addr);
+    let mut req = asm_request("occupant", "loop:\njmp loop");
+    req.deadline_ms = Some(1_500);
+    occupant.send(&req);
+    await_inflight(&mut conn, 1);
+    let mut req = Request::new("past-the-occupant", RequestKind::Table);
+    req.name = Some(table_name.clone());
+    conn.send(&req);
+    let resp = conn.recv();
+    assert_eq!(resp.status, status::OK, "a lookup while the dispatcher is busy: {resp:?}");
+    assert!(inflight_is(&mut conn, 1), "the lookup was answered after the runaway's deadline");
+    let resp = occupant.recv();
+    assert_eq!(resp.status, status::DEADLINE, "the runaway occupant: {resp:?}");
+
     // -- quarantine: an injected request panic is one structured reply ---
     install("panic:request=1");
     conn.send(&asm_request("boom", &countdown_asm(10)));
@@ -119,6 +155,21 @@ fn robustness_envelope_end_to_end() {
     let resp = conn.recv();
     assert_eq!(resp.status, status::OK, "{resp:?}");
     assert_eq!(resp.result.expect("ok carries a result").executed_instructions, 22);
+
+    // A lookup, which its reader thread runs, is quarantined the same way,
+    // and the reader lives on to answer the next lookup.
+    install("panic:request=1");
+    let mut req = Request::new("boom-lookup", RequestKind::Table);
+    req.name = Some(table_name.clone());
+    conn.send(&req);
+    let resp = conn.recv();
+    assert_eq!(resp.status, status::PANIC, "injected lookup panic: {resp:?}");
+    assert!(resp.error.as_deref().unwrap_or("").contains("quarantined"));
+    mica_fault::plan::clear();
+    req.id = "after-boom-lookup".into();
+    conn.send(&req);
+    let resp = conn.recv();
+    assert_eq!(resp.status, status::OK, "the reader survived its panic: {resp:?}");
 
     // -- bad lines get structured errors with salvaged ids ---------------
     conn.stream.write_all(b"{\"id\":\"mangled\",\"kind\":\"nope\"}\n").unwrap();
@@ -138,7 +189,6 @@ fn robustness_envelope_end_to_end() {
 
     // -- dropped responses: the retrying client survives io:respond ------
     install("io:respond@1");
-    let table_name = reference.records[0].name.clone();
     let mut req = Request::new("flaky", RequestKind::Table);
     req.name = Some(table_name.clone());
     let resp = client::query(&addr, &req, 4).expect("client retries through a dropped response");
@@ -292,8 +342,8 @@ fn robustness_envelope_end_to_end() {
     assert_eq!(summary.bin, "serve");
     assert!(counter("serve.accepted") >= 14, "{:?}", summary.counters);
     assert!(counter("serve.ok") >= 12);
-    assert_eq!(counter("serve.panic"), 1);
-    assert_eq!(counter("serve.deadline"), 2);
+    assert_eq!(counter("serve.panic"), 2);
+    assert_eq!(counter("serve.deadline"), 3);
     assert!(counter("serve.rejected.overloaded") >= 2);
     assert!(counter("serve.shed") >= 1);
     assert!(counter("serve.rejected.draining") >= 1);
