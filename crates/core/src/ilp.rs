@@ -36,7 +36,8 @@ struct Window {
 /// an instruction's registers once and updates every window.
 ///
 /// Custom window sizes can be supplied with [`IlpAnalyzer::with_windows`]
-/// (used by the ablation benchmarks).
+/// (`tests/model_invariants.rs` bounds EV67's IPC by a window of 80, and
+/// `tests/methodology.rs` measures the key subset's window of 256 alone).
 #[derive(Debug, Clone)]
 pub struct IlpAnalyzer {
     windows: Vec<Window>,
@@ -102,76 +103,6 @@ impl TraceSink for IlpAnalyzer {
             w.last_cycle = w.last_cycle.max(complete);
         }
         self.count += 1;
-    }
-}
-
-/// The simpler ILP approximation some workload studies use instead of
-/// windowed scheduling: split the stream into consecutive windows of `w`
-/// instructions and compute each window's dependence-chain critical path;
-/// IPC = instructions / sum of critical paths.
-///
-/// This ignores overlap *between* windows, so it lower-bounds
-/// [`IlpAnalyzer`]'s windowed-scheduling IPC; the ablation benchmark
-/// quantifies the gap.
-#[derive(Debug, Clone)]
-pub struct IlpCriticalPath {
-    size: usize,
-    /// Chain depth at each unified register within the current window.
-    depth: [u64; 64],
-    in_window: usize,
-    window_critical: u64,
-    total_cycles: u64,
-    count: u64,
-}
-
-impl IlpCriticalPath {
-    /// Analyzer with window size `size`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn new(size: usize) -> Self {
-        assert!(size > 0, "window size must be positive");
-        IlpCriticalPath {
-            size,
-            depth: [0; 64],
-            in_window: 0,
-            window_critical: 0,
-            total_cycles: 0,
-            count: 0,
-        }
-    }
-
-    /// IPC under the per-window critical-path model.
-    pub fn ipc(&self) -> f64 {
-        let cycles = self.total_cycles + self.window_critical;
-        if self.count == 0 || cycles == 0 {
-            0.0
-        } else {
-            self.count as f64 / cycles as f64
-        }
-    }
-}
-
-impl TraceSink for IlpCriticalPath {
-    fn retire(&mut self, inst: &DynInst) {
-        let mut d = 0;
-        for s in inst.sources() {
-            d = d.max(self.depth[s.unified()]);
-        }
-        let d = d + 1;
-        if let Some(dst) = inst.dst {
-            self.depth[dst.unified()] = d;
-        }
-        self.window_critical = self.window_critical.max(d);
-        self.count += 1;
-        self.in_window += 1;
-        if self.in_window == self.size {
-            self.total_cycles += self.window_critical;
-            self.window_critical = 0;
-            self.in_window = 0;
-            self.depth = [0; 64];
-        }
     }
 }
 
@@ -247,40 +178,4 @@ mod tests {
     fn zero_window_rejected() {
         let _ = IlpAnalyzer::with_windows(&[0]);
     }
-    #[test]
-    fn critical_path_serial_chain_is_ipc_one() {
-        let mut a = IlpCriticalPath::new(32);
-        for _ in 0..960 {
-            a.retire(&inst(Some(1), &[1]));
-        }
-        assert!((a.ipc() - 1.0).abs() < 0.05, "{}", a.ipc());
-    }
-
-    #[test]
-    fn critical_path_lower_bounds_windowed_scheduling() {
-        // A half-dependent stream: scheduling overlaps across windows,
-        // the per-window model cannot.
-        let mut sched = IlpAnalyzer::with_windows(&[64]);
-        let mut cp = IlpCriticalPath::new(64);
-        for i in 0..10_000u64 {
-            let d = (i % 6 + 1) as u8;
-            let srcs = if i % 2 == 0 { vec![] } else { vec![d] };
-            let di = inst(Some(d), &srcs);
-            sched.retire(&di);
-            cp.retire(&di);
-        }
-        let sched_ipc = sched.ipcs()[0];
-        assert!(
-            cp.ipc() <= sched_ipc + 1e-9,
-            "critical-path {} must not exceed scheduled {sched_ipc}",
-            cp.ipc(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn critical_path_zero_window_rejected() {
-        let _ = IlpCriticalPath::new(0);
-    }
-
 }

@@ -58,7 +58,7 @@ mod suite;
 mod vector;
 mod working_set;
 
-pub use ilp::{IlpAnalyzer, IlpCriticalPath};
+pub use ilp::IlpAnalyzer;
 pub use mix::InstructionMix;
 pub use ppm::{PpmPredictor, PpmVariant};
 pub use regtraffic::{RegTraffic, DEP_DIST_BUCKETS};

@@ -3,8 +3,8 @@
 
 use tinyisa::{DynInst, FlatTable, TraceSink};
 
-/// Default maximum PPM context order (history bits). The ablation benchmark
-/// varies this; the characterization uses the default.
+/// Default maximum PPM context order (history bits): the paper's, and the
+/// highest [`PpmPredictor::with_max_order`] accepts.
 pub const DEFAULT_MAX_ORDER: usize = 8;
 
 /// The four PPM predictor variants of the paper.
@@ -54,14 +54,7 @@ fn context_slot(order: usize, hist: u64) -> u64 {
     (1 << order) | (hist & ((1 << order) - 1))
 }
 
-/// The key of a context above [`DEFAULT_MAX_ORDER`]: the table's branch id
-/// (0 for the shared tables of GAg/PAg) in bits 33 and up, then the
-/// context's slot.
-fn context_key(table: u64, order: usize, hist: u64) -> u64 {
-    (table << 33) | context_slot(order, hist)
-}
-
-/// Slots a hashed table starts with (a power of two).
+/// Slots the branch-id table starts with (a power of two).
 const INITIAL_SLOTS: usize = 1 << 10;
 
 /// A theoretical Prediction-by-Partial-Matching branch predictor
@@ -82,15 +75,10 @@ pub struct PpmPredictor {
     local_hist: Vec<u64>,
     /// Branch id + 1 by pc, 0 until the branch is first seen.
     ids: FlatTable<u32>,
-    /// `[not-taken, taken]` counts of the orders up to
-    /// [`DEFAULT_MAX_ORDER`], by [`context_slot`] within one block per
-    /// table; a table's block starts at `table × block_len`.
+    /// `[not-taken, taken]` counts of every order, by [`context_slot`]
+    /// within one block per table; a table's block starts at
+    /// `table × block_len`.
     direct: Vec<[u32; 2]>,
-    /// `[not-taken, taken]` counts of the orders above
-    /// [`DEFAULT_MAX_ORDER`], by context key. A block up to order `k` takes
-    /// `16 << k` bytes, 64 GiB at order 32, while a trace reaches few of
-    /// its contexts.
-    counts: FlatTable<[u32; 2]>,
     correct: u64,
     total: u64,
 }
@@ -105,9 +93,9 @@ impl PpmPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `max_order > 32`.
+    /// Panics if `max_order` is above 8, the paper's order.
     pub fn with_max_order(variant: PpmVariant, max_order: usize) -> Self {
-        assert!(max_order <= 32, "PPM order above 32 is not supported");
+        assert!(max_order <= DEFAULT_MAX_ORDER, "PPM order above {DEFAULT_MAX_ORDER} is not supported");
         let mut p = PpmPredictor {
             variant,
             max_order,
@@ -115,7 +103,6 @@ impl PpmPredictor {
             local_hist: Vec::new(),
             ids: FlatTable::with_slots(INITIAL_SLOTS),
             direct: Vec::new(),
-            counts: FlatTable::with_slots(INITIAL_SLOTS),
             correct: 0,
             total: 0,
         };
@@ -125,14 +112,9 @@ impl PpmPredictor {
         p
     }
 
-    /// The highest order counted in the direct-indexed blocks.
-    fn direct_order(&self) -> usize {
-        self.max_order.min(DEFAULT_MAX_ORDER)
-    }
-
-    /// Slots in one table's direct-indexed block.
+    /// Slots in one table's block.
     fn block_len(&self) -> usize {
-        2 << self.direct_order()
+        2 << self.max_order
     }
 
     /// The configured variant.
@@ -162,7 +144,8 @@ impl PpmPredictor {
         let block_len = if self.variant.per_branch_tables() { self.block_len() } else { 0 };
         let slot = self.ids.get_or_insert(pc);
         if *slot == 0 {
-            // An id shifts into bits 33 and up of a context key.
+            // The slot stores the id + 1, the length after the push, as a
+            // u32: this guard keeps `len + 1` inside one.
             assert!(self.local_hist.len() < 1 << 31, "more than 2^31 static branches");
             self.local_hist.push(0);
             *slot = self.local_hist.len() as u32;
@@ -176,7 +159,7 @@ impl PpmPredictor {
     pub fn observe(&mut self, pc: u64, taken: bool) -> bool {
         let id = if self.variant == PpmVariant::GAg { 0 } else { self.branch_id(pc) };
         let hist = if self.variant.per_address_history() { self.local_hist[id] } else { self.global_hist };
-        let table = if self.variant.per_branch_tables() { id as u64 } else { 0 };
+        let table = if self.variant.per_branch_tables() { id } else { 0 };
 
         // One probe per order, shortest context first. A context's counts
         // stay [0, 0] until it is first seen, so the last nonzero counts
@@ -184,21 +167,15 @@ impl PpmPredictor {
         // of the longest-match escape. Each probe then counts this outcome
         // in a context no later probe reads.
         let mut prediction = true; // static default for a never-seen branch
-        let mut probe = |counts: &mut [u32; 2]| {
+        let block_len = self.block_len();
+        let block = &mut self.direct[table * block_len..][..block_len];
+        for order in 0..=self.max_order {
+            let counts = &mut block[context_slot(order, hist) as usize];
             let [nt, t] = *counts;
             if nt | t != 0 {
                 prediction = t >= nt;
             }
             counts[taken as usize] = counts[taken as usize].saturating_add(1);
-        };
-        let top = self.direct_order();
-        let block_len = self.block_len();
-        let block = &mut self.direct[table as usize * block_len..][..block_len];
-        for order in 0..=top {
-            probe(&mut block[context_slot(order, hist) as usize]);
-        }
-        for order in top + 1..=self.max_order {
-            probe(self.counts.get_or_insert(context_key(table, order, hist)));
         }
 
         let correct = prediction == taken;
@@ -344,15 +321,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "not supported")]
-    fn order_64_is_rejected_at_construction() {
-        // `1u64 << 64` in the key mask would be UB-shaped; such predictors
-        // must never exist.
-        let _ = PpmPredictor::with_max_order(PpmVariant::GAg, 64);
+    fn order_9_is_rejected_at_construction() {
+        let _ = PpmPredictor::with_max_order(PpmVariant::GAg, DEFAULT_MAX_ORDER + 1);
     }
 
     #[test]
     fn max_supported_order_works_end_to_end() {
-        let mut p = PpmPredictor::with_max_order(PpmVariant::PAs, 32);
+        let mut p = PpmPredictor::with_max_order(PpmVariant::PAs, DEFAULT_MAX_ORDER);
         for i in 0..500 {
             p.observe(0x100, i % 3 == 0);
         }
@@ -376,27 +351,19 @@ mod tests {
         assert!(p.observe(0x100, true), "ties predict taken");
         assert_eq!(p.direct[slot], [u32::MAX, u32::MAX]);
         assert_eq!(p.total(), 1);
-
-        // The same in the hashed tier: a fresh predictor's order-9 context.
-        let mut p = PpmPredictor::with_max_order(PpmVariant::GAg, 9);
-        let key = context_key(0, 9, 0);
-        *p.counts.get_or_insert(key) = [u32::MAX, u32::MAX];
-        assert!(p.observe(0x100, true), "ties predict taken");
-        assert_eq!(*p.counts.get_or_insert(key), [u32::MAX, u32::MAX]);
-        assert_eq!(p.total(), 1);
     }
 
     #[test]
     fn shared_tables_hold_one_block_and_separate_tables_one_per_branch() {
         let pcs = [0x100, 0x200, 0x100, 0x300, 0x200, u64::MAX, 0];
-        for order in [0, 1, 8, 9, 32] {
+        for order in [0, 1, 8] {
             for v in PpmVariant::ALL {
                 let mut p = PpmPredictor::with_max_order(v, order);
                 for (i, &pc) in pcs.iter().enumerate() {
                     p.observe(pc, i % 2 == 0);
                 }
                 let blocks = if v.per_branch_tables() { 5 } else { 1 };
-                assert_eq!(p.direct.len(), blocks << (order.min(8) + 1), "{v} order {order}");
+                assert_eq!(p.direct.len(), blocks << (order + 1), "{v} order {order}");
             }
         }
     }

@@ -3,4 +3,4 @@
 //! its code is gone. The package, its dependencies, and the
 //! `mica-experiments` and `mica-prof` dependencies on it stay only because
 //! removing any of them rewrites `perfbench/Cargo.lock`; they go with the
-//! next change to the benchmark (ROADMAP item 7).
+//! next change to the benchmark (ROADMAP item 5).

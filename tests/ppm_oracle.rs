@@ -1,19 +1,18 @@
-//! The PPM predictor (direct-indexed blocks up to order 8, flat tables
-//! above) against a reference: the map-based predictor it replaced, with
-//! one `HashMap` per order keyed by (branch pc or 0, masked history), a
-//! longest-match search from the top order down, then an update of every
-//! order. Every prediction, the branch count and the accuracy's bits must
-//! agree for all four variants over a spread of orders, on every table
-//! kernel's branches and on random streams whose pcs reach the extremes of
-//! the address space.
+//! The PPM predictor (direct-indexed blocks) against a reference: the
+//! map-based predictor it replaced, with one `HashMap` per order keyed by
+//! (branch pc or 0, masked history), a longest-match search from the top
+//! order down, then an update of every order. Every prediction, the branch
+//! count and the accuracy's bits must agree for all four variants over a
+//! spread of orders, on every table kernel's branches and on random streams
+//! whose pcs reach the extremes of the address space.
 
 use mica_suite::mica::{PpmPredictor, PpmVariant};
 use mica_suite::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// Order 9 is the lowest with a hashed tier above the direct-indexed one.
-const ORDERS: [usize; 7] = [0, 1, 4, 8, 9, 12, 32];
+/// Orders up to the paper's 8, the highest the predictor accepts.
+const ORDERS: [usize; 4] = [0, 1, 4, 8];
 
 /// Instructions per kernel: the budget floor every scale bottoms out at.
 const FLOOR: u64 = 10_000;
